@@ -121,63 +121,40 @@ func BenchmarkCOWHeapSnapshot(b *testing.B) {
 	}
 }
 
-// BenchmarkCtrieUpdateHeavy measures the workload the in-place fast path is
-// built for: pure value updates over a stable, prepopulated key set — no
-// structural churn, so the freeze protocol never runs and every update is a
-// single slot CAS instead of a CNode copy. Compare against churn-heavy
-// workloads (EXPERIMENTS.md), where the freeze pass makes in-place a net
-// loss and the copy-on-write default wins.
+// BenchmarkCtrieUpdateHeavy measures pure value updates over a stable,
+// prepopulated key set on the unversioned trie: every update is one CNode
+// copy served from the pool.
 func BenchmarkCtrieUpdateHeavy(b *testing.B) {
 	const n = 1024
-	for _, tc := range []struct {
-		name string
-		cfg  CtrieConfig
-	}{
-		{"cow", CtrieConfig{Unversioned: true}},
-		{"inplace", CtrieConfig{Unversioned: true, InPlace: true}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			ct := NewCtrieConfigured[int, int](IntHasher, tc.cfg)
-			for i := 0; i < n; i++ {
-				ct.Put(i, i)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ct.Put(i%n, i)
-			}
-		})
+	ct := NewCtrieUnversioned[int, int](IntHasher)
+	for i := 0; i < n; i++ {
+		ct.Put(i, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ct.Put(i%n, i)
 	}
 }
 
 // BenchmarkCtrieChurn is the counterpoint: insert/remove churn, where every
-// structural displacement must freeze the CNode first when in-place is on.
+// operation changes a CNode's shape.
 func BenchmarkCtrieChurn(b *testing.B) {
 	const n = 1024
-	for _, tc := range []struct {
-		name string
-		cfg  CtrieConfig
-	}{
-		{"cow", CtrieConfig{Unversioned: true}},
-		{"inplace", CtrieConfig{Unversioned: true, InPlace: true}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			ct := NewCtrieConfigured[int, int](IntHasher, tc.cfg)
-			for i := 0; i < n; i += 2 {
-				ct.Put(i, i)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := i % n
-				if k%2 == 0 {
-					ct.Remove(k)
-					ct.Put(k, i)
-				} else {
-					ct.Put(k, i)
-					ct.Remove(k)
-				}
-			}
-		})
+	ct := NewCtrieUnversioned[int, int](IntHasher)
+	for i := 0; i < n; i += 2 {
+		ct.Put(i, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % n
+		if k%2 == 0 {
+			ct.Remove(k)
+			ct.Put(k, i)
+		} else {
+			ct.Put(k, i)
+			ct.Remove(k)
+		}
 	}
 }

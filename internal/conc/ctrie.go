@@ -3,7 +3,6 @@ package conc
 import (
 	"math/bits"
 	"sync/atomic"
-	"unsafe"
 )
 
 // Ctrie is a concurrent hash-trie map with lock-free updates and
@@ -20,31 +19,28 @@ import (
 // On top of the PPoPP 2012 algorithm this implementation adds the memory
 // discipline described in DESIGN.md §13:
 //
-//   - Branch slots are atomic words holding *ctBranch boxes, so a value
-//     update on a key that is already present can CAS the slot in place
-//     when the enclosing CNode is stamped with the current generation —
-//     no CNode/array copy, no allocation (CtrieConfig.InPlace; off by
-//     default, see the config for the workload tradeoff). Copy-on-write
-//     remains the rule the moment a snapshot installs a new generation.
-//   - Displacing a current-generation CNode first freezes every slot
-//     (CAS-ing in a freeze wrapper, as in Prokopec's cache-trie snapshots)
-//     so an in-place writer can never publish into a node that a copier
-//     has already read: the slot CAS and the displacement race on the
-//     same word, which makes the lost-update window detectable atomically.
+//   - Renewal is path-lazy: a writer that meets an older-generation child
+//     INode copies only that child into its generation (one CNode copy per
+//     level of the path), so a new-generation CNode may keep
+//     older-generation children; readers never copy, they read through
+//     older-generation INodes, which no GCAS can change any more.
 //   - Displaced nodes whose generation matches their INode's generation
 //     are provably unreachable from every snapshot, so they are retired
 //     into epoch-based pools (epoch.go, ctriepool.go) and reused once a
-//     grace period has elapsed. With in-place mutation enabled, Snapshot
-//     and ReadOnlySnapshot wait one grace period after installing the new
-//     generation so writers that read the old generation have drained;
-//     the wait is bounded by in-flight operation length, never trie size.
+//     grace period has elapsed.
+//   - A trie whose owner is done with it (a transaction's shadow copy) is
+//     handed back with Discard: every node stamped with the trie's own
+//     generation was created by, and is reachable from, that trie alone,
+//     and goes straight to the freelists.
 type Ctrie[K comparable, V any] struct {
 	hash        Hasher[K]
 	readOnly    bool
 	unversioned bool
-	inplace     bool
 	pool        *ctPool[K, V]
 	root        atomic.Pointer[rootRef[K, V]]
+	// ref is what root points at until the first snapshot of this trie
+	// replaces it; it lives here so a snapshot is one allocation, not two.
+	ref rootRef[K, V]
 }
 
 // ctGen is a trie generation; identity only.
@@ -62,6 +58,9 @@ type rdcssDesc[K comparable, V any] struct {
 	expMain   *ctMain[K, V]
 	nv        *rootRef[K, V]
 	committed atomic.Bool
+	// self is the rootRef that announces this descriptor; the root points
+	// at it only while the RDCSS is in flight.
+	self rootRef[K, V]
 }
 
 // ctMain is a tagged union of the main-node kinds (CNode, TNode, LNode)
@@ -87,65 +86,29 @@ func newCtINode[K comparable, V any](gen *ctGen, m *ctMain[K, V]) *ctINode[K, V]
 	return in
 }
 
-// ctBranch is a branch box: either an INode edge (in != nil), a freeze
-// wrapper (fz != nil, see the displacement protocol below), or an SNode
-// carrying a key/value pair. Boxes are immutable once published — in-place
-// mutation replaces the *slot's* box pointer, never a box's fields — and
-// carry the generation they were created under, which decides whether a
-// displaced box may be retired into the pool (a box whose generation
-// predates the latest snapshot is shared with that snapshot).
+// ctBranch is a branch box: either an INode edge (in != nil) or an SNode
+// carrying a key/value pair. Boxes are immutable once published and carry
+// the generation they were created under, which decides whether a displaced
+// box may be retired into the pool (a box whose generation predates the
+// latest snapshot is shared with that snapshot).
 type ctBranch[K comparable, V any] struct {
 	in  *ctINode[K, V]
-	fz  *ctBranch[K, V]
 	gen *ctGen
 	hc  uint32
 	k   K
 	v   V
 }
 
-// ctSlot is one CAS-able branch slot of a CNode. The pointer is accessed
-// atomically once the CNode is published; while a replacement is still
-// private to its builder, plain stores suffice — the GCAS that publishes
-// it is the synchronizing operation (and gives the race detector its
-// happens-before edge).
-type ctSlot[K comparable, V any] struct {
-	p unsafe.Pointer // *ctBranch[K, V]
-}
-
 type ctLNode[K comparable, V any] struct {
 	entries []*ctBranch[K, V]
 }
 
+// ctCNode is immutable once the GCAS that installs it has published it;
+// every update builds a replacement.
 type ctCNode[K comparable, V any] struct {
 	bmp   uint32
-	array []ctSlot[K, V]
+	array []*ctBranch[K, V]
 	gen   *ctGen
-}
-
-// loadRaw reads slot i without unwrapping freeze markers.
-func (cn *ctCNode[K, V]) loadRaw(i int) *ctBranch[K, V] {
-	return (*ctBranch[K, V])(atomic.LoadPointer(&cn.array[i].p))
-}
-
-// load reads slot i through any freeze wrapper.
-func (cn *ctCNode[K, V]) load(i int) *ctBranch[K, V] {
-	b := cn.loadRaw(i)
-	if b != nil && b.fz != nil {
-		return b.fz
-	}
-	return b
-}
-
-// casSlot CASes slot i; this is how in-place updates and freeze markers
-// are published.
-func (cn *ctCNode[K, V]) casSlot(i int, old, new *ctBranch[K, V]) bool {
-	return atomic.CompareAndSwapPointer(&cn.array[i].p, unsafe.Pointer(old), unsafe.Pointer(new))
-}
-
-// setSlot plain-stores slot i of a CNode that is still private to its
-// builder (never published).
-func (cn *ctCNode[K, V]) setSlot(i int, b *ctBranch[K, V]) {
-	cn.array[i].p = unsafe.Pointer(b)
 }
 
 // CtrieConfig selects the Ctrie variants described in DESIGN.md §13.
@@ -157,17 +120,6 @@ type CtrieConfig struct {
 	// never taken; Range/Len walk the live trie and are weakly
 	// consistent, like sync.Map.
 	Unversioned bool
-
-	// InPlace enables the slot-CAS fast path for value updates on
-	// current-generation CNodes, guarded by the per-slot freeze protocol.
-	// It trades a freeze pass (one CAS per slot) on every structural
-	// displacement for zero-copy value updates, so it wins on
-	// update-dominant workloads over stable key sets and loses on
-	// insert/remove-heavy churn — see EXPERIMENTS.md for the measured
-	// crossover. Snapshots stay O(1) either way; with InPlace set they
-	// additionally wait one epoch grace period (bounded by in-flight
-	// operation length, never trie size).
-	InPlace bool
 }
 
 // NewCtrie creates an empty Ctrie with the given hasher: the default
@@ -189,10 +141,10 @@ func NewCtrieConfigured[K comparable, V any](hash Hasher[K], cfg CtrieConfig) *C
 	ct := &Ctrie[K, V]{
 		hash:        hash,
 		unversioned: cfg.Unversioned,
-		inplace:     cfg.InPlace,
 		pool:        newCtPool[K, V](),
+		ref:         rootRef[K, V]{in: root},
 	}
-	ct.root.Store(&rootRef[K, V]{in: root})
+	ct.root.Store(&ct.ref)
 	return ct
 }
 
@@ -246,7 +198,8 @@ func (ct *Ctrie[K, V]) rdcssComplete(abort bool) {
 
 func (ct *Ctrie[K, V]) rdcssRoot(ov *rootRef[K, V], expMain *ctMain[K, V], nv *ctINode[K, V]) bool {
 	desc := &rdcssDesc[K, V]{old: ov, expMain: expMain, nv: &rootRef[K, V]{in: nv}}
-	if ct.root.CompareAndSwap(ov, &rootRef[K, V]{desc: desc}) {
+	desc.self.desc = desc
+	if ct.root.CompareAndSwap(ov, &desc.self) {
 		ct.rdcssComplete(false)
 		return desc.committed.Load()
 	}
@@ -327,49 +280,18 @@ func (ct *Ctrie[K, V]) gcasComplete(in *ctINode[K, V], m *ctMain[K, V]) *ctMain[
 	}
 }
 
-// --- displacement protocol ----------------------------------------------
-
-// freezeIfLive freezes every slot of cn when in-place writers could target
-// it (its generation matches the owning INode's). A frozen slot makes any
-// later in-place CAS fail — the copier and the updater race on the slot
-// word itself — so the replacement built from the frozen payloads can
-// never lose a concurrent in-place update. Old-generation CNodes are
-// immutable (in-place is generation-gated), so they need no freezing.
-func (ct *Ctrie[K, V]) freezeIfLive(h *ctHandle[K, V], in *ctINode[K, V], cn *ctCNode[K, V]) {
-	if !ct.inplace || cn.gen != in.gen {
-		return
-	}
-	for i := range cn.array {
-		for {
-			b := cn.loadRaw(i)
-			if b == nil || b.fz != nil {
-				break
-			}
-			f := h.newFrozen(b)
-			if cn.casSlot(i, b, f) {
-				break
-			}
-			h.recycleBranchNow(f)
-		}
-	}
-}
+// --- displacement -------------------------------------------------------
 
 // retireDisplaced retires a successfully displaced cn-main into the pool
 // when it is provably unreachable from every snapshot: a CNode whose
 // generation matches its INode's was created after the latest snapshot
 // (nothing carries a generation before that generation exists), and
-// displacement removed the only structural reference to it. Freeze
-// wrappers in its slots are retired along with it. TNode/LNode mains are
-// rare and are left to the garbage collector.
+// displacement removed the only structural reference to it. TNode/LNode
+// mains are rare and are left to the garbage collector.
 func (ct *Ctrie[K, V]) retireDisplaced(h *ctHandle[K, V], in *ctINode[K, V], m *ctMain[K, V]) {
 	cn := m.cn
 	if cn == nil || cn.gen != in.gen {
 		return
-	}
-	for i := range cn.array {
-		if b := cn.loadRaw(i); b != nil && b.fz != nil {
-			h.retireBranch(b)
-		}
 	}
 	h.retireCNode(cn)
 	h.retireMain(m)
@@ -402,69 +324,55 @@ func ctFlagPos(hc uint32, lev uint, bmp uint32) (flag uint32, pos int) {
 	return flag, pos
 }
 
-// cowInserted builds a copy of cn with branch b inserted at pos. The
-// caller has frozen cn if it is live.
+// cowInserted builds a copy of cn with branch b inserted at pos.
 func (ct *Ctrie[K, V]) cowInserted(h *ctHandle[K, V], cn *ctCNode[K, V], pos int, flag uint32, b *ctBranch[K, V], gen *ctGen) *ctCNode[K, V] {
 	ncn := h.newCNode(len(cn.array)+1, cn.bmp|flag, gen)
-	for i := 0; i < pos; i++ {
-		ncn.setSlot(i, cn.load(i))
-	}
-	ncn.setSlot(pos, b)
-	for i := pos; i < len(cn.array); i++ {
-		ncn.setSlot(i+1, cn.load(i))
-	}
+	copy(ncn.array, cn.array[:pos])
+	ncn.array[pos] = b
+	copy(ncn.array[pos+1:], cn.array[pos:])
 	return ncn
 }
 
 // cowUpdated builds a copy of cn with slot pos replaced by b.
 func (ct *Ctrie[K, V]) cowUpdated(h *ctHandle[K, V], cn *ctCNode[K, V], pos int, b *ctBranch[K, V], gen *ctGen) *ctCNode[K, V] {
 	ncn := h.newCNode(len(cn.array), cn.bmp, gen)
-	for i := range cn.array {
-		if i == pos {
-			ncn.setSlot(i, b)
-		} else {
-			ncn.setSlot(i, cn.load(i))
-		}
-	}
+	copy(ncn.array, cn.array)
+	ncn.array[pos] = b
 	return ncn
 }
 
 // cowRemoved builds a copy of cn with slot pos removed.
 func (ct *Ctrie[K, V]) cowRemoved(h *ctHandle[K, V], cn *ctCNode[K, V], pos int, flag uint32, gen *ctGen) *ctCNode[K, V] {
 	ncn := h.newCNode(len(cn.array)-1, cn.bmp&^flag, gen)
-	for i := 0; i < pos; i++ {
-		ncn.setSlot(i, cn.load(i))
-	}
-	for i := pos + 1; i < len(cn.array); i++ {
-		ncn.setSlot(i-1, cn.load(i))
-	}
+	copy(ncn.array, cn.array[:pos])
+	copy(ncn.array[pos:], cn.array[pos+1:])
 	return ncn
 }
 
-// renewed copies the CNode to a new generation, copying child INodes
-// along. The caller has frozen cn if it is live.
-func (ct *Ctrie[K, V]) renewed(h *ctHandle[K, V], cn *ctCNode[K, V], gen *ctGen) *ctCNode[K, V] {
-	ncn := h.newCNode(len(cn.array), cn.bmp, gen)
-	for i := range cn.array {
-		b := cn.load(i)
-		if b.in != nil {
-			ncn.setSlot(i, h.newINodeBranch(ct.copyToGen(b.in, gen), gen))
-		} else {
-			ncn.setSlot(i, b)
-		}
+// renewChild gives in — an INode of the operation's generation whose CNode
+// m.cn holds an older-generation child at slot pos — a copy of that one
+// child stamped startgen, and returns the copy, or nil when the GCAS lost
+// and the operation must restart. This is the whole of generation renewal:
+// the siblings keep their older generation until a writer descends into
+// them too. The displaced edge box and INode are shared with the snapshot
+// that made them old, so they are left alone; a copy that loses its GCAS
+// leaves its INode and box to the garbage collector.
+func (ct *Ctrie[K, V]) renewChild(h *ctHandle[K, V], in *ctINode[K, V], m *ctMain[K, V], pos int, startgen *ctGen) *ctINode[K, V] {
+	nin := h.newINode(startgen, ct.gcasRead(m.cn.array[pos].in))
+	nm := h.newMain()
+	nm.cn = ct.cowUpdated(h, m.cn, pos, h.newINodeBranch(nin, startgen), startgen)
+	if ct.gcas(h, in, m, nm) {
+		ct.retireDisplaced(h, in, m)
+		return nin
 	}
-	return ncn
-}
-
-func (ct *Ctrie[K, V]) copyToGen(in *ctINode[K, V], gen *ctGen) *ctINode[K, V] {
-	return newCtINode(gen, ct.gcasRead(in))
+	return nil
 }
 
 // toContracted entombs a single-SNode CNode below the root, recycling the
 // (private, never-published) CNode it consumes if it contracts.
 func (ct *Ctrie[K, V]) toContracted(h *ctHandle[K, V], cn *ctCNode[K, V], lev uint) *ctMain[K, V] {
 	if lev > 0 && len(cn.array) == 1 {
-		if b := cn.load(0); b != nil && b.in == nil {
+		if b := cn.array[0]; b.in == nil {
 			h.recycleCNodeNow(cn)
 			m := h.newMain()
 			m.tn = b
@@ -476,27 +384,26 @@ func (ct *Ctrie[K, V]) toContracted(h *ctHandle[K, V], cn *ctCNode[K, V], lev ui
 	return m
 }
 
-// toCompressed resurrects tombed children and contracts. The caller has
-// frozen cn if it is live. Each resurrected (displaced) INode-edge box is
-// appended to h.scratch: a TNode main is terminal, so a child seen tombed
-// here stays tombed, and the caller may retire the recorded edges if (and
-// only if) its GCAS wins. Re-reading child state after the GCAS would
-// instead race with children that became tombed after the copy was taken —
-// those are still reachable through the new CNode and must not be retired.
+// toCompressed resurrects tombed children and contracts. Each resurrected
+// (displaced) INode-edge box is appended to h.scratch: a TNode main is
+// terminal, so a child seen tombed here stays tombed, and the caller may
+// retire the recorded edges if (and only if) its GCAS wins. Re-reading
+// child state after the GCAS would instead race with children that became
+// tombed after the copy was taken — those are still reachable through the
+// new CNode and must not be retired.
 func (ct *Ctrie[K, V]) toCompressed(h *ctHandle[K, V], cn *ctCNode[K, V], lev uint, gen *ctGen) *ctMain[K, V] {
 	h.scratch = h.scratch[:0]
 	ncn := h.newCNode(len(cn.array), cn.bmp, gen)
-	for i := range cn.array {
-		b := cn.load(i)
+	for i, b := range cn.array {
 		if b.in != nil {
 			m := ct.gcasRead(b.in)
 			if m != nil && m.tn != nil {
-				ncn.setSlot(i, m.tn)
+				ncn.array[i] = m.tn
 				h.scratch = append(h.scratch, b)
 				continue
 			}
 		}
-		ncn.setSlot(i, b)
+		ncn.array[i] = b
 	}
 	return ct.toContracted(h, ncn, lev)
 }
@@ -504,7 +411,6 @@ func (ct *Ctrie[K, V]) toCompressed(h *ctHandle[K, V], cn *ctCNode[K, V], lev ui
 func (ct *Ctrie[K, V]) clean(h *ctHandle[K, V], in *ctINode[K, V], lev uint) {
 	m := ct.gcasRead(in)
 	if m != nil && m.cn != nil {
-		ct.freezeIfLive(h, in, m.cn)
 		nm := ct.toCompressed(h, m.cn, lev, in.gen)
 		if ct.gcas(h, in, m, nm) {
 			ct.retireDisplaced(h, in, m)
@@ -517,7 +423,7 @@ func (ct *Ctrie[K, V]) clean(h *ctHandle[K, V], in *ctINode[K, V], lev uint) {
 // retireTombedEdges retires the INode edges recorded by toCompressed once
 // the displacement won. The INode struct is retired when its generation
 // matches (fresh INodes are never shared across generations, unlike mains,
-// which copyToGen aliases into the renewed generation — so the terminal
+// which renewChild aliases into the renewed generation — so the terminal
 // TNode main is only retired in the unversioned trie, where there is a
 // single generation and no sharing is possible).
 func (ct *Ctrie[K, V]) retireTombedEdges(h *ctHandle[K, V], in *ctINode[K, V]) {
@@ -543,18 +449,16 @@ func (ct *Ctrie[K, V]) ctDual(h *ctHandle[K, V], x *ctBranch[K, V], y *ctBranch[
 		if xidx == yidx {
 			sub := h.newINode(gen, ct.ctDual(h, x, y, lev+5, gen))
 			ncn := h.newCNode(1, bmp, gen)
-			ncn.setSlot(0, h.newINodeBranch(sub, gen))
+			ncn.array[0] = h.newINodeBranch(sub, gen)
 			m := h.newMain()
 			m.cn = ncn
 			return m
 		}
 		ncn := h.newCNode(2, bmp, gen)
 		if xidx < yidx {
-			ncn.setSlot(0, x)
-			ncn.setSlot(1, y)
+			ncn.array[0], ncn.array[1] = x, y
 		} else {
-			ncn.setSlot(0, y)
-			ncn.setSlot(1, x)
+			ncn.array[0], ncn.array[1] = y, x
 		}
 		m := h.newMain()
 		m.cn = ncn
@@ -691,59 +595,76 @@ func (ct *Ctrie[K, V]) Remove(k K) (V, bool) {
 // Snapshot returns a mutable snapshot, O(1) in the size of the trie. The
 // snapshot and the original evolve independently; writers lazily copy the
 // paths they touch. Proust uses one snapshot per transaction as the shadow
-// copy. When in-place mutation is enabled the call additionally waits one
-// epoch grace period — bounded by in-flight operation length — so writers
-// that read the previous generation have drained before the snapshot is
-// handed out; the snapshot is frozen from the caller's first read onward.
+// copy, and hands it back with Discard.
 func (ct *Ctrie[K, V]) Snapshot() *Ctrie[K, V] {
-	if ct.unversioned {
-		panic("conc: Snapshot on unversioned Ctrie")
-	}
-	h := ct.pool.get()
-	h.pin()
-	for {
-		rref := ct.rdcssReadRootRef(false)
-		r := rref.in
-		expMain := ct.gcasRead(r)
-		if ct.rdcssRoot(rref, expMain, ct.copyToGen(r, &ctGen{})) {
-			snap := &Ctrie[K, V]{hash: ct.hash, inplace: ct.inplace, pool: ct.pool}
-			snap.root.Store(&rootRef[K, V]{in: ct.copyToGen(r, &ctGen{})})
-			h.unpin()
-			ct.pool.put(h)
-			if ct.inplace {
-				ct.pool.ebr.synchronize()
-			}
-			return snap
-		}
-	}
+	return ct.snapshot(false)
 }
 
 // ReadOnlySnapshot returns a read-only snapshot, O(1) in the size of the
-// trie; mutating it panics. See Snapshot for the grace-period fence.
+// trie; mutating it panics.
 func (ct *Ctrie[K, V]) ReadOnlySnapshot() *Ctrie[K, V] {
-	if ct.unversioned {
-		panic("conc: ReadOnlySnapshot on unversioned Ctrie")
-	}
 	if ct.readOnly {
 		return ct
 	}
+	return ct.snapshot(true)
+}
+
+// snapshot gives ct a root of a fresh generation, which freezes every node
+// reachable at that instant, and returns a trie over the frozen nodes: the
+// old root itself for a read-only snapshot, a root of a second fresh
+// generation for a mutable one.
+func (ct *Ctrie[K, V]) snapshot(readOnly bool) *Ctrie[K, V] {
+	if ct.unversioned {
+		panic("conc: snapshot of unversioned Ctrie")
+	}
 	h := ct.pool.get()
 	h.pin()
+	snap := &Ctrie[K, V]{hash: ct.hash, readOnly: readOnly, pool: ct.pool}
 	for {
 		rref := ct.rdcssReadRootRef(false)
 		r := rref.in
 		expMain := ct.gcasRead(r)
-		if ct.rdcssRoot(rref, expMain, ct.copyToGen(r, &ctGen{})) {
-			snap := &Ctrie[K, V]{hash: ct.hash, readOnly: true, inplace: ct.inplace, pool: ct.pool}
-			snap.root.Store(&rootRef[K, V]{in: r})
-			h.unpin()
-			ct.pool.put(h)
-			if ct.inplace {
-				ct.pool.ebr.synchronize()
-			}
-			return snap
+		nr := h.newINode(&ctGen{}, expMain)
+		if !ct.rdcssRoot(rref, expMain, nr) {
+			continue
 		}
+		// r is frozen now with main expMain: its generation is no trie's.
+		if readOnly {
+			snap.ref.in = r
+		} else {
+			snap.ref.in = h.newINode(&ctGen{}, expMain)
+			h.retireINode(r) // no snapshot holds the root it displaced
+		}
+		snap.root.Store(&snap.ref)
+		h.unpin()
+		ct.pool.put(h)
+		return snap
 	}
+}
+
+// Discard hands the trie's private nodes back to the allocator. The caller
+// promises that it owns ct exclusively — no other goroutine is inside an
+// operation on ct, and nobody will use ct again; using it afterwards
+// panics. Snapshots taken of ct earlier are unaffected and stay usable.
+//
+// Only nodes stamped with ct's own (root) generation are walked. That
+// generation was created for ct alone — a snapshot gives both sides fresh
+// ones — so those nodes were built by ct's own operations and published
+// only into ct's tree: no other trie and, given the promise, no reader can
+// hold them, and they skip the grace period. Nodes ct displaced were
+// retired when they were displaced and are not reachable any more, so
+// nothing is freed twice. Older-generation nodes are shared with other
+// tries and are not touched. A read-only snapshot's root generation is the
+// one it shares with its source, so it gives nothing back.
+func (ct *Ctrie[K, V]) Discard() {
+	r := ct.rdcssReadRoot(false)
+	ct.root.Store(nil)
+	if ct.readOnly {
+		return
+	}
+	h := ct.pool.get()
+	h.discard(r)
+	ct.pool.put(h)
 }
 
 // Range calls f over the map until f returns false. On a versioned trie it
@@ -778,11 +699,7 @@ func (ct *Ctrie[K, V]) walk(h *ctHandle[K, V], in *ctINode[K, V], f func(K, V) b
 	case m == nil:
 		return true
 	case m.cn != nil:
-		for i := range m.cn.array {
-			b := m.cn.load(i)
-			if b == nil {
-				continue
-			}
+		for _, b := range m.cn.array {
 			if b.in != nil {
 				if !ct.walk(h, b.in, f) {
 					return false
@@ -804,7 +721,19 @@ func (ct *Ctrie[K, V]) walk(h *ctHandle[K, V], in *ctINode[K, V], f func(K, V) b
 }
 
 // --- core recursive operations -------------------------------------------
+//
+// The renewal invariant: an INode is mutated only by an operation whose
+// start generation equals the INode's — gcasComplete fails every other
+// GCAS — so writers descend only through INodes of their own generation,
+// renewing an older child first (renewChild), and every INode of an older
+// generation is frozen. A CNode may therefore hold older-generation
+// children for as long as no writer needs them.
 
+// ilookup never copies: it reads through older-generation INodes. Those are
+// frozen, so what it finds below one is the state as of its last read of a
+// current-generation INode's main, and that read is where the lookup
+// linearizes. A writer that later wants to change anything down there must
+// first replace that main (renewChild).
 func (ct *Ctrie[K, V]) ilookup(h *ctHandle[K, V], in *ctINode[K, V], k K, hc uint32, lev uint, parent *ctINode[K, V], startgen *ctGen) (V, bool, bool) {
 	var zero V
 	m := ct.gcasRead(in)
@@ -815,33 +744,25 @@ func (ct *Ctrie[K, V]) ilookup(h *ctHandle[K, V], in *ctINode[K, V], k K, hc uin
 		if cn.bmp&flag == 0 {
 			return zero, false, false
 		}
-		b := cn.load(pos)
+		b := cn.array[pos]
 		if b.in != nil {
-			if ct.readOnly || startgen == b.in.gen {
-				return ct.ilookup(h, b.in, k, hc, lev+5, in, startgen)
-			}
-			ct.freezeIfLive(h, in, cn)
-			nm := h.newMain()
-			nm.cn = ct.renewed(h, cn, startgen)
-			if ct.gcas(h, in, m, nm) {
-				ct.retireDisplaced(h, in, m)
-				return ct.ilookup(h, in, k, hc, lev, parent, startgen)
-			}
-			return zero, false, true
+			return ct.ilookup(h, b.in, k, hc, lev+5, in, startgen)
 		}
 		if b.hc == hc && b.k == k {
 			return b.v, true, false
 		}
 		return zero, false, false
 	case m.tn != nil:
-		if ct.readOnly {
-			if m.tn.hc == hc && m.tn.k == k {
-				return m.tn.v, true, false
-			}
-			return zero, false, false
+		// Help compress when the parent can still change; a GCAS on a frozen
+		// parent never succeeds, so under one the tomb is simply read.
+		if !ct.readOnly && parent.gen == startgen {
+			ct.clean(h, parent, lev-5)
+			return zero, false, true
 		}
-		ct.clean(h, parent, lev-5)
-		return zero, false, true
+		if m.tn.hc == hc && m.tn.k == k {
+			return m.tn.v, true, false
+		}
+		return zero, false, false
 	case m.ln != nil:
 		v, ok := m.ln.get(k)
 		return v, ok, false
@@ -857,66 +778,27 @@ func (ct *Ctrie[K, V]) iinsert(h *ctHandle[K, V], in *ctINode[K, V], k K, v V, h
 		cn := m.cn
 		flag, pos := ctFlagPos(hc, lev, cn.bmp)
 		if cn.bmp&flag == 0 {
-			// New key: the bitmap changes, so this is always a copy.
-			ct.freezeIfLive(h, in, cn)
-			src := cn
-			if cn.gen != in.gen {
-				src = ct.renewed(h, cn, in.gen)
-			}
 			nm := h.newMain()
-			nm.cn = ct.cowInserted(h, src, pos, flag, h.newSNode(hc, k, v, in.gen), in.gen)
-			if src != cn {
-				h.recycleCNodeNow(src)
-			}
+			nm.cn = ct.cowInserted(h, cn, pos, flag, h.newSNode(hc, k, v, in.gen), in.gen)
 			if ct.gcas(h, in, m, nm) {
 				ct.retireDisplaced(h, in, m)
 				return zero, false, false
 			}
 			return zero, false, true
 		}
-		raw := cn.loadRaw(pos)
-		b := raw
-		frozen := false
-		if b != nil && b.fz != nil {
-			b, frozen = b.fz, true
-		}
+		b := cn.array[pos]
 		switch {
 		case b.in != nil:
-			if startgen == b.in.gen {
-				return ct.iinsert(h, b.in, k, v, hc, lev+5, in, startgen)
-			}
-			ct.freezeIfLive(h, in, cn)
-			nm := h.newMain()
-			nm.cn = ct.renewed(h, cn, startgen)
-			if ct.gcas(h, in, m, nm) {
-				ct.retireDisplaced(h, in, m)
-				return ct.iinsert(h, in, k, v, hc, lev, parent, startgen)
-			}
-			return zero, false, true
-		case b.hc == hc && b.k == k:
-			// Key present: a pure value update. When the CNode carries the
-			// current generation and the slot is not frozen, CAS the slot
-			// in place — a displacement racing with us must freeze this
-			// very word first, so the CAS itself decides the race.
-			if ct.inplace && !frozen && cn.gen == in.gen && in.gen == startgen {
-				nb := h.newSNode(hc, k, v, in.gen)
-				if cn.casSlot(pos, raw, nb) {
-					ct.retireBranchIf(h, in, b)
-					return b.v, true, false
+			child := b.in
+			if child.gen != startgen {
+				if child = ct.renewChild(h, in, m, pos, startgen); child == nil {
+					return zero, false, true
 				}
-				h.recycleBranchNow(nb)
-				return zero, false, true
 			}
-			ct.freezeIfLive(h, in, cn)
-			src := cn
-			if cn.gen != in.gen {
-				src = ct.renewed(h, cn, in.gen)
-			}
+			return ct.iinsert(h, child, k, v, hc, lev+5, in, startgen)
+		case b.hc == hc && b.k == k:
 			nm := h.newMain()
-			nm.cn = ct.cowUpdated(h, src, pos, h.newSNode(hc, k, v, in.gen), in.gen)
-			if src != cn {
-				h.recycleCNodeNow(src)
-			}
+			nm.cn = ct.cowUpdated(h, cn, pos, h.newSNode(hc, k, v, in.gen), in.gen)
 			if ct.gcas(h, in, m, nm) {
 				ct.retireDisplaced(h, in, m)
 				ct.retireBranchIf(h, in, b)
@@ -925,18 +807,10 @@ func (ct *Ctrie[K, V]) iinsert(h *ctHandle[K, V], in *ctINode[K, V], k K, v V, h
 			return zero, false, true
 		default:
 			// Hash path collision: split into a subtree.
-			ct.freezeIfLive(h, in, cn)
-			src := cn
-			if cn.gen != in.gen {
-				src = ct.renewed(h, cn, in.gen)
-			}
 			nsn := h.newSNode(hc, k, v, in.gen)
 			nin := h.newINode(in.gen, ct.ctDual(h, b, nsn, lev+5, in.gen))
 			nm := h.newMain()
-			nm.cn = ct.cowUpdated(h, src, pos, h.newINodeBranch(nin, in.gen), in.gen)
-			if src != cn {
-				h.recycleCNodeNow(src)
-			}
+			nm.cn = ct.cowUpdated(h, cn, pos, h.newINodeBranch(nin, in.gen), in.gen)
 			if ct.gcas(h, in, m, nm) {
 				ct.retireDisplaced(h, in, m)
 				return zero, false, false
@@ -974,23 +848,16 @@ func (ct *Ctrie[K, V]) iremove(h *ctHandle[K, V], in *ctINode[K, V], k K, hc uin
 			removed bool
 			restart bool
 		)
-		b := cn.load(pos)
+		b := cn.array[pos]
 		if b.in != nil {
-			if startgen == b.in.gen {
-				res, removed, restart = ct.iremove(h, b.in, k, hc, lev+5, in, startgen)
-			} else {
-				ct.freezeIfLive(h, in, cn)
-				nm := h.newMain()
-				nm.cn = ct.renewed(h, cn, startgen)
-				if ct.gcas(h, in, m, nm) {
-					ct.retireDisplaced(h, in, m)
-					res, removed, restart = ct.iremove(h, in, k, hc, lev, parent, startgen)
-				} else {
-					restart = true
+			child := b.in
+			if child.gen != startgen {
+				if child = ct.renewChild(h, in, m, pos, startgen); child == nil {
+					return zero, false, true
 				}
 			}
+			res, removed, restart = ct.iremove(h, child, k, hc, lev+5, in, startgen)
 		} else if b.hc == hc && b.k == k {
-			ct.freezeIfLive(h, in, cn)
 			nm := ct.toContracted(h, ct.cowRemoved(h, cn, pos, flag, in.gen), lev)
 			if ct.gcas(h, in, m, nm) {
 				ct.retireDisplaced(h, in, m)
@@ -1038,21 +905,20 @@ func (ct *Ctrie[K, V]) cleanParent(h *ctHandle[K, V], parent, in *ctINode[K, V],
 		if cn.bmp&flag == 0 {
 			return
 		}
-		sub := cn.load(pos)
-		if sub == nil || sub.in != in {
+		sub := cn.array[pos]
+		if sub.in != in {
 			return
 		}
 		m := ct.gcasRead(in)
 		if m == nil || m.tn == nil {
 			return
 		}
-		ct.freezeIfLive(h, parent, cn)
 		nm := ct.toContracted(h, ct.cowUpdated(h, cn, pos, m.tn, parent.gen), plev)
 		if ct.gcas(h, parent, pm, nm) {
 			ct.retireDisplaced(h, parent, pm)
 			// The unlinked INode and its edge box are unreachable now; a
 			// TNode main is terminal, so in cannot have un-tombed. The main
-			// itself may be shared with older generations via copyToGen, so
+			// itself may be shared with other generations via renewChild, so
 			// it is only retired when generations cannot differ (see
 			// retireTombedEdges).
 			ct.retireBranchIf(h, parent, sub)

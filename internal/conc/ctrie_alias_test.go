@@ -8,15 +8,17 @@ import (
 	"time"
 )
 
-// Review repro: in-place Put racing Remove on the same key. iremove loads the
-// slot payload before freezeIfLive and retires it after the GCAS win; an
-// in-place Put that lands its slot CAS in between retires the same box,
-// double-inserting it into the pools. The box is then handed out twice (to
-// two handles), published under two different keys, and the second writer's
-// plain stores tear the first key's published box.
+// TestCtriePoolAliasingConcurrent is the pool-aliasing regression: a node
+// that is retired twice, or recycled while still reachable, is handed out
+// to two owners, published under two keys, and the second owner's stores
+// tear the first key's box. Writers hammer a handful of keys (updates,
+// remove + re-insert) while snapshots keep flipping the generation, so
+// displacements alternate between retiring (same generation) and leaving
+// alone (shared with a snapshot); readers check the live trie and the
+// snapshots.
 // Invariant: every value ever stored under key k satisfies v % keys == k.
-func TestReviewInPlaceRemoveDoubleRetire(t *testing.T) {
-	ct := NewCtrieConfigured[int, int](IntHasher, CtrieConfig{InPlace: true})
+func TestCtriePoolAliasingConcurrent(t *testing.T) {
+	ct := NewCtrie[int, int](IntHasher)
 	const keys = 8
 	for k := 0; k < keys; k++ {
 		ct.Put(k, k)
@@ -38,7 +40,7 @@ func TestReviewInPlaceRemoveDoubleRetire(t *testing.T) {
 			for !stop.Load() {
 				k := rng.Intn(keys)
 				switch rng.Intn(4) {
-				case 0, 1, 2: // mostly in-place updates on present keys
+				case 0, 1, 2: // mostly updates of present keys
 					if old, had := ct.Put(k, k+keys*(1+rng.Intn(1000))); had {
 						check("Put old", k, old)
 					}
@@ -61,14 +63,29 @@ func TestReviewInPlaceRemoveDoubleRetire(t *testing.T) {
 						check("Get", k, v)
 					}
 				}
-				ct.Range(func(k, v int) bool {
+				ct.Range(func(k, v int) bool { // takes a read-only snapshot
 					check("Range", k, v)
 					return true
 				})
+				// A private shadow: written, read back, handed back.
+				sh := ct.Snapshot()
+				for k := 0; k < keys; k += 2 {
+					sh.Put(k, k+keys*7)
+				}
+				for k := 0; k < keys; k++ {
+					if v, ok := sh.Get(k); ok {
+						check("shadow Get", k, v)
+					}
+				}
+				sh.Discard()
 			}
 		}()
 	}
-	time.Sleep(4 * time.Second)
+	d := 2 * time.Second
+	if testing.Short() {
+		d = 500 * time.Millisecond
+	}
+	time.Sleep(d)
 	stop.Store(true)
 	wg.Wait()
 	if p := bad.Load(); p != nil {

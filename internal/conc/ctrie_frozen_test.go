@@ -7,14 +7,13 @@ import (
 	"testing"
 )
 
-// This file is the snapshot-vs-in-place interleaving suite: the invariant
-// the in-place fast path could silently break is snapshot freezing — a slot
-// CAS that lands in a CNode some snapshot can still reach would mutate
+// This file is the snapshot-freezing suite: a write that lands in a node
+// some snapshot can still reach, or a pool that recycles one, would mutate
 // history. The deterministic tests below enumerate operation schedules with
-// a Snapshot() taken at every step boundary and assert every snapshot stays
+// a snapshot taken at every step boundary and assert every snapshot stays
 // frozen (equal to its oracle at capture time) while the live trie advances
 // and its pools recycle nodes; the concurrent test races real writers
-// against the snapshot fence.
+// against the snapshotter.
 
 // snapAt captures a snapshot together with the oracle state at capture time.
 type snapAt struct {
@@ -54,40 +53,37 @@ func assertFrozen(t *testing.T, s snapAt) {
 }
 
 // TestCtrieSnapshotFrozenAtEveryBoundary drives deterministic Put/Remove
-// schedules against an in-place trie, capturing a snapshot at every single
-// step boundary. After the schedule completes (with the live trie having
-// advanced through splits, contractions, in-place hits and pool reuse),
-// every captured snapshot must still equal the oracle state at its capture
-// point.
+// schedules, capturing a snapshot at every single step boundary. After the
+// schedule completes (with the live trie having advanced through splits,
+// contractions, lazy renewals and pool reuse), every captured snapshot must
+// still equal the oracle state at its capture point.
 func TestCtrieSnapshotFrozenAtEveryBoundary(t *testing.T) {
 	schedules := [][2]int{ // {seed, steps}
 		{1, 120}, {2, 120}, {3, 200}, {4, 200},
 	}
-	for _, cfg := range []CtrieConfig{{InPlace: true}, {}} {
-		for _, sched := range schedules {
-			rng := rand.New(rand.NewSource(int64(sched[0])))
-			ct := NewCtrieConfigured[int, int](IntHasher, cfg)
-			oracle := make(map[int]int)
-			var snaps []snapAt
-			const keyRange = 16 // tiny: every CNode is shared by several keys
-			for step := 0; step < sched[1]; step++ {
-				k := rng.Intn(keyRange)
-				if rng.Intn(3) == 0 {
-					ct.Remove(k)
-					delete(oracle, k)
-				} else {
-					ct.Put(k, step)
-					oracle[k] = step
-				}
-				snaps = append(snaps, snapAt{
-					snap:   ct.ReadOnlySnapshot(),
-					oracle: cloneOracle(oracle),
-					step:   step,
-				})
+	for _, sched := range schedules {
+		rng := rand.New(rand.NewSource(int64(sched[0])))
+		ct := NewCtrie[int, int](IntHasher)
+		oracle := make(map[int]int)
+		var snaps []snapAt
+		const keyRange = 16 // tiny: every CNode is shared by several keys
+		for step := 0; step < sched[1]; step++ {
+			k := rng.Intn(keyRange)
+			if rng.Intn(3) == 0 {
+				ct.Remove(k)
+				delete(oracle, k)
+			} else {
+				ct.Put(k, step)
+				oracle[k] = step
 			}
-			for _, s := range snaps {
-				assertFrozen(t, s)
-			}
+			snaps = append(snaps, snapAt{
+				snap:   ct.ReadOnlySnapshot(),
+				oracle: cloneOracle(oracle),
+				step:   step,
+			})
+		}
+		for _, s := range snaps {
+			assertFrozen(t, s)
 		}
 	}
 }
@@ -97,7 +93,7 @@ func TestCtrieSnapshotFrozenAtEveryBoundary(t *testing.T) {
 // snapshots are still being validated — the schedule a stale retire rule
 // (recycling a node some snapshot can reach) would fail.
 func TestCtrieSnapshotFrozenUnderChurn(t *testing.T) {
-	ct := NewCtrieConfigured[int, int](IntHasher, CtrieConfig{InPlace: true})
+	ct := NewCtrie[int, int](IntHasher)
 	oracle := make(map[int]int)
 	rng := rand.New(rand.NewSource(42))
 	var window []snapAt
@@ -132,55 +128,13 @@ func TestCtrieSnapshotFrozenUnderChurn(t *testing.T) {
 	}
 }
 
-// TestCtrieInPlaceMatchesCOW runs identical schedules through an in-place
-// trie and a copy-on-write trie and requires identical results — the two
-// configurations must be observationally equivalent.
-func TestCtrieInPlaceMatchesCOW(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	ip := NewCtrieConfigured[int, int](IntHasher, CtrieConfig{InPlace: true})
-	cow := NewCtrieConfigured[int, int](IntHasher, CtrieConfig{})
-	steps := 50000
-	if raceEnabled {
-		steps = 10000
-	}
-	for step := 0; step < steps; step++ {
-		k := rng.Intn(128)
-		switch rng.Intn(4) {
-		case 0, 1:
-			o1, h1 := ip.Put(k, step)
-			o2, h2 := cow.Put(k, step)
-			if o1 != o2 || h1 != h2 {
-				t.Fatalf("step %d: Put diverged: inplace (%d,%v) vs cow (%d,%v)", step, o1, h1, o2, h2)
-			}
-		case 2:
-			o1, h1 := ip.Remove(k)
-			o2, h2 := cow.Remove(k)
-			if o1 != o2 || h1 != h2 {
-				t.Fatalf("step %d: Remove diverged: inplace (%d,%v) vs cow (%d,%v)", step, o1, h1, o2, h2)
-			}
-		case 3:
-			v1, ok1 := ip.Get(k)
-			v2, ok2 := cow.Get(k)
-			if v1 != v2 || ok1 != ok2 {
-				t.Fatalf("step %d: Get diverged: inplace (%d,%v) vs cow (%d,%v)", step, v1, ok1, v2, ok2)
-			}
-		}
-		if step%5000 == 0 {
-			if n1, n2 := ip.Len(), cow.Len(); n1 != n2 {
-				t.Fatalf("step %d: Len diverged: inplace %d vs cow %d", step, n1, n2)
-			}
-		}
-	}
-}
-
-// TestCtrieSnapshotFrozenConcurrent races writers (hitting the in-place
-// fast path and the structural copy path) against a snapshotter. Every
-// snapshot is read twice in full; the two reads must agree — a snapshot
-// that changes between its own reads has been mutated in place by a writer
-// that should have been fenced by the freeze protocol and the snapshot's
-// grace-period wait. Run with -race.
+// TestCtrieSnapshotFrozenConcurrent races writers against a snapshotter.
+// Every snapshot is read twice in full; the two reads must agree — a
+// snapshot that changes between its own reads has been written through a
+// node it shares with the live trie, or had one recycled under it. Run
+// with -race.
 func TestCtrieSnapshotFrozenConcurrent(t *testing.T) {
-	ct := NewCtrieConfigured[int, int](IntHasher, CtrieConfig{InPlace: true})
+	ct := NewCtrie[int, int](IntHasher)
 	const keyRange = 64
 	for k := 0; k < keyRange; k += 2 {
 		ct.Put(k, k)

@@ -117,7 +117,7 @@ func (h *ctHandle[K, V]) newCNode(n int, bmp uint32, gen *ctGen) *ctCNode[K, V] 
 		cn.bmp, cn.gen = bmp, gen
 		return cn
 	}
-	return &ctCNode[K, V]{bmp: bmp, gen: gen, array: make([]ctSlot[K, V], n)}
+	return &ctCNode[K, V]{bmp: bmp, gen: gen, array: make([]*ctBranch[K, V], n)}
 }
 
 func (h *ctHandle[K, V]) newINode(gen *ctGen, m *ctMain[K, V]) *ctINode[K, V] {
@@ -150,14 +150,6 @@ func (h *ctHandle[K, V]) newINodeBranch(in *ctINode[K, V], gen *ctGen) *ctBranch
 	b := h.newBranch()
 	b.in, b.gen = in, gen
 	return b
-}
-
-// newFrozen wraps b in a freeze marker (see ctrie.go: displacement
-// protocol). Readers see the wrapped payload through fz.
-func (h *ctHandle[K, V]) newFrozen(b *ctBranch[K, V]) *ctBranch[K, V] {
-	f := h.newBranch()
-	f.fz = b
-	return f
 }
 
 // --- retirement ---------------------------------------------------------
@@ -261,6 +253,31 @@ func (h *ctHandle[K, V]) recycleBranchNow(b *ctBranch[K, V]) {
 	}
 	var zk K
 	var zv V
-	b.in, b.fz, b.gen, b.hc, b.k, b.v = nil, nil, nil, 0, zk, zv
+	b.in, b.gen, b.hc, b.k, b.v = nil, nil, 0, zk, zv
 	h.branches = append(h.branches, b)
+}
+
+// discard recycles, with no grace period, every node of in's generation in
+// the subtree below in (Ctrie.Discard states why that is safe). An INode
+// edge box always carries its INode's generation, and nodes of a generation
+// sit only below nodes of the same generation, so the walk stops at the
+// first older one. TNode/LNode mains are left to the garbage collector.
+func (h *ctHandle[K, V]) discard(in *ctINode[K, V]) {
+	gen := in.gen
+	m := in.main.Load()
+	h.recycleINodeNow(in)
+	if m.cn == nil || m.cn.gen != gen {
+		return
+	}
+	for _, b := range m.cn.array {
+		if b.gen != gen {
+			continue
+		}
+		if b.in != nil {
+			h.discard(b.in)
+		}
+		h.recycleBranchNow(b)
+	}
+	h.recycleCNodeNow(m.cn)
+	h.recycleMainNow(m)
 }

@@ -12,10 +12,8 @@ var poisonCtrieConfigs = []struct {
 	name string
 	cfg  CtrieConfig
 }{
-	{"versioned-cow", CtrieConfig{}},
-	{"versioned-inplace", CtrieConfig{InPlace: true}},
-	{"unversioned-cow", CtrieConfig{Unversioned: true}},
-	{"unversioned-inplace", CtrieConfig{Unversioned: true, InPlace: true}},
+	{"versioned", CtrieConfig{}},
+	{"unversioned", CtrieConfig{Unversioned: true}},
 }
 
 // TestCtriePoolRecycledBranchesFresh poisons branch boxes with junk before
@@ -30,7 +28,7 @@ func TestCtriePoolRecycledBranchesFresh(t *testing.T) {
 	poisoned := make(map[*ctBranch[int, int]]bool)
 	for i := 0; i < 64; i++ {
 		b := h.newSNode(0xdeadbeef, 123456+i, -1-i, &ctGen{})
-		b.fz = b // junk that must never survive recycling
+		b.in = &ctINode[int, int]{} // junk that must never survive recycling
 		poisoned[b] = true
 		h.retireBranch(b)
 	}
@@ -50,7 +48,7 @@ func TestCtriePoolRecycledBranchesFresh(t *testing.T) {
 		b := h.newBranch()
 		if poisoned[b] {
 			recycled++
-			if b.in != nil || b.fz != nil || b.gen != nil || b.hc != 0 || b.k != 0 || b.v != 0 {
+			if b.in != nil || b.gen != nil || b.hc != 0 || b.k != 0 || b.v != 0 {
 				t.Fatalf("recycled branch box not fresh: %+v", b)
 			}
 		}

@@ -89,14 +89,16 @@ func (m *LazySnapshotMap[K, V]) Contains(tx *stm.Txn, k K) bool {
 }
 
 // Remove deletes k, returning the previous value if any. A remove of an
-// absent key mutates nothing and queues no record.
-func (m *LazySnapshotMap[K, V]) Remove(tx *stm.Txn, k K) (V, bool) {
+// absent key mutates nothing and queues no record; as a transaction's first
+// mutation it does not take the snapshot either.
+func (m *LazySnapshotMap[K, V]) Remove(tx *stm.Txn, k K) (old V, had bool) {
 	in := W(k)
 	m.al.begin1(tx, "remove", in)
-	old, had := m.log.Shadow(tx).Remove(k)
-	if had {
-		m.log.Append(tx, mapOp[K, V]{key: k})
-		m.size.Modify(tx, decr)
+	if m.log.Logged(tx) || m.log.ReadView(tx).Contains(k) {
+		if old, had = m.log.Shadow(tx).Remove(k); had {
+			m.log.Append(tx, mapOp[K, V]{key: k})
+			m.size.Modify(tx, decr)
+		}
 	}
 	m.al.done1(tx, in)
 	return old, had

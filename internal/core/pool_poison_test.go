@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"proust/internal/conc"
 	"proust/internal/stm"
 )
 
@@ -303,5 +304,137 @@ func TestSnapshotLogShadowReuse(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestSnapshotLogDiscardedShadowsDoNotPoison covers the replay log's side of
+// the Ctrie's private-shadow recycling: a LazySnapshotMap hands its shadow
+// back (conc.Ctrie.Discard) on commit, on abort, and when a commit by
+// somebody else has made the cached shadow stale in the middle of a
+// transaction. The discarded nodes are handed out again at once — to the
+// next shadow and to the base's commit replay — so a discard that gave back
+// a node the base (or the re-derived shadow) can still reach surfaces as a
+// wrong or foreign value. Values are self-describing: v % (2*keys) == key.
+func TestSnapshotLogDiscardedShadowsDoNotPoison(t *testing.T) {
+	const (
+		keys   = 64 // [0,keys) belong to the main goroutine, [keys,2*keys) to the helper
+		opsPer = 8
+	)
+	txns := 900
+	if raceEnabled {
+		txns = 300
+	}
+	p := designPoint{policy: stm.MixedEagerWWLazyRW, optimistic: true}
+	s := stm.New(stm.WithPolicy(p.policy))
+	m := NewLazySnapshotMap[int, int](s, newIntLAP(s, p), conc.IntHasher)
+	val := func(k, n int) int { return k + 2*keys*(n+1) }
+	check := func(where string, k, v int) error {
+		if v%(2*keys) != k {
+			return fmt.Errorf("%s: key %d holds %d, another key's value", where, k, v)
+		}
+		return nil
+	}
+	if err := s.Atomically(func(tx *stm.Txn) error {
+		for k := keys; k < 2*keys; k++ {
+			m.Put(tx, k, val(k, 0))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The helper overwrites its own, always-present keys — no size change, so
+	// it conflicts with the main goroutine only through a LAP slot collision —
+	// once per poke, and records what it wrote.
+	poke, ack := make(chan int), make(chan error)
+	foreign := make(map[int]int)
+	go func() {
+		for n := range poke {
+			k := keys + n%keys
+			ack <- s.Atomically(func(tx *stm.Txn) error {
+				old, _ := m.Put(tx, k, val(k, n))
+				return check("helper Put", k, old)
+			})
+			foreign[k] = val(k, n)
+		}
+		close(ack)
+	}()
+
+	rng := rand.New(rand.NewSource(11))
+	model := make(map[int]int)
+	for i := 0; i < txns; i++ {
+		mode := i % 3 // 0 commit, 1 abort after mutating, 2 commit across a foreign commit
+		kind, ks := make([]int, opsPer), make([]int, opsPer)
+		for j := range kind {
+			kind[j], ks[j] = rng.Intn(3), rng.Intn(keys)
+		}
+		kind[0], kind[opsPer/2] = 0, 0 // a mutation on either side of the foreign commit
+		staged := make(map[int]int)
+		attempt := 0
+		err := s.Atomically(func(tx *stm.Txn) error {
+			clear(staged)
+			for k, v := range model {
+				staged[k] = v
+			}
+			for j := 0; j < opsPer; j++ {
+				if j == opsPer/2 && mode == 2 && attempt == 0 {
+					// Only on the first attempt: a retry must be able to finish.
+					poke <- i
+					if err := <-ack; err != nil {
+						return err
+					}
+				}
+				k := ks[j]
+				switch kind[j] {
+				case 0:
+					m.Put(tx, k, val(k, i))
+					staged[k] = val(k, i)
+				case 1:
+					got, ok := m.Get(tx, k)
+					if want, wok := staged[k]; ok != wok || got != want {
+						return fmt.Errorf("txn %d op %d: Get(%d) = (%d,%v), model (%d,%v)", i, j, k, got, ok, want, wok)
+					}
+				case 2:
+					m.Remove(tx, k)
+					delete(staged, k)
+				}
+			}
+			attempt++
+			if mode == 1 {
+				return errInjected
+			}
+			return nil
+		})
+		switch {
+		case mode == 1 && !errors.Is(err, errInjected):
+			t.Fatalf("txn %d: expected injected abort, got %v", i, err)
+		case mode != 1 && err != nil:
+			t.Fatalf("txn %d: %v", i, err)
+		case mode != 1:
+			model = staged
+		}
+	}
+	close(poke)
+	<-ack
+
+	if err := s.Atomically(func(tx *stm.Txn) error {
+		for k := 0; k < 2*keys; k++ {
+			got, ok := m.Get(tx, k)
+			want, wok := model[k]
+			if k >= keys {
+				if want, wok = foreign[k]; !wok {
+					want, wok = val(k, 0), true
+				}
+			}
+			if ok != wok || got != want {
+				return fmt.Errorf("final Get(%d) = (%d,%v), want (%d,%v)", k, got, ok, want, wok)
+			}
+		}
+		if got, want := m.Size(tx), len(model)+keys; got != want {
+			return fmt.Errorf("final Size = %d, want %d", got, want)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -127,20 +127,34 @@ func NewSnapshotLog[D any, O any](base D, snapshot func(D) D, apply func(D, O)) 
 }
 
 // release resets a state for pool residency: records cleared through
-// capacity (pooled logs must pin no keys or values), the shadow reference
-// dropped, oversized backing arrays shed.
+// capacity (pooled logs must pin no keys or values), the shadow handed back
+// and its reference dropped, oversized backing arrays shed.
 func (l *SnapshotLog[D, O]) release(st *snapLogState[D, O]) {
 	clearCapRecs(st.pending)
 	st.pending = st.pending[:0]
 	if cap(st.pending) > adtMaxRetainedCap {
 		st.pending = nil
 	}
-	var zero D
-	st.shadow = zero
+	l.dropShadow(st)
 	st.applied = 0
 	st.baseGen = 0
-	st.hasShadow = false
 	l.local.Release(st)
+}
+
+// dropShadow ends the life of the transaction's shadow, if it has one. A
+// shadow is private to its transaction from the snapshot to this call, so a
+// snapshot type that can reuse a private copy's memory (conc.Ctrie) is told
+// here, on commit, on abort and when a stale shadow is replaced.
+func (l *SnapshotLog[D, O]) dropShadow(st *snapLogState[D, O]) {
+	if !st.hasShadow {
+		return
+	}
+	if d, ok := any(st.shadow).(interface{ Discard() }); ok {
+		d.Discard()
+	}
+	var zero D
+	st.shadow = zero
+	st.hasShadow = false
 }
 
 // sync brings st.shadow up to date: re-derived from a fresh snapshot when
@@ -148,6 +162,7 @@ func (l *SnapshotLog[D, O]) release(st *snapLogState[D, O]) {
 // pending suffix past the watermark.
 func (l *SnapshotLog[D, O]) sync(st *snapLogState[D, O]) {
 	if !st.hasShadow || st.baseGen != l.gen.Load() {
+		l.dropShadow(st)
 		l.cut.Lock()
 		g := l.gen.Load() // stable: every replay holds the read side
 		st.shadow = l.snapshot(l.base)
