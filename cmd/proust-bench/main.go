@@ -436,8 +436,8 @@ func runBackends(policy, threads string, ops, warmups, reps, keyRange, shards in
 // runReadHeavy executes the read-heavy experiment: the flat-ref workload at
 // the 95/5 and 99/1 read-only-transaction mixes across every non-fault
 // backend, with read-only transactions declared via stm.WithReadOnly so the
-// mvcc backend serves them from snapshot vectors. JSON output (BENCH_mvcc
-// protocol) carries the full per-run instrumentation.
+// mvcc backend serves them from snapshot vectors. JSON output (the shape of
+// bench/history/BENCH_mvcc.json) carries the full per-run instrumentation.
 func runReadHeavy(threads string, ops, warmups, reps, keyRange, shards, readTxnOps int, jsonPath string) error {
 	cfg := bench.DefaultBackendBench()
 	cfg.Shards = shards

@@ -17,7 +17,7 @@ import (
 // baseline), an open-loop row per arrival rate, and — when the bench runs its
 // own in-process server — the mvcc 95/5 read-mix evidence row showing
 // wire-issued read-only batches commit as abort-free snapshot transactions.
-// Results land in BENCH_serve.json via -json.
+// -json writes the results (bench/history/BENCH_serve.json is one such run).
 func runServe(addr, policy, maps, connsFlag, pipelineFlag, rateFlag string,
 	roMix float64, ops int, duration time.Duration, shards int,
 	jsonPath, csvPath string) error {

@@ -3,8 +3,8 @@
 // proust-bench -flight-out or the /flight endpoint) and optionally a metrics
 // snapshot (/metrics.json or proust-bench -metrics-out), and it prints the
 // contended-run post-mortem: top conflicting keys, the abort-cause breakdown
-// with the phase each cause dies in, shard imbalance (Gini), door merge
-// efficiency, and rule-based tuning hints.
+// with the phase each cause dies in, shard imbalance (Gini), and rule-based
+// tuning hints.
 //
 // Usage:
 //

@@ -15,9 +15,10 @@ import (
 // Proustian map systems of Figure 4): every backend in the stm registry runs
 // the same mixed read/write workload over a flat array of transactional
 // refs, producing the per-backend throughput/abort-rate trajectory recorded
-// in BENCH_stm_backends.json. It also consumes the stm.Tracer hook, so each
-// result carries the unified per-backend instrumentation (abort-cause
-// breakdown plus commit-path histograms) for JSON export by proust-bench.
+// in bench/history/BENCH_stm_backends.json. It also consumes the stm.Tracer
+// hook, so each result carries the unified per-backend instrumentation
+// (abort-cause breakdown plus commit-path histograms) for JSON export by
+// proust-bench.
 
 // BackendBenchConfig parameterizes the per-backend sweep.
 type BackendBenchConfig struct {
@@ -38,10 +39,6 @@ type BackendBenchConfig struct {
 	// Interleave yields the processor after every operation inside a
 	// transaction (see Workload.Interleave).
 	Interleave bool `json:"interleave,omitempty"`
-	// GroupCommit disables the per-shard commit doors when explicitly set
-	// to false via NoGroupCommit (kept inverted so the zero value keeps the
-	// default-enabled behavior).
-	NoGroupCommit bool `json:"no_group_commit,omitempty"`
 	// ReadTxnFraction, when > 0, makes roughly this fraction of transactions
 	// pure read-only transactions (all Gets), declared via stm.WithReadOnly —
 	// the read-heavy mixes (95/5, 99/1) the mvcc backend's snapshot reads are
@@ -165,9 +162,6 @@ func RunBackendBench(backendName string, threads int, cfg BackendBenchConfig) (B
 	opts := []stm.Option{stm.WithBackend(backendName), stm.WithTracer(tracer)}
 	if cfg.Shards != 0 {
 		opts = append(opts, stm.WithShards(cfg.Shards))
-	}
-	if cfg.NoGroupCommit {
-		opts = append(opts, stm.WithGroupCommit(false))
 	}
 	if cfg.VersionCap > 0 {
 		opts = append(opts, stm.WithVersionCap(cfg.VersionCap))

@@ -6,7 +6,7 @@ import "testing"
 // Proustian map under the standard mixed workload) with and without the full
 // observability stack attached. The instrumented/uninstrumented ratio is the
 // number the ≤5% overhead budget is judged against (recorded in
-// BENCH_obs.json).
+// bench/history/BENCH_obs.json).
 func benchmarkFigure4Path(b *testing.B, o *Observability) {
 	f, ok := FactoryByName("proust-eager-opt")
 	if !ok {

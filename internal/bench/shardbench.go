@@ -3,8 +3,8 @@ package bench
 // The contended-scale experiment of the sharded-timebase work: a skewed-key,
 // partition-local scan workload running against a continuously churning hot
 // partition, measured twice per configuration — once on the classic
-// single-clock timebase (the control arm: stm.WithShards(1), group commit
-// off) and once on the sharded timebase.
+// single-clock timebase (the control arm: stm.WithShards(1)) and once on the
+// sharded timebase.
 //
 // One thread is the *feed writer*: it appends monotonically through the refs
 // of partition 0 (a moving cursor over a ring), the way a log, queue or
@@ -75,7 +75,7 @@ type ShardBenchConfig struct {
 	// Backends to measure.
 	Backends []string `json:"backends"`
 	// Shards is the sharded arm's shard count (0 = automatic). The control
-	// arm always runs WithShards(1) + WithGroupCommit(false).
+	// arm always runs WithShards(1).
 	Shards int `json:"shards"`
 	// Instrument, when non-nil, is called with each freshly built STM before
 	// any transaction runs — the observability hook (tracer + collector) for
@@ -113,9 +113,9 @@ func DefaultShardBench() ShardBenchConfig {
 type ShardArm string
 
 const (
-	// ArmControl is the single-clock baseline: WithShards(1), doors off.
+	// ArmControl is the single-clock baseline: WithShards(1).
 	ArmControl ShardArm = "control"
-	// ArmSharded is the partitioned timebase with group-commit doors.
+	// ArmSharded is the partitioned timebase.
 	ArmSharded ShardArm = "sharded"
 )
 
@@ -130,7 +130,6 @@ type ShardResult struct {
 	AbortRate         float64  `json:"abort_rate"`
 	Commits           uint64   `json:"commits"`
 	Aborts            uint64   `json:"aborts"`
-	GroupCommits      uint64   `json:"group_commits"`
 	CrossShardCommits uint64   `json:"cross_shard_commits"`
 	ClockSkew         uint64   `json:"clock_skew"`
 }
@@ -174,7 +173,7 @@ func runShardArm(backendName string, arm ShardArm, threads int, zipfS float64, c
 	}
 	opts := []stm.Option{stm.WithBackend(backendName)}
 	if arm == ArmControl {
-		opts = append(opts, stm.WithShards(1), stm.WithGroupCommit(false))
+		opts = append(opts, stm.WithShards(1))
 	} else {
 		// Size the shard blocks to the partition size, so each contiguous
 		// partition lives on one timebase shard (see shardPartitions).
@@ -281,7 +280,6 @@ func runShardArm(backendName string, arm ShardArm, threads int, zipfS float64, c
 		AbortRate:         rate,
 		Commits:           st.Commits,
 		Aborts:            st.Aborts,
-		GroupCommits:      st.GroupCommits,
 		CrossShardCommits: st.CrossShardCommits,
 		ClockSkew:         s.ShardClockSkew(),
 	}, nil
@@ -293,8 +291,8 @@ func runShardArm(backendName string, arm ShardArm, threads int, zipfS float64, c
 // goes to out when non-nil.
 func RunContendedScale(cfg ShardBenchConfig, out io.Writer) ([]ShardResult, error) {
 	if out != nil {
-		fmt.Fprintf(out, "%-8s %-8s %8s %7s %8s %14s %10s %8s %8s\n",
-			"backend", "arm", "threads", "zipf", "shards", "ops/sec", "abort%", "merged", "skew")
+		fmt.Fprintf(out, "%-8s %-8s %8s %7s %8s %14s %10s %8s\n",
+			"backend", "arm", "threads", "zipf", "shards", "ops/sec", "abort%", "skew")
 	}
 	var results []ShardResult
 	for _, backend := range cfg.Backends {
@@ -318,9 +316,9 @@ func RunContendedScale(cfg ShardBenchConfig, out io.Writer) ([]ShardResult, erro
 					}
 					results = append(results, best)
 					if out != nil {
-						fmt.Fprintf(out, "%-8s %-8s %8d %7.2f %8d %14.0f %9.2f%% %8d %8d\n",
+						fmt.Fprintf(out, "%-8s %-8s %8d %7.2f %8d %14.0f %9.2f%% %8d\n",
 							best.Backend, best.Arm, best.Threads, best.ZipfS, best.Shards,
-							best.OpsPerSec, best.AbortRate*100, best.GroupCommits, best.ClockSkew)
+							best.OpsPerSec, best.AbortRate*100, best.ClockSkew)
 					}
 				}
 			}

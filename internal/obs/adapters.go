@@ -163,18 +163,15 @@ type STMCollector struct {
 	starts, commits, aborts, samples *CounterVec
 	escalations, serialCommits       *CounterVec
 	abandoned                        *CounterVec
-	groupCommits, crossShard         *CounterVec
+	crossShard                       *CounterVec
 	shardSkew, epoch                 *GaugeVec
 	quant                            *GaugeVec
 	observations                     *CounterVec
 
 	// Per-shard heat families (labels: backend, shard).
-	shardClock               *CounterVec
-	doorBatches, doorMembers *CounterVec
-	doorMerged               *CounterVec
-	doorBatchSize            *HistogramVec
-	epochExtensions          *CounterVec
-	validationShards         *CounterVec // labels: backend, result
+	shardClock       *CounterVec
+	epochExtensions  *CounterVec
+	validationShards *CounterVec // labels: backend, result
 
 	// Multi-version (mvcc) families; only populated for attached instances
 	// whose backend exposes MVCCTelemetry.
@@ -210,9 +207,6 @@ func NewSTMCollector(r *Registry) *STMCollector {
 		abandoned: r.Counter("proust_stm_abandoned_total",
 			"Transactions abandoned without committing, by reason "+
 				"(max_attempts, canceled, deadline, closed).", "backend", "reason"),
-		groupCommits: r.Counter("proust_stm_group_commits_total",
-			"Commits merged into an already-open group-commit door batch "+
-				"(they shared the batch leader's clock bump).", "backend"),
 		crossShard: r.Counter("proust_stm_cross_shard_commits_total",
 			"Commits whose write set spanned timebase shards (each bumps the "+
 				"global epoch fence).", "backend"),
@@ -228,17 +222,6 @@ func NewSTMCollector(r *Registry) *STMCollector {
 		shardClock: r.Counter("proust_stm_shard_clock",
 			"Per-shard commit clock value; scrape deltas give each shard's "+
 				"clock advance rate.", "backend", "shard"),
-		doorBatches: r.Counter("proust_stm_shard_door_batches_total",
-			"Group-commit door batches opened per shard.", "backend", "shard"),
-		doorMembers: r.Counter("proust_stm_shard_door_members_total",
-			"Committers stamped through each shard's door.", "backend", "shard"),
-		doorMerged: r.Counter("proust_stm_shard_door_merged_total",
-			"Door members that joined an already-open batch (shared another "+
-				"committer's clock bump); merged/members is the shard's "+
-				"merged-commit ratio.", "backend", "shard"),
-		doorBatchSize: r.Histogram("proust_stm_shard_door_batch_size",
-			"Size of closed group-commit door batches per shard.",
-			UnitCount, "backend", "shard"),
 		epochExtensions: r.Counter("proust_stm_epoch_extensions_total",
 			"Read-set extensions forced by the cross-shard epoch fence during "+
 				"shard-clock capture.", "backend"),
@@ -304,7 +287,6 @@ func (c *STMCollector) collect() {
 		c.abandoned.With(backend, "canceled").set(st.CanceledTxns)
 		c.abandoned.With(backend, "deadline").set(st.DeadlineTxns)
 		c.abandoned.With(backend, "closed").set(st.ClosedTxns)
-		c.groupCommits.With(backend).set(st.GroupCommits)
 		c.crossShard.With(backend).set(st.CrossShardCommits)
 		c.shardSkew.With(backend).Set(int64(s.ShardClockSkew()))
 		c.epoch.With(backend).Set(int64(s.Epoch()))
@@ -325,47 +307,27 @@ func (c *STMCollector) collect() {
 			c.mvccVersionsLive.With(backend).Set(tel.VersionsLive)
 			c.mvccWatermarkLag.With(backend).Set(int64(tel.WatermarkLag))
 		}
-		for _, tel := range s.ShardTelemetrySnapshot(nil) {
-			shard := itoa(uint64(tel.Shard))
-			c.shardClock.With(backend, shard).set(tel.Clock)
-			c.doorBatches.With(backend, shard).set(tel.DoorBatches)
-			c.doorMembers.With(backend, shard).set(tel.DoorMembers)
-			c.doorMerged.With(backend, shard).set(tel.DoorMerged)
-			// BatchSizes[i] counts sizes of bit length i+1: mirror at shift 1.
-			c.doorBatchSize.With(backend, shard).setCounts(tel.BatchSizes[:], 1, tel.BatchSizeSum)
+		for shard, clock := range s.ShardClocks(nil) {
+			c.shardClock.With(backend, itoa(uint64(shard))).set(clock)
 		}
 	}
 }
 
 // ShardHeatReport is the JSON payload of the /shards endpoint for one
-// attached STM instance: the raw per-shard telemetry plus the two headline
-// aggregates the forensics reporter leads with.
+// attached STM instance: the per-shard commit clocks (indexed by shard) plus
+// the headline aggregate the forensics reporter leads with.
 type ShardHeatReport struct {
-	Backend string               `json:"backend"`
-	Shards  []stm.ShardTelemetry `json:"shards"`
+	Backend string   `json:"backend"`
+	Clocks  []uint64 `json:"clocks"`
 	// ClockGini is the Gini coefficient of the per-shard clock values:
 	// 0 = commits spread evenly, →1 = one shard absorbs everything.
 	ClockGini float64 `json:"clock_gini"`
-	// MergedRatio is the instance-wide door merged-commit ratio.
-	MergedRatio float64 `json:"merged_ratio"`
 }
 
 // ShardReport builds the heat report for one STM instance.
 func ShardReport(s *stm.STM) ShardHeatReport {
-	tel := s.ShardTelemetrySnapshot(nil)
-	out := ShardHeatReport{Backend: s.Backend().Name(), Shards: tel}
-	clocks := make([]uint64, 0, len(tel))
-	var members, merged uint64
-	for _, t := range tel {
-		clocks = append(clocks, t.Clock)
-		members += t.DoorMembers
-		merged += t.DoorMerged
-	}
-	out.ClockGini = Gini(clocks)
-	if members > 0 {
-		out.MergedRatio = float64(merged) / float64(members)
-	}
-	return out
+	clocks := s.ShardClocks(nil)
+	return ShardHeatReport{Backend: s.Backend().Name(), Clocks: clocks, ClockGini: Gini(clocks)}
 }
 
 // ShardReports returns a heat report per attached backend, the collector-level

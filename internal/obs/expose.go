@@ -195,7 +195,7 @@ func TraceEndpoint(po *PhaseObserver, fr *FlightRecorder) Endpoint {
 }
 
 // ShardsEndpoint serves the per-backend shard heat reports (per-shard clocks
-// and door accounting, clock Gini, merged-commit ratio) as JSON at /shards —
+// and their Gini coefficient) as JSON at /shards —
 // the timebase-side sibling of the LockObserver hot-stripe table.
 func ShardsEndpoint(c *STMCollector) Endpoint {
 	return Endpoint{Path: "/shards", Handler: func(w http.ResponseWriter, req *http.Request) {

@@ -328,8 +328,9 @@ func TestSTMCollectorExportsRobustnessCounters(t *testing.T) {
 	}
 }
 
-// TestSTMCollectorExportsShardMetrics: the sharded-timebase families (group
-// commits, cross-shard commits, clock skew, epoch) reach the scrape output.
+// TestSTMCollectorExportsShardMetrics: the sharded-timebase families
+// (cross-shard commits, clock skew, epoch, per-shard clocks) reach the scrape
+// output.
 func TestSTMCollectorExportsShardMetrics(t *testing.T) {
 	r := NewRegistry()
 	s := stm.New(stm.WithBackend("tl2"), stm.WithShards(8))
@@ -362,7 +363,7 @@ func TestSTMCollectorExportsShardMetrics(t *testing.T) {
 		`proust_stm_cross_shard_commits_total{backend="tl2"} 1`,
 		`proust_stm_epoch{backend="tl2"} 1`,
 		`proust_stm_shard_clock_skew{backend="tl2"} 2`,
-		`proust_stm_group_commits_total{backend="tl2"} 0`,
+		`proust_stm_shard_clock{backend="tl2",shard="0"} 2`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("missing %q in scrape:\n%s", want, text)

@@ -52,7 +52,7 @@ func NewPhaseObserver(r *Registry, capacity int) *PhaseObserver {
 	po := &PhaseObserver{
 		phase: r.Histogram("proust_txn_phase_nanoseconds",
 			"Per-attempt time in each transaction phase (body, read, validate, "+
-				"lock, door-wait, publish), from sampled attempts only — multiply "+
+				"lock, stamp, publish), from sampled attempts only — multiply "+
 				"counts by the sampled label to estimate population totals.",
 			UnitNanoseconds, "backend", "phase", "sampled"),
 		total: r.Histogram("proust_txn_latency_nanoseconds",

@@ -180,8 +180,8 @@ func TestWriteChromeTraceRoundTrip(t *testing.T) {
 
 // TestMetricsExpositionGolden pins the Prometheus text exposition byte-for-
 // byte against testdata/metrics.golden (regenerate with go test -run Golden
-// -update). Deterministic inputs only: fixed counters, a setCounts-loaded
-// door histogram, and one phase sample feeding the sampled families plus the
+// -update). Deterministic inputs only: fixed counters, a count-unit
+// histogram, and one phase sample feeding the sampled families plus the
 // quantile gauges.
 func TestMetricsExpositionGolden(t *testing.T) {
 	r := NewRegistry()
@@ -189,9 +189,11 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	r.Counter("proust_stm_commits_total", "Committed transactions.", "backend").
 		With("tl2").Add(16)
 	r.Gauge("proust_threads", "Worker threads.").With().Set(4)
-	r.Histogram("proust_stm_shard_door_batch_size",
-		"Committers per door batch.", UnitCount, "backend", "shard").
-		With("tl2", "0").setCounts([]uint64{3, 1}, 1, 11)
+	depth := r.Histogram("proust_adt_replay_depth",
+		"Replayed operations per commit.", UnitCount, "structure").With("map")
+	for _, d := range []uint64{1, 1, 1, 3} {
+		depth.Observe(d)
+	}
 	po.TracePhases(stm.PhaseSample{
 		Backend: "tl2", Kind: stm.TraceCommit, Serial: 1, Attempt: 1,
 		StartNS: 10, TotalNS: 1000,

@@ -122,28 +122,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.count.Add(1)
 }
 
-// setCounts overwrites the histogram with externally accumulated power-of-two
-// bucket counts: src[i] counts values whose bit length is i+shift (so it lands
-// in internal bucket i+shift), sum is the externally tracked total of the
-// observed values. Used by gather-time collectors mirroring cumulative
-// histograms kept outside the registry (e.g. the per-shard door batch sizes).
-func (h *Histogram) setCounts(src []uint64, shift int, sum uint64) {
-	if h == nil {
-		return
-	}
-	var count uint64
-	for i := range h.buckets {
-		var v uint64
-		if j := i - shift; j >= 0 && j < len(src) {
-			v = src[j]
-		}
-		h.buckets[i].Store(v)
-		count += v
-	}
-	h.sum.Store(sum)
-	h.count.Store(count)
-}
-
 // HistogramSnapshot is a point-in-time copy of a Histogram.
 type HistogramSnapshot struct {
 	Buckets []uint64 `json:"buckets"`

@@ -3,8 +3,7 @@
 // interleaved with stm.PhaseSample lines) and a metrics snapshot (the JSON
 // form of the obs registry), and distills the post-mortem a human reaches for
 // after a contended run — which keys conflict, which phase the aborts die in,
-// how unevenly the timebase shards are loaded, how well the commit doors
-// merge, and what to tune first.
+// how unevenly the timebase shards are loaded, and what to tune first.
 package report
 
 import (
@@ -95,9 +94,6 @@ type ShardSummary struct {
 	HottestClock      uint64  `json:"hottest_clock"`
 	TotalClock        uint64  `json:"total_clock"`
 	ClockGini         float64 `json:"clock_gini"`
-	DoorMembers       uint64  `json:"door_members"`
-	DoorMerged        uint64  `json:"door_merged"`
-	MergedRatio       float64 `json:"merged_ratio"`
 	EpochExtensions   uint64  `json:"epoch_extensions"`
 	ValidationChecked uint64  `json:"validation_shards_checked"`
 	ValidationSkipped uint64  `json:"validation_shards_skipped"`
@@ -278,8 +274,6 @@ func (a *Analysis) summarizeShards(fams []obs.FamilySnapshot) {
 		b := m.Labels["backend"]
 		byBackend[b] = append(byBackend[b], shardRow{shard: sh, clock: *m.Count})
 	}
-	membersF := findFamily(fams, "proust_stm_shard_door_members_total")
-	mergedF := findFamily(fams, "proust_stm_shard_door_merged_total")
 	epochExtF := findFamily(fams, "proust_stm_epoch_extensions_total")
 	valF := findFamily(fams, "proust_stm_validation_shards_total")
 	for backend, rows := range byBackend {
@@ -291,16 +285,8 @@ func (a *Analysis) summarizeShards(fams []obs.FamilySnapshot) {
 			if r.clock > s.HottestClock {
 				s.HottestClock, s.HottestShard = r.clock, r.shard
 			}
-			want := map[string]string{"backend": backend, "shard": strconv.Itoa(r.shard)}
-			if n, ok := counterBy(membersF, want); ok {
-				s.DoorMembers += n
-			}
-			if n, ok := counterBy(mergedF, want); ok {
-				s.DoorMerged += n
-			}
 		}
 		s.ClockGini = obs.Gini(clocks)
-		s.MergedRatio = ratio(s.DoorMerged, s.DoorMembers)
 		s.EpochExtensions, _ = counterBy(epochExtF, map[string]string{"backend": backend})
 		s.ValidationChecked, _ = counterBy(valF, map[string]string{"backend": backend, "result": "checked"})
 		s.ValidationSkipped, _ = counterBy(valF, map[string]string{"backend": backend, "result": "skipped"})
@@ -438,33 +424,12 @@ func (a *Analysis) hints() {
 					"transactions aggressively — check arbitration policy fit")
 		}
 	}
-	for cause, phases := range a.AbortPhase {
-		var tot, door uint64
-		for ph, n := range phases {
-			tot += n
-			if ph == "door-wait" {
-				door += n
-			}
-		}
-		if tot > 0 && door*3 > tot {
-			a.Hints = append(a.Hints, fmt.Sprintf(
-				"%s aborts mostly die in door-wait: the commit door is a choke "+
-					"point — raise the shard count or disable group commit for "+
-					"this workload", cause))
-		}
-	}
 	for backend, s := range a.ShardsByBackend {
 		if s.Shards > 1 && s.ClockGini > 0.6 {
 			a.Hints = append(a.Hints, fmt.Sprintf(
 				"%s: shard imbalance is high (Gini %.2f, shard %d absorbs the "+
 					"most commits) — keys hash into too few id blocks; widen the "+
 					"key partition or lower WithShardBlockBits", backend, s.ClockGini, s.HottestShard))
-		}
-		if s.DoorMembers > 100 && s.MergedRatio < 0.05 {
-			a.Hints = append(a.Hints, fmt.Sprintf(
-				"%s: door merge ratio is only %.1f%% over %d committers — group "+
-					"commit is not paying here; WithGroupCommit(false) removes "+
-					"the door mutex from the commit path", backend, 100*s.MergedRatio, s.DoorMembers))
 		}
 		if ck := s.ValidationChecked + s.ValidationSkipped; ck > 0 &&
 			s.ValidationSkipped*10 < ck && s.Shards > 1 {
@@ -510,8 +475,8 @@ func (a *Analysis) hints() {
 		}
 	}
 	if len(a.Hints) == 0 {
-		a.Hints = append(a.Hints, "nothing stands out: abort rate, shard "+
-			"balance and door merging all look healthy")
+		a.Hints = append(a.Hints, "nothing stands out: abort rate and shard "+
+			"balance both look healthy")
 	}
 }
 
@@ -561,8 +526,6 @@ func (a Analysis) WriteText(w io.Writer) error {
 			s := a.ShardsByBackend[b]
 			fmt.Fprintf(bw, "  %s: %d shards, hottest shard %d (clock %d of %d), Gini %.2f\n",
 				b, s.Shards, s.HottestShard, s.HottestClock, s.TotalClock, s.ClockGini)
-			fmt.Fprintf(bw, "    door: %d members, %d merged (ratio %.1f%%)\n",
-				s.DoorMembers, s.DoorMerged, 100*s.MergedRatio)
 			if ck := s.ValidationChecked + s.ValidationSkipped; ck > 0 {
 				fmt.Fprintf(bw, "    validation: %d shard visits checked, %d skipped (%.1f%% skipped)\n",
 					s.ValidationChecked, s.ValidationSkipped,

@@ -84,14 +84,6 @@ func testFams() []obs.FamilySnapshot {
 			{Labels: lbl("0"), Count: u(90)},
 			{Labels: lbl("1"), Count: u(10)},
 		}},
-		{Name: "proust_stm_shard_door_members_total", Metrics: []obs.MetricSnapshot{
-			{Labels: lbl("0"), Count: u(120)},
-			{Labels: lbl("1"), Count: u(10)},
-		}},
-		{Name: "proust_stm_shard_door_merged_total", Metrics: []obs.MetricSnapshot{
-			{Labels: lbl("0"), Count: u(2)},
-			{Labels: lbl("1"), Count: u(0)},
-		}},
 		{Name: "proust_stm_epoch_extensions_total", Metrics: []obs.MetricSnapshot{
 			{Labels: map[string]string{"backend": "tl2"}, Count: u(0)},
 		}},
@@ -179,16 +171,13 @@ func TestAnalyze(t *testing.T) {
 	if s.ClockGini < 0.399 || s.ClockGini > 0.401 {
 		t.Errorf("clock Gini = %g, want 0.4", s.ClockGini)
 	}
-	if s.DoorMembers != 130 || s.DoorMerged != 2 {
-		t.Errorf("door accounting = %+v", s)
-	}
 	if s.ValidationChecked != 100 || s.ValidationSkipped != 1 {
 		t.Errorf("validation accounting = %+v", s)
 	}
 
-	// 4 of 14 events aborted with validation dominant, door merging under 5%
-	// over >100 members, and a <10% validation skip rate: three hints fire.
-	wantHints := []string{"validation aborts dominate", "door merge ratio", "partitioned validation skips only"}
+	// 4 of 14 events aborted with validation dominant and a <10% validation
+	// skip rate: two hints fire.
+	wantHints := []string{"validation aborts dominate", "partitioned validation skips only"}
 	for _, want := range wantHints {
 		found := false
 		for _, h := range a.Hints {
@@ -237,7 +226,6 @@ func TestWriteText(t *testing.T) {
 		"abort phase breakdown",
 		"key 0x0000000000000007  op put      aborts 4",
 		"tl2: 2 shards, hottest shard 0 (clock 90 of 100), Gini 0.40",
-		"door: 130 members, 2 merged",
 		"tune this:",
 	} {
 		if !strings.Contains(text, want) {
@@ -255,7 +243,7 @@ func TestParseMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fams) != 9 || fams[0].Name != "proust_stm_shard_clock" {
+	if len(fams) != 7 || fams[0].Name != "proust_stm_shard_clock" {
 		t.Errorf("metrics round-trip = %+v", fams)
 	}
 }
@@ -285,7 +273,7 @@ func assertFiniteText(t *testing.T, text string) {
 }
 
 // TestRenderersEmptyDump feeds a fully empty dump through both renderers:
-// every section denominator (events, door members, validation visits) is
+// every section denominator (events, validation visits) is
 // zero, and neither the text report nor the JSON encoding may produce a
 // non-finite number (json.Encode rejects NaN/Inf outright, so a missing
 // guard fails this test loudly).
@@ -309,12 +297,12 @@ func TestRenderersEmptyDump(t *testing.T) {
 // TestRenderersZeroCountSections renders an analysis whose sections are
 // present but all-zero — the abort-forensics shape of a run that traced
 // nothing — through text and JSON, covering the in-section ratios
-// (merged_ratio, validation-skip percentage, abort rate) at denominator
+// (validation-skip percentage, abort rate) at denominator
 // zero.
 func TestRenderersZeroCountSections(t *testing.T) {
 	a := Analysis{
 		ShardsByBackend: map[string]ShardSummary{
-			"tl2": {Shards: 2, MergedRatio: ratio(0, 0), ValidationChecked: 1},
+			"tl2": {Shards: 2, ValidationChecked: 1},
 		},
 		AbortsByCause: map[string]uint64{},
 		Hints:         []string{"nothing stands out"},
@@ -325,7 +313,6 @@ func TestRenderersZeroCountSections(t *testing.T) {
 	}
 	assertFiniteText(t, buf.String())
 	for _, want := range []string{
-		"door: 0 members, 0 merged (ratio 0.0%)",
 		"validation: 1 shard visits checked, 0 skipped (0.0% skipped)",
 	} {
 		if !strings.Contains(buf.String(), want) {

@@ -85,7 +85,10 @@ func (tx *Txn) arbitrateReaders(r *baseRef) {
 			doomTxn(rd, snap)
 			continue
 		}
-		// Reader wins: abort ourselves; rollback releases the lock.
+		// Reader wins: abort ourselves. The write is logged only after
+		// arbitration, so r is not in tx.owned yet and rollback would not
+		// release it.
+		r.owner.Store(nil)
 		tx.conflict(CauseLockConflict)
 	}
 }

@@ -113,8 +113,8 @@ type mvccBackend struct {
 
 	// pubClk/pubDone bracket every update commit's publication window:
 	// pubClk is bumped before the commit stamps (so before any shard-clock
-	// bump or door entry of that commit), pubDone after releaseStamp (values
-	// and versions published, door batch left) on every outcome. The pair is
+	// bump of that commit), pubDone after releaseStamp (values and versions
+	// published) on every outcome. The pair is
 	// the snapshot capture's fence — see captureSnapshotVector. Padded apart:
 	// both words are bumped by every update committer and polled by every
 	// snapshot begin; this global write point is the mvcc design point's
@@ -196,11 +196,9 @@ func (b *mvccBackend) begin(tx *Txn) {
 //   - wait for pubDone == pubClk (done loaded first): every publication
 //     window that ever opened has closed, so at the instant of the second
 //     load no update commit sits anywhere between stamping and release —
-//     no group-commit batch is open (a batch closes when its first member
-//     exits, before that member's pubDone bump) and every version at or
-//     below any shard clock is fully published;
-//   - sweep all shard clocks raw — no door mutexes: with no batch open and
-//     no bump in flight, the raw clock IS the committed frontier;
+//     every version at or below any shard clock is fully published;
+//   - sweep all shard clocks: with no bump in flight, the clocks ARE the
+//     committed frontier;
 //   - re-check pubClk: unchanged means no commit even began stamping during
 //     the sweep, so no clock moved mid-sweep and the vector is the committed
 //     state of every shard at one real-time instant — a prefix of the commit
@@ -210,10 +208,9 @@ func (b *mvccBackend) begin(tx *Txn) {
 // commit path, which escalated transactions share); they additionally cannot
 // overlap this capture at all — the escalation token is held shared for a
 // whole optimistic attempt and exclusively by a serial one. The loop re-runs
-// only
-// while update commits are actively mid-publication, so it terminates under
-// any finite commit rate; it costs ~nShards+3 plain atomic loads and no
-// mutex, which is what keeps the read-only begin off the doors entirely.
+// only while update commits are actively mid-publication, so it terminates
+// under any finite commit rate; it costs ~nShards+3 plain atomic loads and no
+// mutex.
 func (b *mvccBackend) captureSnapshotVector(tx *Txn) uint64 {
 	s := tx.s
 	for {
@@ -372,7 +369,7 @@ func (b *mvccBackend) commit(tx *Txn) bool {
 	tx.phaseExit(pp)
 
 	// Open the publication window BEFORE stamping (so before this commit's
-	// clock bump or door entry) and close it after releaseStamp on every
+	// clock bump) and close it after releaseStamp on every
 	// outcome — the snapshot capture's fence (see captureSnapshotVector).
 	b.pubClk.Add(1)
 	var p pubStamp
@@ -396,8 +393,7 @@ func (b *mvccBackend) commit(tx *Txn) bool {
 	// committed) version/value pair becomes the new chain head before the new
 	// value and version are stored, all under the ref's owner lock, then the
 	// chain is trimmed against the watermark. Values and versions publish
-	// before the door batch is left (releaseStamp) and the batch is left
-	// before any lock is released, exactly like tl2.
+	// before the stamp and then the locks are released, exactly like tl2.
 	h := b.getReader(tx).eh
 	h.Pin()
 	// One rescan-cadence draw per commit, not per written ref: the boundary

@@ -90,8 +90,8 @@ func (tl2Backend) commit(tx *Txn) bool {
 	}
 	tx.phaseExit(pp)
 
-	// Stamp the write shards (entering the shard door or bumping per-shard
-	// clocks); validateCommit applies the per-shard generalization of the
+	// Stamp the write shards (bumping the per-shard clocks); validateCommit
+	// applies the per-shard generalization of the
 	// TL2 wv == rv+1 optimization — quiet shards are skipped, and a solo
 	// fresh bump skips the transaction's own shard too.
 	var p pubStamp
@@ -110,10 +110,8 @@ func (tl2Backend) commit(tx *Txn) bool {
 	// The commit is now decided: apply deferred effects (Proust replay
 	// logs) while the write set is still locked, then publish straight from
 	// the redo-log entries — values ride inline, no second lookup. Values
-	// and versions are published before the door batch is left
-	// (releaseStamp) and the batch is left before any lock is released:
-	// group-commit joiners are only guaranteed write-disjoint from us while
-	// we still hold every lock.
+	// and versions are published before the stamp is released and before
+	// any lock is released.
 	pp = tx.phaseEnter(PhasePublish)
 	tx.runCommitLocked()
 	for i := range tx.wset.entries {

@@ -199,10 +199,7 @@ func (tx *Txn) commitEncounter(validate bool) bool {
 
 	pp := tx.phaseEnter(PhasePublish)
 	tx.runCommitLocked()
-	// Publish all versions first, then leave the door batch, then release
-	// the locks: the batch must close before any member's locks free up
-	// (releaseStamp) so late arrivals can never share the version with a
-	// write set that overlaps ours.
+	// Publish all versions first, then release the stamp, then the locks.
 	for _, r := range tx.owned {
 		r.version.Store(p.ver(r))
 	}

@@ -190,3 +190,36 @@ func TestTimestampDoomsYounger(t *testing.T) {
 		t.Fatal("a transaction was doomed but the younger one never retried: the older lost arbitration")
 	}
 }
+
+// TestEagerWriterLosingToReaderReleasesLock pins the arbitration abort path
+// of the eager backend: a writer that takes r's encounter lock and then loses
+// to an older visible reader must leave r unlocked. A leaked lock stays with
+// the aborted descriptor until that transaction happens to win the same ref
+// later, and every reader of r spins against it meanwhile (the eager
+// read-modify-write livelock under Timestamp).
+func TestEagerWriterLosingToReaderReleasesLock(t *testing.T) {
+	s := New(WithBackend("eager"), WithContentionManager(Timestamp{}), WithMaxAttempts(1))
+	r := NewRef(s, 0)
+	if err := s.Atomically(func(tx *Txn) error {
+		_ = r.Get(tx) // older, registered as a visible reader of r
+		err := s.Atomically(func(in *Txn) error {
+			r.Set(in, 1) // younger writer: must lose the arbitration
+			return nil
+		})
+		if err != ErrMaxAttempts {
+			t.Errorf("younger writer: err = %v, want ErrMaxAttempts", err)
+		}
+		if r.b.owner.Load() != nil {
+			t.Error("r still locked by the aborted writer")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if t.Failed() {
+		return // Load would spin on the leaked lock
+	}
+	if got := r.Load(); got != 0 {
+		t.Fatalf("r = %d, want 0", got)
+	}
+}

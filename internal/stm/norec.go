@@ -128,7 +128,7 @@ func (b *norecBackend) validate(tx *Txn) bool {
 
 // validateChains is the validation pass proper (the validate wrapper only
 // attributes it to PhaseValidate; the bracket nests inside PhaseRead or
-// PhaseDoorWait and the token model restores the outer phase).
+// PhaseStamp and the token model restores the outer phase).
 func (b *norecBackend) validateChains(tx *Txn) bool {
 	n := tx.s.nShards
 	var cnt [MaxShards]uint64
@@ -201,9 +201,9 @@ func (b *norecBackend) commit(tx *Txn) bool {
 		tx.finishCommit()
 		return true
 	}
-	// The sequence-lock spin is NOrec's equivalent of the commit door: time
+	// The sequence-lock spin is NOrec's equivalent of the clock bump: time
 	// spent losing the CAS (and revalidating) is serialization wait.
-	pp := tx.phaseEnter(PhaseDoorWait)
+	pp := tx.phaseEnter(PhaseStamp)
 	for !b.seq.CompareAndSwap(tx.snapshot, tx.snapshot+1) {
 		if !b.validateTimed(tx) {
 			tx.rollback(CauseValidation)

@@ -2,7 +2,7 @@ package stm
 
 // Phase-level span timing. An attempt's wall time is attributed to a small
 // fixed set of phases — body compute, transactional reads, validation, lock
-// acquisition, commit-door waits and publication — accumulated into a
+// acquisition, commit stamping and publication — accumulated into a
 // per-descriptor array and emitted as one PhaseSample per traced attempt.
 //
 // The instrumentation follows the same discipline as the duration histograms
@@ -32,12 +32,11 @@ const (
 	// and the tl2 commit-time locking pass, including contention-manager
 	// arbitration and spin waits.
 	PhaseLock
-	// PhaseDoorWait covers the commit-stamp window: waiting on the shard's
-	// group-commit door mutex (or the serial-mode sweep of every door) and
-	// the clock/epoch bumps taken under it.
-	PhaseDoorWait
+	// PhaseStamp covers the commit-stamp window: the shard-clock and epoch
+	// bumps that assign the write version, and norec's sequence-lock spin.
+	PhaseStamp
 	// PhasePublish covers publication: applying commit-locked hooks, storing
-	// values and versions, leaving the door batch and releasing write locks.
+	// values and versions and releasing write locks.
 	PhasePublish
 
 	// NumPhases is the length of per-phase arrays.
@@ -51,7 +50,7 @@ const (
 // phaseNames is indexed by Phase; it is the exposition vocabulary shared by
 // the obs layer, the Chrome trace export and proust-report.
 var phaseNames = [NumPhases]string{
-	"body", "read", "validate", "lock", "door-wait", "publish",
+	"body", "read", "validate", "lock", "stamp", "publish",
 }
 
 // String returns the phase name used in metrics and trace output.

@@ -126,7 +126,7 @@ func TestPhaseBlindTracerUntouched(t *testing.T) {
 
 // TestPhaseNames pins the phase enum to its stable wire names.
 func TestPhaseNames(t *testing.T) {
-	want := []string{"body", "read", "validate", "lock", "door-wait", "publish"}
+	want := []string{"body", "read", "validate", "lock", "stamp", "publish"}
 	got := PhaseNames()
 	if len(got) != NumPhases {
 		t.Fatalf("PhaseNames() returned %d names, want %d", len(got), NumPhases)
@@ -141,11 +141,11 @@ func TestPhaseNames(t *testing.T) {
 	}
 }
 
-// TestShardTelemetrySnapshot checks the door accounting identities after a
-// quiesced single-shard workload: members = batches + merged, every batch is
-// recorded in the size histogram, and the merged total matches the
-// GroupCommits stat.
-func TestShardTelemetrySnapshot(t *testing.T) {
+// TestShardClocksSingleRef checks shard heat stays observable through the
+// clocks alone: after a concurrent single-ref workload only the written
+// shard's clock moved, it moved at least once per commit (an attempt that is
+// stamped and then fails validation bumps too), and the skew equals it.
+func TestShardClocksSingleRef(t *testing.T) {
 	const (
 		goroutines = 8
 		txnsPerG   = 300
@@ -167,36 +167,21 @@ func TestShardTelemetrySnapshot(t *testing.T) {
 	}
 	wg.Wait()
 
-	tel := s.ShardTelemetrySnapshot(nil)
-	if len(tel) != s.Shards() {
-		t.Fatalf("telemetry rows = %d, want %d", len(tel), s.Shards())
+	clocks := s.ShardClocks(nil)
+	if len(clocks) != s.Shards() {
+		t.Fatalf("clock rows = %d, want %d", len(clocks), s.Shards())
 	}
-	var members, batches, merged, recorded uint64
-	for _, st := range tel {
-		if st.DoorMembers != st.DoorBatches+st.DoorMerged {
-			t.Errorf("shard %d: members %d != batches %d + merged %d",
-				st.Shard, st.DoorMembers, st.DoorBatches, st.DoorMerged)
-		}
-		members += st.DoorMembers
-		batches += st.DoorBatches
-		merged += st.DoorMerged
-		for _, n := range st.BatchSizes {
-			recorded += n
+	hot := r.Shard()
+	for sh, c := range clocks {
+		if sh != hot && c != 0 {
+			t.Errorf("shard %d clock = %d, want 0 (never written)", sh, c)
 		}
 	}
-	if members == 0 {
-		t.Fatal("no door members recorded for a write-heavy workload")
+	if c := s.Stats().Commits; clocks[hot] < c {
+		t.Errorf("written shard clock %d < commits %d", clocks[hot], c)
 	}
-	if recorded != batches {
-		t.Errorf("size histogram records %d batches, door opened %d", recorded, batches)
-	}
-	if got := s.Stats().GroupCommits; got != merged {
-		t.Errorf("stats GroupCommits = %d, telemetry merged = %d", got, merged)
-	}
-	// Serial-mode commits bypass the doors, so members can undershoot the
-	// writing-commit count, but never exceed it.
-	if c := s.Stats().Commits; members > c {
-		t.Errorf("door members %d > commits %d", members, c)
+	if got := s.ShardClockSkew(); got != clocks[hot] {
+		t.Errorf("ShardClockSkew = %d, want the written shard's clock %d", got, clocks[hot])
 	}
 }
 

@@ -3,7 +3,6 @@ package stm
 import (
 	"math/bits"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -12,12 +11,14 @@ import (
 // the one commit point every writing transaction funnels through; this file
 // partitions it. Every baseRef is assigned a shard from its creation id (in
 // blocks, so references allocated together — one structure, one partition —
-// share a shard), each shard carries its own cache-line-padded commit clock
-// plus a commit "door" (group commit), and transactions read-version against
-// a compact per-shard clock vector captured lazily, per shard, at first
-// touch. Cross-shard writers announce themselves through a global epoch
-// counter that readers use as a fence. See DESIGN.md §11 for the full
-// protocol and its opacity argument.
+// share a shard), each shard carries its own cache-line-padded commit clock,
+// and transactions read-version against a compact per-shard clock vector
+// captured lazily, per shard, at first touch. Every committer bumps a shard's
+// clock itself, after taking its write locks and before publishing, so a
+// clock sample v guarantees that whoever publishes at a version ≤ v already
+// held its locks when v was read. Cross-shard writers announce themselves
+// through a global epoch counter that readers use as a fence. See DESIGN.md
+// §11 for the full protocol and its opacity argument.
 
 const (
 	// MaxShards bounds the shard count so per-transaction shard state fits
@@ -34,116 +35,10 @@ const (
 )
 
 // stmShard is one partition of the timebase: a commit clock on its own cache
-// line plus the shard's commit door.
+// line.
 type stmShard struct {
 	clock atomic.Uint64 // per-shard commit clock
 	_     [56]byte
-	door  commitDoor
-	_     [24]byte
-}
-
-// commitDoor implements group commit for one shard. A single-shard committer
-// that bumps the shard clock opens a batch; committers arriving while the
-// batch is open (no member has finished publication yet) share its write
-// version instead of bumping again.
-//
-// Sharing must preserve two invariants, one per side of the protocol:
-//
-//   - Writer-writer: no two members publish the same ref under the shared
-//     version. Holds because every member holds its per-ref write locks for
-//     the whole membership, so members are pairwise write-disjoint.
-//
-//   - Reader: a transaction that adopts read version rv for this shard must
-//     be able to assume that any committer publishing at a version ≤ rv
-//     already held all its write locks when rv was captured (then every read
-//     either observes the lock — a conflict — or the final published value;
-//     this is what lets version ≤ rv reads pass with no validation). A late
-//     joiner breaks this for the raw clock value: it can enter an open batch
-//     and publish at the batch's wv entirely after a reader sampled
-//     clock == wv. Captures therefore go through captureShardClock, which
-//     samples under this mutex and caps the result at wv-1 while a batch at
-//     wv is still open to joiners — enters serialize with captures, so any
-//     member that can still publish at ≤ rv provably entered (locks held)
-//     before the capture.
-type commitDoor struct {
-	mu   sync.Mutex
-	gen  uint64 // batch generation; 0 = no batch yet
-	wv   uint64 // write version shared by the current batch
-	open bool   // current batch accepts joiners
-
-	// Heat telemetry, guarded by mu. These are plain counters bumped while
-	// the mutex is already held for the protocol itself, so the telemetry
-	// costs no extra atomics on the commit path.
-	batches uint64                  // batches opened (solo or shared)
-	members uint64                  // committers stamped through the door
-	merged  uint64                  // members that joined an already-open batch
-	curSize uint64                  // members of the batch not yet recorded
-	sizeSum uint64                  // total members over recorded batches
-	sizeBkt [doorSizeBuckets]uint64 // closed-batch sizes; bucket i = sizes with bit length i+1
-}
-
-// doorSizeBuckets is the number of power-of-two batch-size buckets: bucket i
-// counts batches of size in [2^i, 2^(i+1)), the last absorbing 64 and up.
-const doorSizeBuckets = 7
-
-// recordBatch folds the in-progress batch's size into the size histogram.
-// Caller holds mu.
-func (d *commitDoor) recordBatch() {
-	i := bits.Len64(d.curSize) - 1
-	if i >= doorSizeBuckets {
-		i = doorSizeBuckets - 1
-	}
-	d.sizeBkt[i]++
-	d.sizeSum += d.curSize
-	d.curSize = 0
-}
-
-// enter assigns a write version to a single-shard committer, joining the
-// open batch when possible (group commit). wantSolo starts a batch closed to
-// joiners: the caller intends to skip read validation against its own shard,
-// which is unsound if another writer shares its version (the joiner's locked
-// writes would be invisible to the skipped check).
-func (d *commitDoor) enter(clock *atomic.Uint64, wantSolo bool) (wv, gen uint64, joined bool) {
-	d.mu.Lock()
-	if d.open && !wantSolo {
-		wv, gen = d.wv, d.gen
-		d.members++
-		d.merged++
-		d.curSize++
-		d.mu.Unlock()
-		return wv, gen, true
-	}
-	if d.curSize > 0 {
-		// A wantSolo opener can supersede a batch still open to joiners
-		// before any member exited; fold its size in now.
-		d.recordBatch()
-	}
-	d.gen++
-	gen = d.gen
-	wv = clock.Add(1)
-	d.wv = wv
-	d.open = !wantSolo
-	d.batches++
-	d.members++
-	d.curSize = 1
-	d.mu.Unlock()
-	return wv, gen, false
-}
-
-// exit ends the caller's membership in batch gen. The first member to exit
-// closes the batch: it is about to release its per-ref locks, after which a
-// new arrival could overlap its write set and must not share the version.
-// Exit MUST therefore be called after publication but before any lock
-// release (see the backend commit paths).
-func (d *commitDoor) exit(gen uint64) {
-	d.mu.Lock()
-	if d.gen == gen {
-		d.open = false
-		if d.curSize > 0 {
-			d.recordBatch()
-		}
-	}
-	d.mu.Unlock()
 }
 
 // shardsOption configures the shard count; 0 selects the automatic size.
@@ -179,18 +74,8 @@ func (o shardBlockOption) apply(s *STM) {
 // timebase shard as long as they fit in a block, so deployments whose
 // partitions are larger than 64 refs can widen the blocks to keep
 // partition-local transactions single-shard (the regime where partitioned
-// validation and the commit doors pay off). Clamped to [0, 20].
+// validation pays off). Clamped to [0, 20].
 func WithShardBlockBits(n int) Option { return shardBlockOption(n) }
-
-type groupCommitOption bool
-
-func (o groupCommitOption) apply(s *STM) { s.groupCommit = bool(o) }
-
-// WithGroupCommit enables or disables the per-shard commit doors (enabled by
-// default). With doors disabled every single-shard commit bumps its shard
-// clock individually, which is the pre-group-commit behavior; the sharded
-// validation paths are unaffected.
-func WithGroupCommit(enabled bool) Option { return groupCommitOption(enabled) }
 
 // AutoShardCount returns the shard count WithShards(0) selects: a power of
 // two covering max(8, GOMAXPROCS), capped at MaxShards. Exported so layers
@@ -264,69 +149,6 @@ func (s *STM) ShardClockSkew() uint64 {
 	return hi - lo
 }
 
-// ShardTelemetry is a point-in-time heat profile of one timebase shard: its
-// commit clock (scrape deltas give the clock advance rate) and its door's
-// group-commit accounting. DoorMerged/DoorMembers is the shard's merged-commit
-// ratio; BatchSizes bucket i counts closed batches of size in [2^i, 2^(i+1)),
-// the last bucket absorbing 64 and up.
-type ShardTelemetry struct {
-	Shard        int                     `json:"shard"`
-	Clock        uint64                  `json:"clock"`
-	DoorBatches  uint64                  `json:"door_batches"`
-	DoorMembers  uint64                  `json:"door_members"`
-	DoorMerged   uint64                  `json:"door_merged"`
-	BatchSizeSum uint64                  `json:"batch_size_sum"`
-	BatchSizes   [doorSizeBuckets]uint64 `json:"batch_sizes"`
-}
-
-// MergedRatio returns the fraction of door members that shared another
-// committer's clock bump (0 when the door saw no traffic).
-func (t ShardTelemetry) MergedRatio() float64 {
-	if t.DoorMembers == 0 {
-		return 0
-	}
-	return float64(t.DoorMerged) / float64(t.DoorMembers)
-}
-
-// ShardTelemetrySnapshot appends one ShardTelemetry per timebase shard to dst
-// and returns the result. Each shard's door counters are read under its door
-// mutex (a momentary, per-shard acquisition — the snapshot never holds two
-// doors at once and never blocks commits in other shards).
-func (s *STM) ShardTelemetrySnapshot(dst []ShardTelemetry) []ShardTelemetry {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		t := ShardTelemetry{Shard: i, Clock: sh.clock.Load()}
-		d := &sh.door
-		d.mu.Lock()
-		t.DoorBatches = d.batches
-		t.DoorMembers = d.members
-		t.DoorMerged = d.merged
-		t.BatchSizeSum = d.sizeSum
-		t.BatchSizes = d.sizeBkt
-		d.mu.Unlock()
-		dst = append(dst, t)
-	}
-	return dst
-}
-
-// lockAllDoors takes every shard's door mutex in ascending shard order.
-// Serial (escalated) transactions hold all doors across their commit so the
-// per-shard clock bumps of one serial commit form a single atomic step of
-// the timebase. The escalation token already quiesces optimistic attempts;
-// the fixed order makes the sweep trivially deadlock-free regardless.
-func (s *STM) lockAllDoors() {
-	for i := range s.shards {
-		s.shards[i].door.mu.Lock()
-	}
-}
-
-// unlockAllDoors releases the door mutexes taken by lockAllDoors.
-func (s *STM) unlockAllDoors() {
-	for i := range s.shards {
-		s.shards[i].door.mu.Unlock()
-	}
-}
-
 // rvFor returns the transaction's read version for r's shard, capturing the
 // shard's clock on first touch.
 func (tx *Txn) rvFor(r *baseRef) uint64 {
@@ -337,58 +159,15 @@ func (tx *Txn) rvFor(r *baseRef) uint64 {
 	return tx.rvVec[sh]
 }
 
-// captureShardClock samples shard sh's commit clock for use as a read
-// version. With group commit enabled the sample is taken under the shard's
-// door mutex and capped one below the write version of a batch still open to
-// joiners: a joiner can enter an open batch — and so gain the right to
-// publish at its wv — after a raw sample of clock == wv, which would hand a
-// reader a read version covering writes whose locks were not yet held at
-// capture time (see the commitDoor reader invariant). Because enters
-// serialize with this mutex, the capped value v guarantees every committer
-// that can ever publish at a version ≤ v already held its locks when the
-// capture returned. With doors disabled no batch is ever open and every
-// committer bumps the clock itself (after taking its locks), so the raw
-// clock carries the same guarantee.
-func (s *STM) captureShardClock(sh uint32) uint64 {
-	shard := &s.shards[sh]
-	if !s.groupCommit {
-		return shard.clock.Load()
-	}
-	d := &shard.door
-	d.mu.Lock()
-	v := shard.clock.Load()
-	if d.open {
-		// wv came from this clock, so wv <= v: the cap only lowers v.
-		v = d.wv - 1
-	}
-	d.mu.Unlock()
-	return v
-}
-
-// sampleShardClock is the transaction-level clock capture: door-aware via
-// captureShardClock, except in serial mode. A serial transaction holds the
-// instance's exclusive escalation token, which quiesces every optimistic
-// attempt — no batch can be open and nothing publishes concurrently — so the
-// raw clock is safe; and its commit sweep holds every door mutex
-// (lockAllDoors), so re-taking one here (e.g. from an OnCommitLocked hook
-// reading a fresh shard) would self-deadlock.
-func (tx *Txn) sampleShardClock(sh uint32) uint64 {
-	if tx.serialMode {
-		return tx.s.shards[sh].clock.Load()
-	}
-	return tx.s.captureShardClock(sh)
-}
-
-// captureShard samples shard sh's commit clock (door-aware, see
-// captureShardClock) as the transaction's read version for that shard. The
-// vector is captured lazily — each shard at its first touch, not all at
-// begin — so commits that land in a shard between begin and first touch
-// never cost an extension. The first capture pins the global epoch; every
-// later capture re-checks it, and if a cross-shard commit moved it the whole
-// read set is revalidated first (via extend, whose epoch branch checks every
-// entry exactly). Without that fence a vector assembled across captures
-// could straddle a cross-shard commit: "after" it in a shard captured late,
-// "before" it in one captured early.
+// captureShard samples shard sh's commit clock as the transaction's read
+// version for that shard. The vector is captured lazily — each shard at its
+// first touch, not all at begin — so commits that land in a shard between
+// begin and first touch never cost an extension. The first capture pins the
+// global epoch; every later capture re-checks it, and if a cross-shard commit
+// moved it the whole read set is revalidated first (via extend, whose epoch
+// branch checks every entry exactly). Without that fence a vector assembled
+// across captures could straddle a cross-shard commit: "after" it in a shard
+// captured late, "before" it in one captured early.
 //
 // Ordering matters: the epoch is loaded AFTER the shard clock. Cross-shard
 // committers bump the epoch before any shard clock, so a clock sample that
@@ -400,7 +179,7 @@ func (tx *Txn) sampleShardClock(sh uint32) uint64 {
 func (tx *Txn) captureShard(sh uint32) {
 	s := tx.s
 	for {
-		v := tx.sampleShardClock(sh)
+		v := s.shards[sh].clock.Load()
 		ep := s.epochClk.Load()
 		if tx.shardSeen == 0 {
 			tx.epochSeen = ep
@@ -421,12 +200,11 @@ func (tx *Txn) captureShard(sh uint32) {
 
 // extend revalidates the read set at a fresh shard-clock vector and, on
 // success, installs the new vector (the TinySTM timestamp extension, per
-// shard). The clocks are reloaded (door-aware, so the new vector never
-// covers a batch still open to joiners) before validating — the same
-// ordering the single-clock extension needed — and the validation pass is
-// partitioned: entries in shards whose clock did not move are skipped,
-// unless the global epoch moved, in which case every entry is checked (see
-// validateReadsPartial for both soundness arguments).
+// shard). The clocks are reloaded before validating — the same ordering the
+// single-clock extension needed — and the validation pass is partitioned:
+// entries in shards whose clock did not move are skipped, unless the global
+// epoch moved, in which case every entry is checked (see validateReadsPartial
+// for both soundness arguments).
 //
 // The epoch is loaded AFTER the clocks, mirroring captureShard: a
 // cross-shard committer bumps the epoch before its shard clocks, so if any
@@ -450,7 +228,7 @@ func (tx *Txn) extendVector() bool {
 	var changed uint64
 	for m := tx.shardSeen; m != 0; m &= m - 1 {
 		sh := uint(bits.TrailingZeros64(m))
-		now := tx.sampleShardClock(uint32(sh))
+		now := s.shards[sh].clock.Load()
 		if now != tx.rvVec[sh] {
 			changed |= 1 << sh
 			tx.rvVec[sh] = now
@@ -502,19 +280,16 @@ func (tx *Txn) validateReadsPartial(changed uint64, full bool) bool {
 }
 
 // pubStamp records one commit attempt's write-version assignment: the shards
-// written, the version(s) to publish, and what must be released — the door
-// batch, or the serial-mode door sweep — once publication finishes or the
-// attempt fails. It lives on the committer's stack.
+// written, the version(s) to publish, and whether a cross-shard publication
+// window must be closed once publication finishes or the attempt fails. It
+// lives on the committer's stack.
 type pubStamp struct {
 	mask      uint64            // shards written
 	single    bool              // write set confined to one shard (or empty)
-	soloFresh bool              // single-shard, solo bump, and wv == rv+1 for that shard
+	soloFresh bool              // single-shard and wv == rv+1 for that shard
 	skip      bool              // read validation provably unnecessary (solo TL2 skip)
 	epoched   bool              // cross-shard: epochClk bumped, epochDone owed
-	shard     uint32            // the single shard (when single)
-	wv        uint64            // its write version
-	gen       uint64            // door batch generation (0 = no door entered)
-	doors     bool              // serial mode: all door mutexes held
+	wv        uint64            // single-shard write version
 	wvs       [MaxShards]uint64 // cross-shard: per-shard write versions
 }
 
@@ -528,56 +303,39 @@ func (p *pubStamp) ver(r *baseRef) uint64 {
 
 // stampWrites assigns the attempt's write version(s) for the shards in mask.
 // The caller must already hold the write locks of every ref it will publish
-// (door sharing and the validation skip both depend on it) and must pair
-// this call with releaseStamp on every outcome.
+// (the read-version guarantee and the validation skip both depend on it) and
+// must pair this call with releaseStamp on every outcome.
 //
-// Single-shard write sets go through the shard's commit door: concurrently
-// arriving committers with (necessarily disjoint) write sets share one clock
-// bump. Cross-shard write sets bump the global epoch first — the fence that
-// makes partially-bumped clock vectors visible to readers — and then advance
-// each written shard's clock in ascending shard order.
+// A single-shard write set bumps its shard's clock. Cross-shard write sets
+// bump the global epoch first — the fence that makes partially-bumped clock
+// vectors visible to readers — and then advance each written shard's clock in
+// ascending shard order.
 func (tx *Txn) stampWrites(p *pubStamp, mask uint64) {
-	pp := tx.phaseEnter(PhaseDoorWait)
-	tx.stampWritesDoor(p, mask)
+	pp := tx.phaseEnter(PhaseStamp)
+	tx.stampWritesClocks(p, mask)
 	tx.phaseExit(pp)
 }
 
-// stampWritesDoor is the stamping pass proper (the stampWrites wrapper only
-// attributes the door/clock window to PhaseDoorWait).
-func (tx *Txn) stampWritesDoor(p *pubStamp, mask uint64) {
+// stampWritesClocks is the stamping pass proper (the stampWrites wrapper only
+// attributes the clock window to PhaseStamp).
+func (tx *Txn) stampWritesClocks(p *pubStamp, mask uint64) {
 	s := tx.s
 	p.mask = mask
-	if tx.serialMode {
-		s.lockAllDoors()
-		p.doors = true
-	}
 	if mask == 0 {
 		// No writes to version (commit-locked hooks only): nothing to stamp.
 		p.single = true
 		return
 	}
 	if mask&(mask-1) == 0 {
-		sh := uint32(bits.TrailingZeros64(mask))
+		sh := uint(bits.TrailingZeros64(mask))
 		p.single = true
-		p.shard = sh
-		shard := &s.shards[sh]
-		// A solo bump with wv == rv+1 proves no other commit landed in sh
-		// since we captured it, letting validation skip our own shard's
-		// entries (and, if the read set is confined to sh, skip entirely —
-		// the classic TL2 wv==rv+1 optimization, per shard). Only meaningful
-		// when we have captured sh, i.e. have reads there.
-		wantSolo := tx.shardSeen>>sh&1 == 1 && shard.clock.Load() == tx.rvVec[sh]
-		if p.doors || !s.groupCommit {
-			p.wv = shard.clock.Add(1)
-		} else {
-			var joined bool
-			p.wv, p.gen, joined = shard.door.enter(&shard.clock, wantSolo)
-			if joined {
-				s.stats.GroupCommits.Add(1)
-				return // shared bump: no skip of any kind
-			}
-		}
-		if wantSolo && p.wv == tx.rvVec[sh]+1 {
+		p.wv = s.shards[sh].clock.Add(1)
+		// wv == rv+1 proves no other commit landed in sh since we captured
+		// it (every committer takes its own bump), letting validation skip
+		// our own shard's entries (and, if the read set is confined to sh,
+		// skip entirely — the classic TL2 wv==rv+1 optimization, per shard).
+		// Only meaningful when we have captured sh, i.e. have reads there.
+		if tx.shardSeen>>sh&1 == 1 && p.wv == tx.rvVec[sh]+1 {
 			p.soloFresh = true
 			p.skip = tx.shardSeen&^mask == 0
 		}
@@ -596,20 +354,9 @@ func (tx *Txn) stampWritesDoor(p *pubStamp, mask uint64) {
 	}
 }
 
-// releaseStamp ends the stamp: exits the door batch or releases the
-// serial-mode door sweep. On the commit path it MUST run after values and
-// versions are published and BEFORE any per-ref lock is released — the open
-// batch guarantees joiners are write-disjoint from us only while every
-// member still holds its locks.
+// releaseStamp ends the stamp. On the commit path it runs after values and
+// versions are published.
 func (tx *Txn) releaseStamp(p *pubStamp) {
-	if p.doors {
-		tx.s.unlockAllDoors()
-		p.doors = false
-	}
-	if p.gen != 0 {
-		tx.s.shards[p.shard].door.exit(p.gen)
-		p.gen = 0
-	}
 	if p.epoched {
 		// Close the cross-shard publication window: on the commit path every
 		// value and version is published by now, on the abort path nothing
@@ -626,17 +373,12 @@ func (tx *Txn) releaseStamp(p *pubStamp) {
 // shard commits validate partitioned — quiet shards skipped — unless the
 // epoch moved past the transaction's fence, and may skip their own shard's
 // entries after a solo fresh bump (no other commit landed there since
-// capture; our own locked writes pass the owner check trivially and holding
-// the closed door means no joiner shares the version).
+// capture; our own locked writes pass the owner check trivially and nobody
+// shares our write version).
 //
-// The raw clock loads here are deliberate (no door-aware capture needed):
-// the values are only compared against rvVec, never installed as read
-// versions. rvVec itself is door-aware, so a batch open at wv in a seen
-// shard always shows clock >= wv > rvVec — the shard lands in changed and
-// its entries get the exact per-entry check, which observes any member's
-// held locks or published versions. The epoch is loaded after the clock
-// sweep, like captureShard/extend: a clock sample that includes a
-// cross-shard commit's bump then cannot pair with a stale-but-equal epoch.
+// The epoch is loaded after the clock sweep, like captureShard/extend: a
+// clock sample that includes a cross-shard commit's bump then cannot pair
+// with a stale-but-equal epoch.
 func (tx *Txn) validateCommit(p *pubStamp) bool {
 	pp := tx.phaseEnter(PhaseValidate)
 	ok := tx.validateCommitStamped(p)

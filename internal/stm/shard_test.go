@@ -3,6 +3,7 @@ package stm
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -200,100 +201,13 @@ func TestEpochFenceConsistentCut(t *testing.T) {
 	}
 }
 
-// TestCommitDoor unit-tests the group-commit door protocol: joiners share
-// the open batch's write version, wantSolo batches are closed, and the first
-// exit closes a batch to later arrivals.
-func TestCommitDoor(t *testing.T) {
-	var clock atomic.Uint64
-	var d commitDoor
-
-	wv1, gen1, joined := d.enter(&clock, false)
-	if joined || wv1 != 1 {
-		t.Fatalf("leader: wv=%d joined=%v", wv1, joined)
-	}
-	wv2, gen2, joined := d.enter(&clock, false)
-	if !joined || wv2 != wv1 || gen2 != gen1 {
-		t.Fatalf("joiner: wv=%d gen=%d joined=%v, want shared wv=%d gen=%d", wv2, gen2, joined, wv1, gen1)
-	}
-	if clock.Load() != 1 {
-		t.Fatalf("merged batch bumped the clock twice: %d", clock.Load())
-	}
-	d.exit(gen1) // first member out: batch closes
-	wv3, gen3, joined := d.enter(&clock, false)
-	if joined || wv3 != 2 || gen3 == gen1 {
-		t.Fatalf("post-close arrival: wv=%d gen=%d joined=%v, want fresh batch", wv3, gen3, joined)
-	}
-	d.exit(gen3)
-	d.exit(gen2) // stale exit of a replaced batch must not touch the new one
-
-	wv4, gen4, joined := d.enter(&clock, true) // wantSolo: closed batch
-	if joined || wv4 != 3 {
-		t.Fatalf("solo leader: wv=%d joined=%v", wv4, joined)
-	}
-	wv5, _, joined := d.enter(&clock, false)
-	if joined || wv5 != 4 {
-		t.Fatalf("arrival at solo batch must bump, got wv=%d joined=%v", wv5, joined)
-	}
-	d.exit(gen4)
-}
-
-// TestCaptureClockDoorAware pins the reader invariant of group commit: a
-// clock capture taken while a batch is still open to joiners must come back
-// capped below the batch's write version (a joiner may yet enter and publish
-// at wv after the capture, so wv must stay above any adopted read version),
-// and the raw value again once the batch closes. Serial transactions sample
-// the raw clock without touching the door mutexes (they hold all of them
-// across their commit sweep).
-func TestCaptureClockDoorAware(t *testing.T) {
-	s := New(WithBackend("tl2"), WithShards(2))
-	sh := &s.shards[0]
-
-	wv, gen, joined := sh.door.enter(&sh.clock, false)
-	if joined || wv != 1 {
-		t.Fatalf("leader: wv=%d joined=%v", wv, joined)
-	}
-	if got := sh.clock.Load(); got != wv {
-		t.Fatalf("clock = %d after leader bump, want %d", got, wv)
-	}
-	if got := s.captureShardClock(0); got != wv-1 {
-		t.Fatalf("capture with open batch = %d, want %d (wv-1)", got, wv-1)
-	}
-
-	// A transaction-level capture is capped the same way.
-	tx := s.newTxn()
-	tx.captureShard(0)
-	if tx.rvVec[0] != wv-1 {
-		t.Fatalf("captureShard with open batch: rvVec[0] = %d, want %d", tx.rvVec[0], wv-1)
-	}
-	s.releaseTxn(tx)
-
-	sh.door.exit(gen) // batch closes: no future joiner can publish at wv
-	if got := s.captureShardClock(0); got != wv {
-		t.Fatalf("capture with closed batch = %d, want %d", got, wv)
-	}
-
-	// Serial mode: all doors held across the commit sweep; a capture from
-	// inside it (e.g. an OnCommitLocked hook reading a fresh shard) must
-	// sample raw and not re-take a door mutex.
-	s.lockAllDoors()
-	stx := s.newTxn()
-	stx.serialMode = true
-	stx.captureShard(1)
-	if stx.rvVec[1] != s.shards[1].clock.Load() {
-		t.Fatalf("serial capture: rvVec[1] = %d, want raw clock %d", stx.rvVec[1], s.shards[1].clock.Load())
-	}
-	s.unlockAllDoors()
-	stx.serialMode = false
-	s.releaseTxn(stx)
-}
-
-// TestGroupCommitPairConsistency is the reader-side soak for group-commit
-// version sharing: writers on ONE shard (so every commit passes through the
-// same door) keep the invariant x == y, while readers continuously assert
-// it. A joiner that publishes under a version a reader already adopted as
-// its read version would let the reader observe a torn (old x, new y) pair
-// with no validation trigger.
-func TestGroupCommitPairConsistency(t *testing.T) {
+// TestSameShardPairConsistency is the reader-side soak for single-shard
+// commits: writers on ONE shard (so every commit bumps the same clock) keep
+// the invariant x == y, while readers continuously assert it. A writer that
+// publishes under a version a reader already adopted as its read version
+// would let the reader observe a torn (old x, new y) pair with no validation
+// trigger.
+func TestSameShardPairConsistency(t *testing.T) {
 	for _, backend := range []string{"tl2", "ccstm", "eager"} {
 		t.Run(backend, func(t *testing.T) {
 			s := New(WithBackend(backend), WithShards(1))
@@ -325,7 +239,7 @@ func TestGroupCommitPairConsistency(t *testing.T) {
 							return
 						}
 						if xv != yv {
-							t.Errorf("torn pair under group commit: x=%d y=%d", xv, yv)
+							t.Errorf("torn same-shard pair: x=%d y=%d", xv, yv)
 							return
 						}
 					}
@@ -437,13 +351,13 @@ func TestEpochFencePairConsistency(t *testing.T) {
 	}
 }
 
-// TestGroupCommitDisjointWriters hammers one shard with disjoint writers
-// (doors enabled) and checks every committed value survived — group-commit
-// version sharing must never lose or cross publications.
-func TestGroupCommitDisjointWriters(t *testing.T) {
+// TestSameShardDisjointWriters hammers one shard with disjoint writers and
+// checks every committed value survived — commits racing on one clock must
+// never lose or cross publications.
+func TestSameShardDisjointWriters(t *testing.T) {
 	for _, backend := range []string{"tl2", "ccstm", "eager"} {
 		t.Run(backend, func(t *testing.T) {
-			s := New(WithBackend(backend), WithShards(1)) // one shard: every commit shares the door
+			s := New(WithBackend(backend), WithShards(1)) // one shard: every commit shares the clock
 			const workers, rounds = 8, 200
 			refs := make([]*Ref[int], workers)
 			for i := range refs {
@@ -584,7 +498,7 @@ func TestBankConservationZipfShards(t *testing.T) {
 }
 
 // TestSingleShardDegenerates checks WithShards(1) reproduces the classic
-// single-clock behavior: one clock bump per (unmerged) writing commit, no
+// single-clock behavior: one clock bump per writing commit, no
 // epoch movement, and the validation skip still engages for fresh solo
 // commits.
 func TestSingleShardDegenerates(t *testing.T) {
@@ -628,61 +542,97 @@ func TestShardStatsSnapshot(t *testing.T) {
 	}
 	s.ResetStats()
 	st := s.Stats()
-	if st.CrossShardCommits != 0 || st.GroupCommits != 0 {
+	if st.CrossShardCommits != 0 {
 		t.Fatalf("reset left shard counters: %+v", st)
 	}
 }
 
-// TestSerialModeTakesDoors forces escalation deterministically and checks a
-// serial (irrevocable) cross-shard commit — which sweeps every shard door in
-// order instead of entering one — publishes correctly with doors enabled.
-// Attempt 1 is invalidated by a nested commit to a ref it has read;
-// WithEscalation(1) then re-runs attempt 2 in serial mode.
-func TestSerialModeTakesDoors(t *testing.T) {
+// TestSerialCrossShardPairConsistency pits escalated cross-shard writers
+// against optimistic readers. Writers yield between reading x and writing
+// the pair, so they invalidate each other and WithEscalation(1) re-runs the
+// losers holding the exclusive token; their commits bump the epoch and two
+// shard clocks while readers assert x == y throughout. Nothing but the
+// escalation token and the epoch fence keeps a reader's vector from
+// straddling a serial commit.
+func TestSerialCrossShardPairConsistency(t *testing.T) {
 	for _, backend := range []string{"tl2", "ccstm", "eager"} {
 		t.Run(backend, func(t *testing.T) {
 			s := New(WithBackend(backend), WithShards(8), WithEscalation(1))
-			refs := shardedRefs(t, s, 0, 1, 2)
-			x, y, z := refs[0], refs[1], refs[2]
-			poisoned := false
-			err := s.Atomically(func(tx *Txn) error {
-				v := x.Get(tx)
-				if !poisoned {
-					poisoned = true
-					// Nested commit invalidates the read above, so this
-					// attempt must abort; it must happen only on the
-					// optimistic attempt (a nested transaction cannot start
-					// while the outer one holds the exclusive serial token).
-					if err := s.Atomically(func(in *Txn) error {
-						x.Set(in, x.Get(in)+100)
-						return nil
-					}); err != nil {
-						return err
+			refs := shardedRefs(t, s, 0, 1)
+			x, y := refs[0], refs[1]
+			rounds := 2000
+			if testing.Short() {
+				rounds = 500
+			}
+			const writers, readers = 4, 4
+			var wg sync.WaitGroup
+			stop := make(chan struct{})
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						var xv, yv int
+						if err := s.Atomically(func(tx *Txn) error {
+							if r&1 == 0 {
+								xv, yv = x.Get(tx), y.Get(tx)
+							} else {
+								yv, xv = y.Get(tx), x.Get(tx)
+							}
+							return nil
+						}); err != nil {
+							t.Error(err)
+							return
+						}
+						if xv != yv {
+							t.Errorf("torn pair across a serial commit: x=%d y=%d", xv, yv)
+							return
+						}
+						// Writers yield mid-transaction; without a yield here a
+						// single P would give each of them one turn per reader
+						// time slice.
+						runtime.Gosched()
 					}
-				}
-				x.Set(tx, v+1)
-				y.Set(tx, v+1)
-				z.Set(tx, v+1)
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
+				}(r)
 			}
-			if got := x.Load(); got != 101 {
-				t.Fatalf("x = %d, want 101 (nested +100, serial retry read 100, +1)", got)
+			var serialWrites atomic.Int64
+			var ww sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				ww.Add(1)
+				go func() {
+					defer ww.Done()
+					for i := 0; i < rounds; i++ {
+						var serial bool
+						if err := s.Atomically(func(tx *Txn) error {
+							serial = tx.Serialized()
+							v := x.Get(tx) + 1
+							runtime.Gosched()
+							x.Set(tx, v)
+							y.Set(tx, v)
+							return nil
+						}); err != nil {
+							t.Error(err)
+							return
+						}
+						if serial {
+							serialWrites.Add(1)
+						}
+					}
+				}()
 			}
-			if y.Load() != 101 || z.Load() != 101 {
-				t.Fatalf("cross-shard serial publication torn: y=%d z=%d", y.Load(), z.Load())
+			ww.Wait()
+			close(stop)
+			wg.Wait()
+			if want := writers * rounds; x.Load() != want || y.Load() != want {
+				t.Fatalf("final pair: x=%d y=%d, want both %d", x.Load(), y.Load(), want)
 			}
-			st := s.Stats()
-			if st.Escalations == 0 || st.SerialCommits == 0 {
-				t.Fatalf("expected a serial commit after forced conflict: %+v escalations, %d serial",
-					st.Escalations, st.SerialCommits)
-			}
-			// The serial sweep bumps every written shard's clock directly and
-			// still fences cross-shard commits through the epoch.
-			if st.CrossShardCommits == 0 {
-				t.Fatal("serial cross-shard commit did not count as cross-shard")
+			if serialWrites.Load() == 0 {
+				t.Fatal("no writer committed in serial mode: the escalated path was not exercised")
 			}
 		})
 	}

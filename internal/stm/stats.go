@@ -200,7 +200,6 @@ type Stats struct {
 	ClosedTxns    atomic.Uint64 // transactions failed by STM.Close
 
 	// Sharded-timebase counters (see shard.go).
-	GroupCommits      atomic.Uint64 // commits that merged into an open door batch
 	CrossShardCommits atomic.Uint64 // commits whose write set spanned shards (epoch bumps)
 	EpochExtensions   atomic.Uint64 // extensions forced by the epoch fence during capture
 	// Partitioned commit-time validation accounting: of the shards a
@@ -247,7 +246,7 @@ type StatsSnapshot struct {
 	DeadlineTxns  uint64 `json:"deadline_txns"`
 	ClosedTxns    uint64 `json:"closed_txns"`
 
-	GroupCommits            uint64 `json:"group_commits"`
+	GroupCommits            uint64 `json:"group_commits"` // never written; kept for its one reader, benchmark/run.go
 	CrossShardCommits       uint64 `json:"cross_shard_commits"`
 	EpochExtensions         uint64 `json:"epoch_extensions"`
 	ValidationShardsChecked uint64 `json:"validation_shards_checked"`
@@ -292,7 +291,6 @@ func (st *Stats) snapshot() StatsSnapshot {
 		CanceledTxns:            st.CanceledTxns.Load(),
 		DeadlineTxns:            st.DeadlineTxns.Load(),
 		ClosedTxns:              st.ClosedTxns.Load(),
-		GroupCommits:            st.GroupCommits.Load(),
 		CrossShardCommits:       st.CrossShardCommits.Load(),
 		EpochExtensions:         st.EpochExtensions.Load(),
 		ValidationShardsChecked: st.ValidationShardsChecked.Load(),
@@ -323,7 +321,6 @@ func (st *Stats) reset() {
 	st.CanceledTxns.Store(0)
 	st.DeadlineTxns.Store(0)
 	st.ClosedTxns.Store(0)
-	st.GroupCommits.Store(0)
 	st.CrossShardCommits.Store(0)
 	st.EpochExtensions.Store(0)
 	st.ValidationShardsChecked.Store(0)

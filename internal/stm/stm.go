@@ -5,8 +5,7 @@
 //
 //   - Versioned transactional references (Ref[T]) stamped by a sharded
 //     timebase: per-shard commit clocks (refs map to shards by id block)
-//     with a global cross-shard epoch, plus per-shard group-commit doors.
-//     See shard.go and DESIGN.md §11.
+//     with a global cross-shard epoch. See shard.go and DESIGN.md §11.
 //   - Opaque transactions: every transactional read is validated against the
 //     transaction's per-shard read-version vector, with read-set
 //     revalidation and clock extension on failure, so no transaction (not
@@ -158,14 +157,13 @@ type STM struct {
 	_         [56]byte
 
 	// shards partitions the timebase: refs map to shards in id blocks
-	// (shardOf), each shard holding a padded commit clock and a group-commit
-	// door. Sized once in New; see WithShards.
-	shards      []stmShard
-	nShards     int
-	shardMask   uint64
-	shardShift  uint32 // log2 of the ref-id block size (WithShardBlockBits)
-	reqShards   int    // WithShards request; 0 = auto
-	groupCommit bool   // commit doors enabled (WithGroupCommit)
+	// (shardOf), each shard holding a padded commit clock. Sized once in
+	// New; see WithShards.
+	shards     []stmShard
+	nShards    int
+	shardMask  uint64
+	shardShift uint32 // log2 of the ref-id block size (WithShardBlockBits)
+	reqShards  int    // WithShards request; 0 = auto
 
 	// versionCap bounds the per-reference version history of the mvcc
 	// backend (WithVersionCap, default 8). Other backends ignore it.
@@ -262,10 +260,9 @@ func WithVersionCap(n int) Option { return versionCapOption(n) }
 // (MixedEagerWWLazyRW), matching the paper's evaluation.
 func New(opts ...Option) *STM {
 	s := &STM{
-		cm:          Backoff{},
-		epoch:       time.Now(),
-		groupCommit: true,
-		shardShift:  shardBlockBits,
+		cm:         Backoff{},
+		epoch:      time.Now(),
+		shardShift: shardBlockBits,
 	}
 	s.epochNS = s.epoch.UnixNano()
 	for _, o := range opts {
@@ -310,8 +307,7 @@ func (s *STM) Backend() Backend { return s.backend }
 // GlobalClock returns the logical commit clock of the instance: the sum of
 // the per-shard commit clocks. With one shard this is exactly the classic
 // TL2 global version clock; with more it still advances by at least one per
-// versioned writing commit (group-commit batches advance it once per batch),
-// so dashboards and tests observe a monotonically advancing value rather
+// versioned writing commit, so dashboards and tests observe a monotonically advancing value rather
 // than a frozen pre-sharding field. The cross-shard epoch is exposed
 // separately via Epoch.
 func (s *STM) GlobalClock() uint64 {
