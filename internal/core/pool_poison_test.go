@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -436,5 +437,105 @@ func TestSnapshotLogDiscardedShadowsDoNotPoison(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecycledLogsSpareCapacityZero pins the pooling invariant of the ADT
+// logs (see truncate): once a transaction has finished, every log it drew —
+// the eager undo records, the snapshot log's pending records, the memo log's
+// ops and first-touch order — is empty and all-zero through its capacity, so
+// a parked log pins no key or value and owes no clearing to its next user.
+// The first attempt is long and aborts, the final one is short and either
+// commits or fails with a user error: records the long attempt appended lie
+// beyond anything the final attempt's lengths cover, so they must have been
+// zeroed when that attempt's log was released.
+func TestRecycledLogsSpareCapacityZero(t *testing.T) {
+	const long, short = 300, 2
+	pess := designPoint{policy: stm.MixedEagerWWLazyRW}
+	opt := designPoint{policy: stm.MixedEagerWWLazyRW, optimistic: true}
+	// peek returns pointers to the log slices attached to tx.
+	cases := []struct {
+		name  string
+		build func(s *stm.STM) (m TxMap[int, int], peek func(tx *stm.Txn) []any)
+	}{
+		{"undoLog", func(s *stm.STM) (TxMap[int, int], func(*stm.Txn) []any) {
+			m := NewMap[int, int](s, newIntLAP(s, pess), conc.IntHasher)
+			return m, func(tx *stm.Txn) []any {
+				lg, _ := m.undo.p.Peek(tx)
+				return []any{&lg.recs}
+			}
+		}},
+		{"SnapshotLog", func(s *stm.STM) (TxMap[int, int], func(*stm.Txn) []any) {
+			m := NewLazySnapshotMap[int, int](s, newIntLAP(s, opt), conc.IntHasher)
+			return m, func(tx *stm.Txn) []any {
+				st, _ := m.log.local.Peek(tx)
+				return []any{&st.pending}
+			}
+		}},
+		{"MemoLog", func(s *stm.STM) (TxMap[int, int], func(*stm.Txn) []any) {
+			m := NewLazyMemoMap[int, int](s, newIntLAP(s, opt), conc.IntHasher, false)
+			return m, func(tx *stm.Txn) []any {
+				st, _ := m.log.local.Peek(tx)
+				return []any{&st.ops, &st.order}
+			}
+		}},
+		{"MemoLog-combining", func(s *stm.STM) (TxMap[int, int], func(*stm.Txn) []any) {
+			m := NewLazyMemoMap[int, int](s, newIntLAP(s, opt), conc.IntHasher, true)
+			return m, func(tx *stm.Txn) []any {
+				st, _ := m.log.local.Peek(tx)
+				return []any{&st.ops, &st.order}
+			}
+		}},
+	}
+	for _, c := range cases {
+		for _, final := range []string{"commit", "abort"} {
+			t.Run(c.name+"/"+final, func(t *testing.T) {
+				s := stm.New(stm.WithPolicy(stm.MixedEagerWWLazyRW))
+				m, peek := c.build(s)
+				for round := 0; round < 3; round++ {
+					var logs []any
+					attempts := 0
+					err := s.Atomically(func(tx *stm.Txn) error {
+						attempts++
+						n := short
+						if attempts == 1 {
+							n = long
+						}
+						for k := 1; k <= n; k++ {
+							m.Put(tx, k, 1000+k)
+						}
+						m.Remove(tx, 1)
+						logs = append(logs, peek(tx)...)
+						if attempts == 1 {
+							stm.AbortAndRetry(tx)
+						}
+						if final == "abort" {
+							return errInjected
+						}
+						return nil
+					})
+					if (final == "abort") != errors.Is(err, errInjected) || (final == "commit" && err != nil) {
+						t.Fatalf("round %d: err = %v", round, err)
+					}
+					warm := 0
+					for _, p := range logs {
+						lg := reflect.ValueOf(p).Elem()
+						if lg.Len() != 0 {
+							t.Fatalf("round %d: released log holds %d records", round, lg.Len())
+						}
+						warm = max(warm, lg.Cap())
+						for i, spare := 0, lg.Slice(0, lg.Cap()); i < spare.Len(); i++ {
+							if !spare.Index(i).IsZero() {
+								t.Fatalf("round %d: spare capacity not zero at [%d] of cap %d: %v",
+									round, i, lg.Cap(), spare.Index(i))
+							}
+						}
+					}
+					if warm < long {
+						t.Fatalf("round %d: no log kept its warm array (largest cap %d)", round, warm)
+					}
+				}
+			})
+		}
 	}
 }

@@ -126,15 +126,11 @@ func NewSnapshotLog[D any, O any](base D, snapshot func(D) D, apply func(D, O)) 
 	return l
 }
 
-// release resets a state for pool residency: records cleared through
-// capacity (pooled logs must pin no keys or values), the shadow handed back
-// and its reference dropped, oversized backing arrays shed.
+// release resets a state for pool residency: records dropped (see truncate:
+// pooled logs pin no keys or values), the shadow handed back and its
+// reference dropped.
 func (l *SnapshotLog[D, O]) release(st *snapLogState[D, O]) {
-	clearCapRecs(st.pending)
-	st.pending = st.pending[:0]
-	if cap(st.pending) > adtMaxRetainedCap {
-		st.pending = nil
-	}
+	truncate(&st.pending)
 	l.dropShadow(st)
 	st.applied = 0
 	st.baseGen = 0
@@ -294,16 +290,8 @@ func NewMemoLog[K comparable, V any](base MapBase[K, V], combine bool) *MemoLog[
 // release resets a state for pool residency.
 func (l *MemoLog[K, V]) release(st *memoState[K, V]) {
 	clear(st.overlay)
-	clearCapRecs(st.order)
-	st.order = st.order[:0]
-	clearCapRecs(st.ops)
-	st.ops = st.ops[:0]
-	if cap(st.order) > adtMaxRetainedCap {
-		st.order = nil
-	}
-	if cap(st.ops) > adtMaxRetainedCap {
-		st.ops = nil
-	}
+	truncate(&st.order)
+	truncate(&st.ops)
 	l.local.Release(st)
 }
 

@@ -44,11 +44,19 @@ type undoLog[K comparable, V any] struct {
 // bound as the descriptor pool's maxRetainedCap).
 const adtMaxRetainedCap = 4096
 
-// clearCapRecs zeroes a slice through its full capacity; a pooled log must
-// not pin keys, values or item pointers from earlier transactions (clear()
-// alone stops at the length).
-func clearCapRecs[T any](s []T) {
-	clear(s[:cap(s)])
+// truncate empties a pooled ADT log at release, zeroing the records it drops
+// and shedding a backing array grown past adtMaxRetainedCap. It is the only
+// way such a log gets shorter, so its spare capacity is all-zero at all times
+// (append only ever writes below the length, and a grown array starts
+// zeroed): release costs O(records this transaction appended), and a parked
+// log pins no keys, values or item pointers from earlier transactions.
+func truncate[T any](s *[]T) {
+	if cap(*s) > adtMaxRetainedCap {
+		*s = nil
+		return
+	}
+	clear(*s)
+	*s = (*s)[:0]
 }
 
 // txnUndo attaches an undoLog to transactions that mutate the owning
@@ -89,10 +97,6 @@ func (u *txnUndo[K, V]) record(tx *stm.Txn, r undoRec[K, V]) {
 
 // release resets a log for pool residency and hands it back.
 func (u *txnUndo[K, V]) release(lg *undoLog[K, V]) {
-	clearCapRecs(lg.recs)
-	lg.recs = lg.recs[:0]
-	if cap(lg.recs) > adtMaxRetainedCap {
-		lg.recs = nil
-	}
+	truncate(&lg.recs)
 	u.p.Release(lg)
 }

@@ -102,5 +102,5 @@ func (tx *Txn) unregisterReaders() {
 	for _, r := range tx.visible {
 		r.removeReader(tx)
 	}
-	tx.visible = tx.visible[:0]
+	truncate(&tx.visible)
 }

@@ -113,8 +113,8 @@ type mvccBackend struct {
 
 	// pubClk/pubDone bracket every update commit's publication window:
 	// pubClk is bumped before the commit stamps (so before any shard-clock
-	// bump of that commit), pubDone after releaseStamp (values and versions
-	// published) on every outcome. The pair is
+	// bump of that commit), pubDone once values and versions are published
+	// (or the commit has failed) and before any lock is released. The pair is
 	// the snapshot capture's fence — see captureSnapshotVector. Padded apart:
 	// both words are bumped by every update committer and polled by every
 	// snapshot begin; this global write point is the mvcc design point's
@@ -351,7 +351,7 @@ func (b *mvccBackend) commit(tx *Txn) bool {
 	}
 
 	pp := tx.phaseEnter(PhaseLock)
-	tx.sortBuf = tx.sortBuf[:0]
+	truncate(&tx.sortBuf)
 	for i := range tx.wset.entries {
 		tx.sortBuf = append(tx.sortBuf, tx.wset.entries[i].r)
 	}
@@ -369,19 +369,17 @@ func (b *mvccBackend) commit(tx *Txn) bool {
 	tx.phaseExit(pp)
 
 	// Open the publication window BEFORE stamping (so before this commit's
-	// clock bump) and close it after releaseStamp on every
-	// outcome — the snapshot capture's fence (see captureSnapshotVector).
+	// clock bump) and close it on every outcome, after publication when there
+	// is one — the snapshot capture's fence (see captureSnapshotVector).
 	b.pubClk.Add(1)
 	var p pubStamp
 	tx.stampWrites(&p, tx.wset.shardMask())
 	if !tx.validateCommit(&p) {
-		tx.releaseStamp(&p)
 		b.pubDone.Add(1)
 		tx.rollback(CauseValidation)
 		return false
 	}
 	if !tx.transitionCommitted() {
-		tx.releaseStamp(&p)
 		b.pubDone.Add(1)
 		tx.rollback(CauseDoomed)
 		return false
@@ -393,7 +391,7 @@ func (b *mvccBackend) commit(tx *Txn) bool {
 	// committed) version/value pair becomes the new chain head before the new
 	// value and version are stored, all under the ref's owner lock, then the
 	// chain is trimmed against the watermark. Values and versions publish
-	// before the stamp and then the locks are released, exactly like tl2.
+	// before the locks are released, exactly like tl2.
 	h := b.getReader(tx).eh
 	h.Pin()
 	// One rescan-cadence draw per commit, not per written ref: the boundary
@@ -420,12 +418,11 @@ func (b *mvccBackend) commit(tx *Txn) bool {
 	b.versionsLive.Add(int64(appended) - int64(reclaimed))
 	tx.s.stats.MVCCVersionsAppended.Add(appended)
 	tx.s.stats.MVCCVersionsReclaimed.Add(reclaimed)
-	tx.releaseStamp(&p)
 	b.pubDone.Add(1)
 	for i := range tx.wset.entries {
 		tx.wset.entries[i].r.owner.Store(nil)
 	}
-	tx.commitLocks = tx.commitLocks[:0]
+	truncate(&tx.commitLocks)
 	tx.observeLockHold()
 	tx.phaseExit(pp)
 	tx.finishCommit()

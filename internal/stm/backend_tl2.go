@@ -73,7 +73,7 @@ func (tl2Backend) commit(tx *Txn) bool {
 	// emission charges it to the lock phase, which is the truthful
 	// attribution for a lost commit-time acquisition.
 	pp := tx.phaseEnter(PhaseLock)
-	tx.sortBuf = tx.sortBuf[:0]
+	truncate(&tx.sortBuf)
 	for i := range tx.wset.entries {
 		tx.sortBuf = append(tx.sortBuf, tx.wset.entries[i].r)
 	}
@@ -97,12 +97,10 @@ func (tl2Backend) commit(tx *Txn) bool {
 	var p pubStamp
 	tx.stampWrites(&p, tx.wset.shardMask())
 	if !tx.validateCommit(&p) {
-		tx.releaseStamp(&p)
 		tx.rollback(CauseValidation)
 		return false
 	}
 	if !tx.transitionCommitted() {
-		tx.releaseStamp(&p)
 		tx.rollback(CauseDoomed)
 		return false
 	}
@@ -110,8 +108,7 @@ func (tl2Backend) commit(tx *Txn) bool {
 	// The commit is now decided: apply deferred effects (Proust replay
 	// logs) while the write set is still locked, then publish straight from
 	// the redo-log entries — values ride inline, no second lookup. Values
-	// and versions are published before the stamp is released and before
-	// any lock is released.
+	// and versions are published before any lock is released.
 	pp = tx.phaseEnter(PhasePublish)
 	tx.runCommitLocked()
 	for i := range tx.wset.entries {
@@ -119,11 +116,10 @@ func (tl2Backend) commit(tx *Txn) bool {
 		e.r.value.Store(tx.newBox(e.val))
 		e.r.version.Store(p.ver(e.r))
 	}
-	tx.releaseStamp(&p)
 	for i := range tx.wset.entries {
 		tx.wset.entries[i].r.owner.Store(nil)
 	}
-	tx.commitLocks = tx.commitLocks[:0]
+	truncate(&tx.commitLocks)
 	tx.observeLockHold()
 	tx.phaseExit(pp)
 	tx.finishCommit()
@@ -137,7 +133,7 @@ func (tx *Txn) releaseCommitLocks() {
 	for _, r := range tx.commitLocks {
 		r.owner.Store(nil)
 	}
-	tx.commitLocks = tx.commitLocks[:0]
+	truncate(&tx.commitLocks)
 	tx.observeLockHold()
 }
 

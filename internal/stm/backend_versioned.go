@@ -156,11 +156,11 @@ func (tx *Txn) restoreUndoAndRelease() {
 		e := tx.undo[i]
 		e.r.value.Store(e.oldVal)
 	}
-	tx.undo = tx.undo[:0]
+	truncate(&tx.undo)
 	for _, r := range tx.owned {
 		r.owner.Store(nil)
 	}
-	tx.owned = tx.owned[:0]
+	truncate(&tx.owned)
 	tx.observeLockHold()
 }
 
@@ -182,7 +182,6 @@ func (tx *Txn) commitEncounter(validate bool) bool {
 	if validate {
 		// Invisible readers: read-write conflicts are detected here.
 		if !tx.validateCommit(&p) {
-			tx.releaseStamp(&p)
 			tx.rollback(CauseValidation)
 			return false
 		}
@@ -192,23 +191,21 @@ func (tx *Txn) commitEncounter(validate bool) bool {
 	// registered as a reader before reading), so either it aborted or we
 	// are already doomed and the transition below fails.
 	if !tx.transitionCommitted() {
-		tx.releaseStamp(&p)
 		tx.rollback(CauseDoomed)
 		return false
 	}
 
 	pp := tx.phaseEnter(PhasePublish)
 	tx.runCommitLocked()
-	// Publish all versions first, then release the stamp, then the locks.
+	// Publish all versions first, then release the locks.
 	for _, r := range tx.owned {
 		r.version.Store(p.ver(r))
 	}
-	tx.releaseStamp(&p)
 	for _, r := range tx.owned {
 		r.owner.Store(nil)
 	}
-	tx.owned = tx.owned[:0]
-	tx.undo = tx.undo[:0]
+	truncate(&tx.owned)
+	truncate(&tx.undo)
 	tx.observeLockHold()
 	tx.phaseExit(pp)
 	tx.finishCommit()

@@ -130,3 +130,46 @@ func BenchmarkSnapshotReadOnly(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSmallTxnAfterLargeTxn measures what a small transaction pays for
+// the largest transaction its pooled descriptor has ever run: one goroutine
+// (so the pool hands the same descriptor back), tl2, a 2-read-2-write body,
+// after zero, one 1024-read and one 3000-read transaction — both below
+// maxRetainedCap, so the grown read log is retained. Recycling costs
+// O(entries the attempt appended) (see truncate), so the three must report
+// the same ns/op within noise.
+func BenchmarkSmallTxnAfterLargeTxn(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		reads int
+	}{{"fresh", 0}, {"after-1024-reads", 1024}, {"after-3000-reads", 3000}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := New(WithBackend("tl2"))
+			refs := make([]*Ref[int], max(bc.reads, 2))
+			for i := range refs {
+				refs[i] = NewRef(s, i)
+			}
+			if err := s.Atomically(func(tx *Txn) error {
+				for _, r := range refs[:bc.reads] {
+					_ = r.Get(tx)
+				}
+				return nil
+			}); err != nil {
+				b.Fatal(err)
+			}
+			x, y := refs[0], refs[1]
+			small := func(tx *Txn) error {
+				vx, vy := x.Get(tx), y.Get(tx)
+				x.Set(tx, vy)
+				y.Set(tx, vx)
+				return nil
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Atomically(small); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -4,17 +4,56 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// poolBackends is the pool-poisoning test matrix: every real backend plus
-// its chaos fault-injection wrapper.
-var poolBackends = []string{
-	"tl2", "ccstm", "eager", "norec",
-	"chaos-tl2", "chaos-ccstm", "chaos-eager", "chaos-norec",
+// poolBackends is the pool-poisoning test matrix: every registered backend,
+// the chaos fault-injection wrappers included.
+var poolBackends = BackendNames()
+
+// forEachLog calls f on every pooled log of the descriptor: every slice field
+// of Txn and of the structs embedded in it by value (writeSet), found by
+// reflection, so a log added later is covered without touching the tests.
+// rvVec is the one slice that is not a log: it keeps its length, and
+// assertFresh checks its contents.
+func forEachLog(tx *Txn, f func(path string, log reflect.Value)) {
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if name := v.Type().Field(i).Name; name != "rvVec" {
+					walk(path+"."+name, v.Field(i))
+				}
+			}
+		case reflect.Slice:
+			f(path, v)
+		}
+	}
+	walk("tx", reflect.ValueOf(tx).Elem())
+}
+
+// assertLogsZero is the structural check of the pooling invariant (see
+// truncate): every log of a descriptor that is parked in the pool, or was
+// just drawn from it, is empty AND all-zero through its capacity, so it pins
+// no box, ref, value or closure and owes no clearing to its next user.
+func assertLogsZero(t *testing.T, tx *Txn) {
+	t.Helper()
+	forEachLog(tx, func(path string, log reflect.Value) {
+		if log.Len() != 0 {
+			t.Errorf("%s: %d leftover entries", path, log.Len())
+		}
+		for i, spare := 0, log.Slice(0, log.Cap()); i < spare.Len(); i++ {
+			if !spare.Index(i).IsZero() {
+				t.Errorf("%s: spare capacity not zero at [%d] of cap %d", path, i, log.Cap())
+				return
+			}
+		}
+	})
 }
 
 // assertFresh runs one transaction against s and fails the test if the
@@ -35,16 +74,7 @@ func assertFresh(t *testing.T, s *STM, poisonLocal *TxnLocal[int], refs []*Ref[i
 		if tx.Serialized() {
 			t.Error("fresh txn reports Serialized()")
 		}
-		if tx.wset.len() != 0 {
-			t.Errorf("fresh txn has %d redo-log entries", tx.wset.len())
-		}
-		if len(tx.reads) != 0 || len(tx.undo) != 0 || len(tx.owned) != 0 ||
-			len(tx.commitLocks) != 0 || len(tx.visible) != 0 {
-			t.Error("fresh txn has leftover backend log state")
-		}
-		if len(tx.onAbort) != 0 || len(tx.onCommit) != 0 || len(tx.onCommitLocked) != 0 {
-			t.Error("fresh txn has leftover lifecycle callbacks")
-		}
+		assertLogsZero(t, tx) // no leftover log entries or callbacks, no dirty spare capacity
 		if poisonLocal != nil {
 			if v, ok := poisonLocal.Peek(tx); ok {
 				t.Errorf("fresh txn sees poisoned TxnLocal value %d", v)
@@ -84,10 +114,12 @@ func assertFresh(t *testing.T, s *STM, poisonLocal *TxnLocal[int], refs []*Ref[i
 
 // poisonScenario mutates as much descriptor state as a transaction can and
 // then dies in the given way; the subsequent assertFresh must see none of it.
+// poison returns the descriptor it dirtied once that descriptor is back in the
+// pool (nil when the exit does not recycle it), for assertLogsZero.
 type poisonScenario struct {
 	name   string
 	opts   []Option // extra options for the instance
-	poison func(t *testing.T, s *STM, local *TxnLocal[int], refs []*Ref[int])
+	poison func(t *testing.T, s *STM, local *TxnLocal[int], refs []*Ref[int]) *Txn
 }
 
 // dirtyBody loads the descriptor with every kind of state: reads, redo-log
@@ -110,11 +142,12 @@ func poolPoisonScenarios() []poisonScenario {
 	return []poisonScenario{
 		{
 			name: "conflict-abort",
-			poison: func(t *testing.T, s *STM, local *TxnLocal[int], refs []*Ref[int]) {
+			poison: func(t *testing.T, s *STM, local *TxnLocal[int], refs []*Ref[int]) (dirtied *Txn) {
 				attempts := 0
 				err := s.Atomically(func(tx *Txn) error {
 					attempts++
 					if attempts == 1 {
+						dirtied = tx
 						dirtyBody(tx, local, refs)
 						AbortAndRetry(tx)
 					}
@@ -123,38 +156,43 @@ func poolPoisonScenarios() []poisonScenario {
 				if err != nil {
 					t.Fatalf("conflict scenario: %v", err)
 				}
+				return dirtied
 			},
 		},
 		{
 			name: "user-error",
-			poison: func(t *testing.T, s *STM, local *TxnLocal[int], refs []*Ref[int]) {
+			poison: func(t *testing.T, s *STM, local *TxnLocal[int], refs []*Ref[int]) (dirtied *Txn) {
 				wantErr := errors.New("poison")
 				err := s.Atomically(func(tx *Txn) error {
+					dirtied = tx
 					dirtyBody(tx, local, refs)
 					return wantErr
 				})
 				if !errors.Is(err, wantErr) {
 					t.Fatalf("user-error scenario returned %v", err)
 				}
+				return dirtied
 			},
 		},
 		{
 			name: "user-panic",
-			poison: func(t *testing.T, s *STM, local *TxnLocal[int], refs []*Ref[int]) {
+			poison: func(t *testing.T, s *STM, local *TxnLocal[int], refs []*Ref[int]) (dirtied *Txn) {
 				defer func() {
 					if recover() == nil {
 						t.Fatal("user panic did not propagate")
 					}
 				}()
+				// The descriptor of a panicking body is never recycled.
 				_ = s.Atomically(func(tx *Txn) error {
 					dirtyBody(tx, local, refs)
 					panic("poison")
 				})
+				return nil
 			},
 		},
 		{
 			name: "retry-park",
-			poison: func(t *testing.T, s *STM, local *TxnLocal[int], refs []*Ref[int]) {
+			poison: func(t *testing.T, s *STM, local *TxnLocal[int], refs []*Ref[int]) (dirtied *Txn) {
 				flag := NewRef(s, 0)
 				var wg sync.WaitGroup
 				wg.Add(1)
@@ -166,6 +204,7 @@ func poolPoisonScenarios() []poisonScenario {
 					}
 				}()
 				err := s.Atomically(func(tx *Txn) error {
+					dirtied = tx
 					dirtyBody(tx, local, refs)
 					if flag.Get(tx) == 0 {
 						Retry(tx)
@@ -181,17 +220,19 @@ func poolPoisonScenarios() []poisonScenario {
 				if err != nil {
 					t.Fatalf("retry scenario: %v", err)
 				}
+				return dirtied
 			},
 		},
 		{
 			name: "ctx-cancel",
-			poison: func(t *testing.T, s *STM, local *TxnLocal[int], refs []*Ref[int]) {
+			poison: func(t *testing.T, s *STM, local *TxnLocal[int], refs []*Ref[int]) (dirtied *Txn) {
 				ctx, cancel := context.WithCancel(context.Background())
 				go func() {
 					time.Sleep(2 * time.Millisecond)
 					cancel()
 				}()
 				err := s.AtomicallyCtx(ctx, func(tx *Txn) error {
+					dirtied = tx
 					dirtyBody(tx, local, refs)
 					Retry(tx) // park until the cancellation wakes us
 					return nil
@@ -199,13 +240,15 @@ func poolPoisonScenarios() []poisonScenario {
 				if !errors.Is(err, ErrCanceled) {
 					t.Fatalf("ctx-cancel scenario returned %v", err)
 				}
+				return dirtied
 			},
 		},
 		{
 			name: "max-attempts",
 			opts: []Option{WithMaxAttempts(3)},
-			poison: func(t *testing.T, s *STM, local *TxnLocal[int], refs []*Ref[int]) {
+			poison: func(t *testing.T, s *STM, local *TxnLocal[int], refs []*Ref[int]) (dirtied *Txn) {
 				err := s.Atomically(func(tx *Txn) error {
+					dirtied = tx
 					dirtyBody(tx, local, refs)
 					AbortAndRetry(tx)
 					return nil
@@ -213,15 +256,17 @@ func poolPoisonScenarios() []poisonScenario {
 				if !errors.Is(err, ErrMaxAttempts) {
 					t.Fatalf("max-attempts scenario returned %v", err)
 				}
+				return dirtied
 			},
 		},
 		{
 			name: "escalated-serial",
 			opts: []Option{WithEscalation(2)},
-			poison: func(t *testing.T, s *STM, local *TxnLocal[int], refs []*Ref[int]) {
+			poison: func(t *testing.T, s *STM, local *TxnLocal[int], refs []*Ref[int]) (dirtied *Txn) {
 				attempts := 0
 				err := s.Atomically(func(tx *Txn) error {
 					attempts++
+					dirtied = tx
 					dirtyBody(tx, local, refs)
 					if !tx.Serialized() {
 						AbortAndRetry(tx) // conflict until escalation kicks in
@@ -239,6 +284,7 @@ func poolPoisonScenarios() []poisonScenario {
 				if attempts < 3 {
 					t.Fatalf("escalation scenario committed after %d attempts, expected a serial retry streak", attempts)
 				}
+				return dirtied
 			},
 		},
 	}
@@ -251,28 +297,114 @@ func poolPoisonScenarios() []poisonScenario {
 // back a descriptor whose reuse is indistinguishable from a fresh
 // allocation, across all four backends and their chaos wrappers.
 func TestPoolPoisoning(t *testing.T) {
-	for _, backend := range poolBackends {
-		for _, sc := range poolPoisonScenarios() {
-			t.Run(backend+"/"+sc.name, func(t *testing.T) {
-				opts := append([]Option{WithBackend(backend)}, sc.opts...)
-				s := New(opts...)
-				local := NewTxnLocal(func(tx *Txn) int { return 0 })
-				refs := make([]*Ref[int], 12) // enough writes to build the probe table
-				want := make([]int, len(refs))
-				for i := range refs {
-					refs[i] = NewRef(s, i)
-					want[i] = i
-				}
-				for round := 0; round < 8; round++ {
-					sc.poison(t, s, local, refs)
-					assertFresh(t, s, local, refs, want)
-					if t.Failed() {
-						t.Fatalf("descriptor poisoned after round %d", round)
+	for _, bf := range Backends() {
+		// 12 refs: enough writes to build the probe table. The real backends
+		// additionally run every scenario at 1100 refs, so each exit also
+		// recycles logs that grew to (and past) a thousand entries; a chaos
+		// wrapper aborts roughly every 64th read and could never finish one.
+		sizes := []int{12, 1100}
+		if bf.Fault {
+			sizes = sizes[:1]
+		}
+		for _, n := range sizes {
+			for _, sc := range poolPoisonScenarios() {
+				t.Run(fmt.Sprintf("%s/%s/%d", bf.Name, sc.name, n), func(t *testing.T) {
+					opts := append([]Option{WithBackend(bf.Name)}, sc.opts...)
+					s := New(opts...)
+					local := NewTxnLocal(func(tx *Txn) int { return 0 })
+					refs := make([]*Ref[int], n)
+					want := make([]int, len(refs))
+					for i := range refs {
+						refs[i] = NewRef(s, i)
+						want[i] = i
 					}
-				}
-			})
+					for round := 0; round < 8; round++ {
+						if tx := sc.poison(t, s, local, refs); tx != nil {
+							assertLogsZero(t, tx)
+						}
+						assertFresh(t, s, local, refs, want)
+						if t.Failed() {
+							t.Fatalf("descriptor poisoned after round %d", round)
+						}
+					}
+				})
+			}
 		}
 	}
+}
+
+// TestPoolLongAttemptThenShort pins the truncate invariant where a release
+// that only walks the final attempt's lengths would break it: the
+// transaction's FIRST attempt fills every log — a thousand reads, enough writes to build the
+// probe table, several hooks of each kind — and aborts; its final attempt
+// logs two reads and one write. The entries the first attempt appended lie
+// beyond anything the final attempt's lengths cover, so they must have been
+// zeroed when that attempt died, not when the descriptor was released.
+func TestPoolLongAttemptThenShort(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, s *STM) {
+		refs := make([]*Ref[int], 1100)
+		for i := range refs {
+			refs[i] = NewRef(s, i)
+		}
+		for round := 0; round < 3; round++ {
+			var desc *Txn
+			attempts := 0
+			err := s.Atomically(func(tx *Txn) error {
+				desc = tx
+				if attempts++; attempts == 1 {
+					for _, r := range refs {
+						_ = r.Get(tx)
+					}
+					for i, r := range refs[:80] {
+						r.Set(tx, -i)
+					}
+					for i := 0; i < 5; i++ {
+						tx.OnAbort(func() {})
+						tx.OnCommit(func() {})
+						tx.OnCommitLocked(func() {})
+					}
+					AbortAndRetry(tx)
+				}
+				refs[1].Set(tx, refs[0].Get(tx)+refs[1].Get(tx))
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cap(desc.reads) + cap(desc.visible); got < len(refs) {
+				t.Fatalf("descriptor did not keep its warm read log (cap %d)", got)
+			}
+			assertLogsZero(t, desc)
+		}
+	})
+}
+
+// TestPoolShedsOversizedLogs pins the retention bound: a transaction that
+// grows any log past maxRetainedCap hands back a descriptor that keeps none
+// of its arrays, so one gigantic transaction cannot pin its logs in the pool.
+func TestPoolShedsOversizedLogs(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, s *STM) {
+		refs := make([]*Ref[int], maxRetainedCap+1)
+		for i := range refs {
+			refs[i] = NewRef(s, i)
+		}
+		var desc *Txn
+		if err := s.Atomically(func(tx *Txn) error {
+			desc = tx
+			for _, r := range refs {
+				r.Set(tx, r.Get(tx)+1)
+			}
+			tx.OnCommit(func() {})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		forEachLog(desc, func(path string, log reflect.Value) {
+			if log.Cap() != 0 {
+				t.Errorf("%s retained with cap %d after an oversized transaction", path, log.Cap())
+			}
+		})
+	})
 }
 
 // TestPoolReusesDescriptors pins the pool actually recycling: sequential

@@ -79,6 +79,46 @@ func TestRetryNotAbandonedByUnrelatedCommits(t *testing.T) {
 	})
 }
 
+// TestRetryDoesNotMissCommitBeforeSleep is the lost-wake-up regression: a
+// commit that lands after the consumer's body read the old value but before
+// the attempt loop goes to sleep must still wake it. The window is hit
+// deterministically — the consumer's first attempt registers an OnAbort hook
+// that runs the one and only producer transaction, so the commit completes
+// during the rollback of the very execution that decided to Retry. A loop
+// that samples the retry generation only after the rollback waits for a
+// commit that already happened, forever.
+func TestRetryDoesNotMissCommitBeforeSleep(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, s *STM) {
+		flag := NewRef(s, 0)
+		bodies := 0
+		done := make(chan error, 1)
+		go func() {
+			done <- s.Atomically(func(tx *Txn) error {
+				bodies++
+				if bodies == 1 {
+					tx.OnAbort(func() {
+						if err := s.Atomically(func(tx *Txn) error { flag.Set(tx, 1); return nil }); err != nil {
+							t.Errorf("producer: %v", err)
+						}
+					})
+				}
+				if flag.Get(tx) == 0 {
+					Retry(tx)
+				}
+				return nil
+			})
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("consumer: %v", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("consumer slept through the only commit that satisfies it")
+		}
+	})
+}
+
 // TestMaxAttemptsStillBoundsConflicts: the bugfix must not weaken the bound
 // it was protecting — a transaction that aborts on real conflicts every time
 // is still abandoned after exactly maxTries failures.

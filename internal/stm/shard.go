@@ -280,15 +280,12 @@ func (tx *Txn) validateReadsPartial(changed uint64, full bool) bool {
 }
 
 // pubStamp records one commit attempt's write-version assignment: the shards
-// written, the version(s) to publish, and whether a cross-shard publication
-// window must be closed once publication finishes or the attempt fails. It
-// lives on the committer's stack.
+// written and the version(s) to publish. It lives on the committer's stack.
 type pubStamp struct {
 	mask      uint64            // shards written
 	single    bool              // write set confined to one shard (or empty)
 	soloFresh bool              // single-shard and wv == rv+1 for that shard
 	skip      bool              // read validation provably unnecessary (solo TL2 skip)
-	epoched   bool              // cross-shard: epochClk bumped, epochDone owed
 	wv        uint64            // single-shard write version
 	wvs       [MaxShards]uint64 // cross-shard: per-shard write versions
 }
@@ -303,8 +300,7 @@ func (p *pubStamp) ver(r *baseRef) uint64 {
 
 // stampWrites assigns the attempt's write version(s) for the shards in mask.
 // The caller must already hold the write locks of every ref it will publish
-// (the read-version guarantee and the validation skip both depend on it) and
-// must pair this call with releaseStamp on every outcome.
+// (the read-version guarantee and the validation skip both depend on it).
 //
 // A single-shard write set bumps its shard's clock. Cross-shard write sets
 // bump the global epoch first — the fence that makes partially-bumped clock
@@ -346,24 +342,10 @@ func (tx *Txn) stampWritesClocks(p *pubStamp, mask uint64) {
 	// is forced through the fence (full validation) and cannot assemble a
 	// cut that straddles this commit.
 	s.epochClk.Add(1)
-	p.epoched = true
 	s.stats.CrossShardCommits.Add(1)
 	for m := mask; m != 0; m &= m - 1 {
 		sh := uint(bits.TrailingZeros64(m))
 		p.wvs[sh] = s.shards[sh].clock.Add(1)
-	}
-}
-
-// releaseStamp ends the stamp. On the commit path it runs after values and
-// versions are published.
-func (tx *Txn) releaseStamp(p *pubStamp) {
-	if p.epoched {
-		// Close the cross-shard publication window: on the commit path every
-		// value and version is published by now, on the abort path nothing
-		// was. Either way epochDone catches up to this stamp's epochClk bump,
-		// which is what the mvcc snapshot capture waits on.
-		tx.s.epochDone.Add(1)
-		p.epoched = false
 	}
 }
 

@@ -145,16 +145,8 @@ type STM struct {
 	// each live on their own line inside shards.
 	epochClk atomic.Uint64 // cross-shard commit epoch (reader fence)
 	_        [56]byte
-	// epochDone counts *completed* cross-shard publication windows: every
-	// epochClk bump is paired with exactly one epochDone bump when the
-	// committer's publication window closes (releaseStamp), on success and
-	// abort alike. epochDone == epochClk therefore means no cross-shard
-	// commit is mid-publication — the quiescence point the mvcc backend's
-	// snapshot-vector capture waits for (see captureSnapshotVector).
-	epochDone atomic.Uint64
-	_         [56]byte
-	txnIDs    atomic.Uint64 // unique transaction serials
-	_         [56]byte
+	txnIDs   atomic.Uint64 // unique transaction serials
+	_        [56]byte
 
 	// shards partitions the timebase: refs map to shards in id blocks
 	// (shardOf), each shard holding a padded commit clock. Sized once in
@@ -411,6 +403,13 @@ func (s *STM) runTxn(ctx context.Context, tx *Txn, fn func(tx *Txn) error) error
 		defer esc.unpin(tx)
 	}
 	failures := 0
+	// retryGen is a retry generation sampled before the current body
+	// execution began, valid once retryArmed. A Retry may only sleep on such a
+	// sample: one taken after the body ran cannot tell whether a commit landed
+	// between the body's reads and the sample, and that commit may be the only
+	// one that ever satisfies the body.
+	var retryGen uint64
+	retryArmed := false
 	for {
 		if s.closed.Load() {
 			s.stats.ClosedTxns.Add(1)
@@ -463,13 +462,18 @@ func (s *STM) runTxn(ctx context.Context, tx *Txn, fn func(tx *Txn) error) error
 			}
 			tx.backoff(ctx, failures)
 		case sigRetry:
-			gen := s.retryGeneration()
 			if esc != nil {
 				// Drop even an exclusive token: a Retry needs some other
 				// transaction to commit, which the token would forbid.
 				esc.unpin(tx)
 			}
-			s.waitCommit(ctx, gen)
+			// The first Retry of a transaction has no earlier sample: take one
+			// and re-execute at once. Every later Retry waits on the sample
+			// that predates the body it just ran, then re-samples for the next.
+			if retryArmed {
+				s.waitCommit(ctx, retryGen)
+			}
+			retryGen, retryArmed = s.retryGeneration(), true
 		}
 	}
 }

@@ -204,48 +204,41 @@ func (s *STM) releaseTxn(tx *Txn) {
 // one gigantic transaction must not pin its logs in the pool forever.
 const maxRetainedCap = 4096
 
-// reset clears every descriptor field for pool residency, so reuse is
-// indistinguishable from a fresh allocation. Slices are cleared through
-// their full capacity: an earlier attempt may have appended past the final
-// attempt's length, and those elements would otherwise pin boxes, refs and
-// callback closures while the descriptor sits in the pool.
+// truncate empties a pooled log, zeroing the entries it drops. It is the only
+// way a log of a pooled descriptor gets shorter, which maintains the pooling
+// invariant where the data dies: the spare capacity (s[len:cap]) of every
+// pooled log is all-zero at all times — append only ever writes s[:len], and a
+// grown array starts zeroed — so recycling a log costs O(entries the attempt
+// appended), never O(the largest transaction the descriptor has ever run),
+// and a parked descriptor pins no box, ref, value or closure.
+func truncate[T any](s *[]T) {
+	clear(*s)
+	*s = (*s)[:0]
+}
+
+// reset readies the descriptor for pool residency, so reuse is
+// indistinguishable from a fresh allocation: every log truncated (which, by
+// the truncate invariant, leaves its whole backing array zero), oversized
+// arrays shed, the scalar state zeroed and the incarnation bumped.
 func (tx *Txn) reset() {
-	clearCap(tx.reads)
-	tx.reads = tx.reads[:0]
-	tx.wset.release()
-	clearCap(tx.sortBuf)
-	tx.sortBuf = tx.sortBuf[:0]
-	clearCap(tx.undo)
-	tx.undo = tx.undo[:0]
-	clearCap(tx.owned)
-	tx.owned = tx.owned[:0]
-	clearCap(tx.commitLocks)
-	tx.commitLocks = tx.commitLocks[:0]
-	clearCap(tx.visible)
-	tx.visible = tx.visible[:0]
-	clearCap(tx.onAbort)
-	tx.onAbort = tx.onAbort[:0]
-	clearCap(tx.onCommit)
-	tx.onCommit = tx.onCommit[:0]
-	clearCap(tx.onCommitLocked)
-	tx.onCommitLocked = tx.onCommitLocked[:0]
-	clearCap(tx.ops)
-	tx.ops = tx.ops[:0]
-	clear(tx.locals)
-	if cap(tx.reads) > maxRetainedCap {
-		tx.reads = nil
+	tx.truncateLogs()
+	truncate(&tx.sortBuf)
+	if max(cap(tx.reads), cap(tx.wset.entries), cap(tx.sortBuf), cap(tx.undo),
+		cap(tx.owned), cap(tx.commitLocks), cap(tx.visible), cap(tx.onAbort),
+		cap(tx.onCommit), cap(tx.onCommitLocked), cap(tx.ops)) > maxRetainedCap {
+		// A log grew past the bound: the gigantic transaction's arrays go to
+		// the collector together, and the next user regrows from nil exactly
+		// like a freshly allocated descriptor.
+		tx.reads, tx.wset, tx.ops = nil, writeSet{}, nil
+		tx.sortBuf, tx.undo, tx.owned, tx.commitLocks, tx.visible = nil, nil, nil, nil, nil
+		tx.onAbort, tx.onCommit, tx.onCommitLocked = nil, nil, nil
 	}
-	tx.readShards = 0
-	tx.readChained = false
 	tx.id = 0
 	clear(tx.rvVec)
-	tx.shardSeen = 0
-	tx.epochSeen = 0
 	tx.snapshot = 0
 	tx.token = nil
 	tx.tokenBox = nil
 	tx.tokenFor = 0
-	tx.lockStart = 0
 	tx.attempt = 0
 	tx.sampled = false
 	tx.readOnly = false
@@ -259,10 +252,29 @@ func (tx *Txn) reset() {
 	tx.state.Store(uint64(tx.incarnation) << stateIncShift)
 }
 
-// clearCap zeroes a slice through its full capacity (clear() alone stops at
-// the length).
-func clearCap[T any](s []T) {
-	clear(s[:cap(s)])
+// truncateLogs empties every per-attempt log and the TxnLocal map, and
+// forgets the attempt's read chains, shard captures and lock-hold stamp.
+// (sortBuf is commit scratch: the lazy backends truncate it where they fill
+// it, reset when the descriptor retires.)
+func (tx *Txn) truncateLogs() {
+	truncate(&tx.reads)
+	tx.readShards = 0
+	tx.readChained = false
+	tx.wset.reset()
+	truncate(&tx.undo)
+	truncate(&tx.owned)
+	truncate(&tx.commitLocks)
+	truncate(&tx.visible)
+	tx.shardSeen = 0 // shard-clock vector is re-captured lazily per attempt
+	tx.epochSeen = 0
+	tx.lockStart = 0
+	if tx.ops != nil { // nil until the first NoteOp; skip the barrier-ed store
+		truncate(&tx.ops)
+	}
+	clear(tx.locals) // the map is retained, its per-attempt contents are not
+	truncate(&tx.onAbort)
+	truncate(&tx.onCommit)
+	truncate(&tx.onCommitLocked)
 }
 
 // stateWord composes the descriptor's state word for the current attempt
@@ -278,20 +290,7 @@ func (tx *Txn) stateWord(status uint64) uint64 {
 func (tx *Txn) beginAttempt() {
 	tx.attempt++
 	tx.id = tx.s.txnIDs.Add(1)
-	tx.reads = tx.reads[:0]
-	tx.readShards = 0
-	tx.readChained = false
-	tx.wset.reset()
-	tx.undo = tx.undo[:0]
-	tx.owned = tx.owned[:0]
-	tx.commitLocks = tx.commitLocks[:0]
-	tx.visible = tx.visible[:0]
-	tx.shardSeen = 0 // shard-clock vector is re-captured lazily per attempt
-	tx.epochSeen = 0
-	tx.lockStart = 0
-	if tx.ops != nil { // nil until the first NoteOp; skip the barrier-ed store
-		tx.ops = tx.ops[:0]
-	}
+	tx.truncateLogs()
 	// Histogram sampling draw (1 in histSampleEvery): advance the attempt's
 	// xorshift state and test the top bits of the mixed value.
 	tx.rng ^= tx.rng >> 12
@@ -303,10 +302,6 @@ func (tx *Txn) beginAttempt() {
 	} else {
 		tx.phaseOn = false
 	}
-	clear(tx.locals) // the map is retained, its per-attempt contents are not
-	tx.onAbort = tx.onAbort[:0]
-	tx.onCommit = tx.onCommit[:0]
-	tx.onCommitLocked = tx.onCommitLocked[:0]
 	tx.s.backend.begin(tx)
 	tx.state.Store(tx.stateWord(statusActive))
 }

@@ -109,16 +109,20 @@ func (ws *writeSet) put(r *baseRef, v any) bool {
 }
 
 // reindex (re)builds the probe table over all current entries: on first
-// crossing wsLinearScan, and whenever the table passes half load. A retained
-// table that is already big enough is reused in place, so a pooled
-// descriptor's steady state stays allocation-free for large write sets too.
+// crossing wsLinearScan, and whenever the table passes half load. The table
+// is a prefix of its retained array sized for the current attempt — so
+// emptying it costs what this attempt used, not what the largest one did —
+// and a retained array that is big enough is resliced in place (its spare
+// capacity is all-zero, see truncate), so a pooled descriptor's steady state
+// stays allocation-free for large write sets too.
 func (ws *writeSet) reindex() {
 	size := 32
 	for size < 4*len(ws.entries) {
 		size <<= 1
 	}
-	if size <= len(ws.idx) {
-		clear(ws.idx)
+	clear(ws.idx)
+	if size <= cap(ws.idx) {
+		ws.idx = ws.idx[:size]
 	} else {
 		ws.idx = make([]uint32, size)
 	}
@@ -137,25 +141,12 @@ func (ws *writeSet) insertIdx(ei uint32) {
 	ws.idx[slot] = ei + 1
 }
 
-// reset empties the write set for the next attempt, keeping capacity. The
-// probe table is only walked when the finished attempt actually used it.
+// reset empties the write set for the next attempt or for pool residency,
+// keeping capacity and dropping every held reference. The probe table is
+// only touched when the finished attempt actually used it.
 func (ws *writeSet) reset() {
 	if len(ws.entries) > wsLinearScan {
-		clear(ws.idx)
+		truncate(&ws.idx)
 	}
-	ws.entries = ws.entries[:0]
-}
-
-// release prepares the write set for pool residency: beyond reset, it drops
-// every held reference (entries beyond the last attempt's length may still
-// pin boxes and refs from earlier attempts) and sheds oversized backing
-// arrays so one huge transaction does not pin memory in the pool forever.
-func (ws *writeSet) release() {
-	ws.reset()
-	if cap(ws.entries) > maxRetainedCap {
-		ws.entries = nil
-		ws.idx = nil
-		return
-	}
-	clear(ws.entries[:cap(ws.entries)])
+	truncate(&ws.entries)
 }

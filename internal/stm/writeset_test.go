@@ -109,28 +109,41 @@ func TestWriteSetResetAndReuse(t *testing.T) {
 	}
 }
 
-func TestWriteSetReleaseClearsAndSheds(t *testing.T) {
-	refs := wsTestRefs(32)
+// TestWriteSetResetLeavesSpareCapacityZero pins the pooling invariant on the
+// redo log: whatever earlier attempts wrote, after reset the entry array and
+// the probe table are all-zero through their capacity — reset itself only
+// walks what the finished attempt used.
+func TestWriteSetResetLeavesSpareCapacityZero(t *testing.T) {
+	refs := wsTestRefs(200)
 	var ws writeSet
-	for i, r := range refs {
-		ws.put(r, i)
-	}
-	ws.release()
-	if ws.len() != 0 {
-		t.Fatalf("len after release = %d", ws.len())
-	}
-	for _, e := range ws.entries[:cap(ws.entries)] {
-		if e.r != nil || e.val != nil {
-			t.Fatal("release left a pinned entry in spare capacity")
+	// A long attempt (probe table built and grown), then shorter ones: linear
+	// only, and just past the linear-scan bound (table rebuilt at its
+	// smallest size inside the retained array).
+	for _, n := range []int{200, 3, wsLinearScan + 1, 1, 40} {
+		for i := 0; i < n; i++ {
+			ws.put(refs[i], i)
+		}
+		for i := 0; i < n; i++ {
+			if v, ok := ws.get(refs[i]); !ok || v.(int) != i {
+				t.Fatalf("n=%d: get(%d) = %v, %v", n, i, v, ok)
+			}
+		}
+		ws.reset()
+		if ws.len() != 0 {
+			t.Fatalf("n=%d: len after reset = %d", n, ws.len())
+		}
+		for i, e := range ws.entries[:cap(ws.entries)] {
+			if e.r != nil || e.val != nil {
+				t.Fatalf("n=%d: reset left entry %d of %d pinned", n, i, cap(ws.entries))
+			}
+		}
+		for i, slot := range ws.idx[:cap(ws.idx)] {
+			if slot != 0 {
+				t.Fatalf("n=%d: reset left probe slot %d of %d occupied", n, i, cap(ws.idx))
+			}
 		}
 	}
-	// Oversized backing arrays are shed entirely.
-	big := wsTestRefs(maxRetainedCap + 1)
-	for i, r := range big {
-		ws.put(r, i)
-	}
-	ws.release()
-	if ws.entries != nil || ws.idx != nil {
-		t.Fatalf("release retained oversized arrays (cap=%d)", cap(ws.entries))
+	if cap(ws.entries) < 200 || cap(ws.idx) < 4*200 {
+		t.Fatalf("reset dropped warm arrays: cap(entries)=%d cap(idx)=%d", cap(ws.entries), cap(ws.idx))
 	}
 }
