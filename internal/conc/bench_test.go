@@ -121,6 +121,33 @@ func BenchmarkCOWHeapSnapshot(b *testing.B) {
 	}
 }
 
+// BenchmarkCtrieSnapshotReplayChurn is the snapshot-map commit in
+// miniature: a snapshot (the transaction's shadow), eight writes to the
+// base (the commit replay, which path-copies onto nodes the snapshot
+// shares), then Discard. Every node the writes displace is shared with the
+// snapshot, so allocs/op counts what snapshot-lifetime recycling gets back.
+func BenchmarkCtrieSnapshotReplayChurn(b *testing.B) {
+	const n = 1024
+	ct := NewCtrie[int, int](IntHasher)
+	for i := 0; i < n; i++ {
+		ct.Put(i, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap := ct.Snapshot()
+		for j := 0; j < 8; j++ {
+			k := (i*8 + j) * 97 % n
+			if j%4 == 3 {
+				ct.Remove(k)
+			} else {
+				ct.Put(k, i)
+			}
+		}
+		snap.Discard()
+	}
+}
+
 // BenchmarkCtrieUpdateHeavy measures pure value updates over a stable,
 // prepopulated key set on the unversioned trie: every update is one CNode
 // copy served from the pool.

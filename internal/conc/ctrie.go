@@ -24,10 +24,13 @@ import (
 //     level of the path), so a new-generation CNode may keep
 //     older-generation children; readers never copy, they read through
 //     older-generation INodes, which no GCAS can change any more.
-//   - Displaced nodes whose generation matches their INode's generation
-//     are provably unreachable from every snapshot, so they are retired
-//     into epoch-based pools (epoch.go, ctriepool.go) and reused once a
-//     grace period has elapsed.
+//   - Every generation belongs to a lineage, and a trie recycles what it
+//     displaces from its own lineage: a node of the displacer's current
+//     generation after one reader grace period, an older one of its lineage
+//     once the snapshots that could still see it are discarded as well.
+//     Nodes of another lineage stay live in the trie they came from and
+//     are never touched. Both paths end in epoch-based pools (epoch.go,
+//     ctriepool.go).
 //   - A trie whose owner is done with it (a transaction's shadow copy) is
 //     handed back with Discard: every node stamped with the trie's own
 //     generation was created by, and is reachable from, that trie alone,
@@ -41,10 +44,22 @@ type Ctrie[K comparable, V any] struct {
 	// ref is what root points at until the first snapshot of this trie
 	// replaces it; it lives here so a snapshot is one allocation, not two.
 	ref rootRef[K, V]
+	// pin is a snapshot's lifetime pin (ctPool.pinLife), held until
+	// Discard; 0 for a trie that is no snapshot.
+	pin uint64
 }
 
-// ctGen is a trie generation; identity only.
-type ctGen struct{ _ int8 }
+// ctGen is a trie generation. Its identity is the pointer; line numbers
+// the lineage it belongs to within its pool (ctPool.newLineage). A snapshot
+// gives its source a fresh generation of the source's lineage and the copy
+// a lineage of its own, so a trie has built every node whose generation
+// shares its lineage. Generations are never recycled: their identity must
+// not repeat. (No pointer field: a generation costs the tiny allocator and
+// nothing to mark.)
+type ctGen struct{ line uint64 }
+
+// next returns a fresh generation of g's lineage.
+func (g *ctGen) next() *ctGen { return &ctGen{line: g.line} }
 
 // rootRef holds either the live root INode or an in-flight RDCSS
 // descriptor.
@@ -88,9 +103,8 @@ func newCtINode[K comparable, V any](gen *ctGen, m *ctMain[K, V]) *ctINode[K, V]
 
 // ctBranch is a branch box: either an INode edge (in != nil) or an SNode
 // carrying a key/value pair. Boxes are immutable once published and carry
-// the generation they were created under, which decides whether a displaced
-// box may be retired into the pool (a box whose generation predates the
-// latest snapshot is shared with that snapshot).
+// the generation they were created under, which decides how a displaced box
+// is retired (ctHandle.binFor).
 type ctBranch[K comparable, V any] struct {
 	in  *ctINode[K, V]
 	gen *ctGen
@@ -136,12 +150,13 @@ func NewCtrieUnversioned[K comparable, V any](hash Hasher[K]) *Ctrie[K, V] {
 
 // NewCtrieConfigured creates an empty Ctrie with an explicit configuration.
 func NewCtrieConfigured[K comparable, V any](hash Hasher[K], cfg CtrieConfig) *Ctrie[K, V] {
-	gen := &ctGen{}
+	pool := newCtPool[K, V]()
+	gen := pool.newLineage()
 	root := newCtINode(gen, &ctMain[K, V]{cn: &ctCNode[K, V]{gen: gen}})
 	ct := &Ctrie[K, V]{
 		hash:        hash,
 		unversioned: cfg.Unversioned,
-		pool:        newCtPool[K, V](),
+		pool:        pool,
 		ref:         rootRef[K, V]{in: root},
 	}
 	ct.root.Store(&ct.ref)
@@ -229,10 +244,11 @@ func (ct *Ctrie[K, V]) gcas(h *ctHandle[K, V], in *ctINode[K, V], old, next *ctM
 		if next.prev.Load() == nil {
 			return true
 		}
+		b := h.bin()
 		if next.cn != nil {
-			h.retireCNode(next.cn)
+			b.addCNode(next.cn)
 		}
-		h.retireMain(next)
+		b.addMain(next)
 		return false
 	}
 	ct.recycleCopy(h, next)
@@ -282,26 +298,41 @@ func (ct *Ctrie[K, V]) gcasComplete(in *ctINode[K, V], m *ctMain[K, V]) *ctMain[
 
 // --- displacement -------------------------------------------------------
 
-// retireDisplaced retires a successfully displaced cn-main into the pool
-// when it is provably unreachable from every snapshot: a CNode whose
-// generation matches its INode's was created after the latest snapshot
-// (nothing carries a generation before that generation exists), and
-// displacement removed the only structural reference to it. TNode/LNode
-// mains are rare and are left to the garbage collector.
+// Every retire below runs after the displacing GCAS on in won, and files
+// the node by its generation (ctHandle.binFor): displacement removed the
+// only structural reference to it in in's trie, so what may still reach it
+// is a reader of that trie — and, when it is of an older generation, the
+// snapshots taken since it was built. A CNode and its main are created
+// together, by the trie that owns cn.gen.
+
+// retireDisplaced retires a successfully displaced cn-main. TNode/LNode
+// mains are rare and go to the collector, whatever their generation.
 func (ct *Ctrie[K, V]) retireDisplaced(h *ctHandle[K, V], in *ctINode[K, V], m *ctMain[K, V]) {
-	cn := m.cn
-	if cn == nil || cn.gen != in.gen {
+	if m.cn == nil {
 		return
 	}
-	h.retireCNode(cn)
-	h.retireMain(m)
+	if b := h.binFor(in.gen, m.cn.gen); b != nil {
+		b.addCNode(m.cn)
+		b.addMain(m)
+	}
 }
 
-// retireBranchIf retires a displaced branch box when its generation proves
-// it post-dates the latest snapshot.
-func (ct *Ctrie[K, V]) retireBranchIf(h *ctHandle[K, V], in *ctINode[K, V], b *ctBranch[K, V]) {
-	if b.gen == in.gen {
-		h.retireBranch(b)
+// retireBranch retires a displaced branch box.
+func (ct *Ctrie[K, V]) retireBranch(h *ctHandle[K, V], in *ctINode[K, V], x *ctBranch[K, V]) {
+	if b := h.binFor(in.gen, x.gen); b != nil {
+		b.addBranch(x)
+	}
+}
+
+// retireEdge retires an unlinked INode edge: the box and the INode it
+// points at. Never the INode's main: renewChild aliases mains into the
+// renewed INode, so a tomb's main may still be live elsewhere — it is only
+// retired in the unversioned trie, where there is a single generation.
+func (ct *Ctrie[K, V]) retireEdge(h *ctHandle[K, V], in *ctINode[K, V], x *ctBranch[K, V]) {
+	child := x.in
+	ct.retireBranch(h, in, x)
+	if b := h.binFor(in.gen, child.gen); b != nil {
+		b.addINode(child)
 	}
 }
 
@@ -354,15 +385,17 @@ func (ct *Ctrie[K, V]) cowRemoved(h *ctHandle[K, V], cn *ctCNode[K, V], pos int,
 // child stamped startgen, and returns the copy, or nil when the GCAS lost
 // and the operation must restart. This is the whole of generation renewal:
 // the siblings keep their older generation until a writer descends into
-// them too. The displaced edge box and INode are shared with the snapshot
-// that made them old, so they are left alone; a copy that loses its GCAS
-// leaves its INode and box to the garbage collector.
+// them too. The displaced edge box and INode go the way of every displaced
+// node (retireEdge); their main lives on in the copy. A copy that loses its
+// GCAS leaves its INode and box to the garbage collector.
 func (ct *Ctrie[K, V]) renewChild(h *ctHandle[K, V], in *ctINode[K, V], m *ctMain[K, V], pos int, startgen *ctGen) *ctINode[K, V] {
-	nin := h.newINode(startgen, ct.gcasRead(m.cn.array[pos].in))
+	old := m.cn.array[pos]
+	nin := h.newINode(startgen, ct.gcasRead(old.in))
 	nm := h.newMain()
 	nm.cn = ct.cowUpdated(h, m.cn, pos, h.newINodeBranch(nin, startgen), startgen)
 	if ct.gcas(h, in, m, nm) {
 		ct.retireDisplaced(h, in, m)
+		ct.retireEdge(h, in, old)
 		return nin
 	}
 	return nil
@@ -421,22 +454,16 @@ func (ct *Ctrie[K, V]) clean(h *ctHandle[K, V], in *ctINode[K, V], lev uint) {
 }
 
 // retireTombedEdges retires the INode edges recorded by toCompressed once
-// the displacement won. The INode struct is retired when its generation
-// matches (fresh INodes are never shared across generations, unlike mains,
-// which renewChild aliases into the renewed generation — so the terminal
-// TNode main is only retired in the unversioned trie, where there is a
-// single generation and no sharing is possible).
+// the displacement won (the terminal TNode main too in the unversioned trie;
+// see retireEdge).
 func (ct *Ctrie[K, V]) retireTombedEdges(h *ctHandle[K, V], in *ctINode[K, V]) {
 	for _, b := range h.scratch {
-		ct.retireBranchIf(h, in, b)
-		if b.in.gen == in.gen {
-			if ct.unversioned {
-				if cm := ct.gcasRead(b.in); cm != nil && cm.tn != nil {
-					h.retireMain(cm)
-				}
+		if ct.unversioned {
+			if cm := ct.gcasRead(b.in); cm != nil && cm.tn != nil {
+				h.bin().addMain(cm)
 			}
-			h.retireINode(b.in)
 		}
+		ct.retireEdge(h, in, b)
 	}
 }
 
@@ -595,13 +622,17 @@ func (ct *Ctrie[K, V]) Remove(k K) (V, bool) {
 // Snapshot returns a mutable snapshot, O(1) in the size of the trie. The
 // snapshot and the original evolve independently; writers lazily copy the
 // paths they touch. Proust uses one snapshot per transaction as the shadow
-// copy, and hands it back with Discard.
+// copy, and hands it back with Discard. A snapshot that is never discarded
+// is just as correct, but it holds its lifetime pin forever: from then on
+// the nodes its source displaces across generations fill capped bins and
+// overflow to the garbage collector instead of being reused.
 func (ct *Ctrie[K, V]) Snapshot() *Ctrie[K, V] {
 	return ct.snapshot(false)
 }
 
 // ReadOnlySnapshot returns a read-only snapshot, O(1) in the size of the
-// trie; mutating it panics.
+// trie; mutating it panics. Like a mutable one, it is handed back with
+// Discard (the snapshot of a read-only trie is the trie itself).
 func (ct *Ctrie[K, V]) ReadOnlySnapshot() *Ctrie[K, V] {
 	if ct.readOnly {
 		return ct
@@ -611,8 +642,9 @@ func (ct *Ctrie[K, V]) ReadOnlySnapshot() *Ctrie[K, V] {
 
 // snapshot gives ct a root of a fresh generation, which freezes every node
 // reachable at that instant, and returns a trie over the frozen nodes: the
-// old root itself for a read-only snapshot, a root of a second fresh
-// generation for a mutable one.
+// old root itself for a read-only snapshot, a root of a new lineage for a
+// mutable one. The snapshot pins the lifetime epoch before its RDCSS, so
+// any node it can reach is displaced — and tagged — after the pin.
 func (ct *Ctrie[K, V]) snapshot(readOnly bool) *Ctrie[K, V] {
 	if ct.unversioned {
 		panic("conc: snapshot of unversioned Ctrie")
@@ -620,11 +652,12 @@ func (ct *Ctrie[K, V]) snapshot(readOnly bool) *Ctrie[K, V] {
 	h := ct.pool.get()
 	h.pin()
 	snap := &Ctrie[K, V]{hash: ct.hash, readOnly: readOnly, pool: ct.pool}
+	snap.pin = ct.pool.pinLife(ct.pin)
 	for {
 		rref := ct.rdcssReadRootRef(false)
 		r := rref.in
 		expMain := ct.gcasRead(r)
-		nr := h.newINode(&ctGen{}, expMain)
+		nr := h.newINode(r.gen.next(), expMain)
 		if !ct.rdcssRoot(rref, expMain, nr) {
 			continue
 		}
@@ -632,8 +665,8 @@ func (ct *Ctrie[K, V]) snapshot(readOnly bool) *Ctrie[K, V] {
 		if readOnly {
 			snap.ref.in = r
 		} else {
-			snap.ref.in = h.newINode(&ctGen{}, expMain)
-			h.retireINode(r) // no snapshot holds the root it displaced
+			snap.ref.in = h.newINode(ct.pool.newLineage(), expMain)
+			h.bin().addINode(r) // no snapshot holds the root it displaced
 		}
 		snap.root.Store(&snap.ref)
 		h.unpin()
@@ -642,10 +675,12 @@ func (ct *Ctrie[K, V]) snapshot(readOnly bool) *Ctrie[K, V] {
 	}
 }
 
-// Discard hands the trie's private nodes back to the allocator. The caller
-// promises that it owns ct exclusively — no other goroutine is inside an
-// operation on ct, and nobody will use ct again; using it afterwards
-// panics. Snapshots taken of ct earlier are unaffected and stay usable.
+// Discard hands the trie's private nodes back to the allocator and, for a
+// snapshot, releases its hold on the nodes it shares with its source. The
+// caller promises that it owns ct exclusively — no other goroutine is
+// inside an operation on ct, and nobody will use ct again; using it
+// afterwards panics. Snapshots taken of ct earlier are unaffected and stay
+// usable.
 //
 // Only nodes stamped with ct's own (root) generation are walked. That
 // generation was created for ct alone — a snapshot gives both sides fresh
@@ -659,12 +694,14 @@ func (ct *Ctrie[K, V]) snapshot(readOnly bool) *Ctrie[K, V] {
 func (ct *Ctrie[K, V]) Discard() {
 	r := ct.rdcssReadRoot(false)
 	ct.root.Store(nil)
-	if ct.readOnly {
-		return
+	if !ct.readOnly {
+		h := ct.pool.get()
+		h.discard(r)
+		ct.pool.put(h)
 	}
-	h := ct.pool.get()
-	h.discard(r)
-	ct.pool.put(h)
+	if ct.pin != 0 {
+		ct.pool.unpinLife(ct.pin)
+	}
 }
 
 // Range calls f over the map until f returns false. On a versioned trie it
@@ -673,8 +710,9 @@ func (ct *Ctrie[K, V]) Discard() {
 // not mutated during the walk are each seen exactly once.
 func (ct *Ctrie[K, V]) Range(f func(K, V) bool) {
 	src := ct
-	if !ct.unversioned {
-		src = ct.ReadOnlySnapshot()
+	if !ct.unversioned && !ct.readOnly {
+		src = ct.snapshot(true)
+		defer src.Discard()
 	}
 	h := src.pool.get()
 	h.pin()
@@ -801,7 +839,7 @@ func (ct *Ctrie[K, V]) iinsert(h *ctHandle[K, V], in *ctINode[K, V], k K, v V, h
 			nm.cn = ct.cowUpdated(h, cn, pos, h.newSNode(hc, k, v, in.gen), in.gen)
 			if ct.gcas(h, in, m, nm) {
 				ct.retireDisplaced(h, in, m)
-				ct.retireBranchIf(h, in, b)
+				ct.retireBranch(h, in, b)
 				return b.v, true, false
 			}
 			return zero, false, true
@@ -861,7 +899,7 @@ func (ct *Ctrie[K, V]) iremove(h *ctHandle[K, V], in *ctINode[K, V], k K, hc uin
 			nm := ct.toContracted(h, ct.cowRemoved(h, cn, pos, flag, in.gen), lev)
 			if ct.gcas(h, in, m, nm) {
 				ct.retireDisplaced(h, in, m)
-				ct.retireBranchIf(h, in, b)
+				ct.retireBranch(h, in, b)
 				res, removed = b.v, true
 			} else {
 				restart = true
@@ -915,19 +953,13 @@ func (ct *Ctrie[K, V]) cleanParent(h *ctHandle[K, V], parent, in *ctINode[K, V],
 		}
 		nm := ct.toContracted(h, ct.cowUpdated(h, cn, pos, m.tn, parent.gen), plev)
 		if ct.gcas(h, parent, pm, nm) {
-			ct.retireDisplaced(h, parent, pm)
 			// The unlinked INode and its edge box are unreachable now; a
-			// TNode main is terminal, so in cannot have un-tombed. The main
-			// itself may be shared with other generations via renewChild, so
-			// it is only retired when generations cannot differ (see
-			// retireTombedEdges).
-			ct.retireBranchIf(h, parent, sub)
-			if in.gen == parent.gen {
-				if ct.unversioned {
-					h.retireMain(m)
-				}
-				h.retireINode(in)
+			// TNode main is terminal, so in cannot have un-tombed.
+			ct.retireDisplaced(h, parent, pm)
+			if ct.unversioned {
+				h.bin().addMain(m)
 			}
+			ct.retireEdge(h, parent, sub)
 			return
 		}
 		if ct.rdcssReadRoot(false).gen != startgen {

@@ -2,6 +2,7 @@ package conc
 
 import (
 	"sync"
+	"sync/atomic"
 )
 
 // ctriepool.go gives the Ctrie an allocator cache on top of the epoch
@@ -14,6 +15,14 @@ import (
 // the freelists and are handed out again. Nodes that were never published
 // (a losing GCAS copy) skip the grace period entirely via recycle*Now.
 //
+// A displaced node that snapshots may still share first waits out their
+// lifetimes (DESIGN.md §13): the pool keeps a second epoch, the lifetime
+// epoch, that every snapshot pins from before it is taken until Discard,
+// and the handle keeps three lifetime bins beside its reader bins. A
+// lifetime bin tagged t moves into the reader bins once the lifetime epoch
+// reaches t+ebrGrace — every snapshot that could see its nodes is gone —
+// and from there ages out like any other cohort.
+//
 // Handles are recycled through a sync.Pool, so the number of registered
 // epoch slots is bounded by the peak number of concurrent operations, and
 // all freelist traffic is handle-local — no locks, no cross-goroutine
@@ -21,7 +30,7 @@ import (
 
 const (
 	// ctAdvanceEvery is the pin cadence at which a handle volunteers to
-	// advance the epoch and drain its expired bins.
+	// advance the epochs and drain its expired bins.
 	ctAdvanceEvery = 32
 
 	// Freelist caps; beyond these, recycled nodes are dropped to the GC.
@@ -29,16 +38,38 @@ const (
 	ctBranchCap = 4096
 	ctCNodeCap  = 64 // per array length class
 	ctINodeCap  = 256
+
+	// ctLifeCap caps each list of a lifetime bin. A lifetime cohort on the
+	// Figure-4 path holds 8–10 nodes of a kind on average and outgrows the
+	// cap only while the lifetime epoch stalls (10–12 % of lifetime
+	// retirements overflow at this cap, 5–8 % at 1024). A snapshot nobody
+	// discards stalls it for good, and full lifetime bins are then what it
+	// costs: nodes every collection marks again.
+	ctLifeCap = 128
 )
 
 // ctBin is one epoch residue class of retired nodes.
 type ctBin[K comparable, V any] struct {
 	epoch    uint64
+	life     bool // a lifetime bin: lists capped at ctLifeCap
 	mains    []*ctMain[K, V]
 	cnodes   []*ctCNode[K, V]
 	branches []*ctBranch[K, V]
 	ins      []*ctINode[K, V]
 }
+
+// binAdd appends x to a list of a bin, unless the bin is a full lifetime
+// bin: then x is left to the garbage collector.
+func binAdd[T any](life bool, list *[]T, x T) {
+	if !life || len(*list) < ctLifeCap {
+		*list = append(*list, x)
+	}
+}
+
+func (b *ctBin[K, V]) addMain(m *ctMain[K, V])     { binAdd(b.life, &b.mains, m) }
+func (b *ctBin[K, V]) addCNode(cn *ctCNode[K, V])  { binAdd(b.life, &b.cnodes, cn) }
+func (b *ctBin[K, V]) addBranch(x *ctBranch[K, V]) { binAdd(b.life, &b.branches, x) }
+func (b *ctBin[K, V]) addINode(in *ctINode[K, V])  { binAdd(b.life, &b.ins, in) }
 
 // ctPool is the per-structure reclamation domain + handle cache. A Ctrie
 // and every snapshot derived from it share one ctPool, because retired
@@ -46,12 +77,31 @@ type ctBin[K comparable, V any] struct {
 type ctPool[K comparable, V any] struct {
 	ebr     *ebr
 	handles sync.Pool
+
+	// life is the lifetime epoch and lifePins[e&1] the number of live
+	// snapshots pinned at epoch e. Live pins are only ever at life-1 and
+	// life, so two counters suffice, and advancing past e+1 waits for the
+	// count at e to drain: a snapshot pin is one counter, not a registry
+	// slot every advance must scan.
+	life     atomic.Uint64
+	lifePins [2]atomic.Int64
+	lines    atomic.Uint64 // lineages numbered so far
+
+	// poison is nil except in tests: then every node entering a freelist is
+	// stamped with it and dropped instead of reused, so a trie that can
+	// still reach such a node reads garbage and its checks fail loudly.
+	poison *ctGen
 }
 
 func newCtPool[K comparable, V any]() *ctPool[K, V] {
 	p := &ctPool[K, V]{ebr: newEBR()}
 	p.handles.New = func() any {
-		return &ctHandle[K, V]{pool: p, slot: p.ebr.register()}
+		h := &ctHandle[K, V]{pool: p}
+		h.slot = registerFor(p.ebr, h)
+		for i := range h.lbins {
+			h.lbins[i].life = true
+		}
+		return h
 	}
 	return p
 }
@@ -64,13 +114,59 @@ func (p *ctPool[K, V]) put(h *ctHandle[K, V]) {
 	p.handles.Put(h)
 }
 
+// newLineage starts a lineage: the first generation of a new trie or of a
+// mutable snapshot.
+func (p *ctPool[K, V]) newLineage() *ctGen {
+	return &ctGen{line: p.lines.Add(1)}
+}
+
+// pinLife pins the lifetime epoch for a new snapshot and returns the pin
+// (epoch+1). A snapshot of a snapshot reaches everything its source reaches,
+// so it takes the source's pin (src, non-zero) instead of the current
+// epoch; the source is live, so that epoch cannot be released meanwhile.
+// A fresh pin re-reads the epoch after counting itself: if the epoch moved
+// in between, an advance may not have seen the count, so it retries.
+func (p *ctPool[K, V]) pinLife(src uint64) uint64 {
+	if src != 0 {
+		p.lifePins[(src-1)&1].Add(1)
+		return src
+	}
+	for {
+		e := p.life.Load()
+		c := &p.lifePins[e&1]
+		c.Add(1)
+		if p.life.Load() == e {
+			return e + 1
+		}
+		c.Add(-1)
+	}
+}
+
+// unpinLife releases a snapshot's pin.
+func (p *ctPool[K, V]) unpinLife(pin uint64) {
+	p.lifePins[(pin-1)&1].Add(-1)
+	p.advanceLife()
+}
+
+// advanceLife moves the lifetime epoch from e to e+1 unless a snapshot is
+// still pinned at e-1 (a pin at e may stay: it keeps the next advance out).
+func (p *ctPool[K, V]) advanceLife() {
+	e := p.life.Load()
+	if p.lifePins[(e-1)&1].Load() == 0 {
+		p.life.CompareAndSwap(e, e+1)
+	}
+}
+
 // ctHandle is one participant's view of the pool.
 type ctHandle[K comparable, V any] struct {
 	pool *ctPool[K, V]
 	slot *ebrSlot
 	ops  uint64
 
-	bins [3]ctBin[K, V]
+	// bins wait out readers (tagged with the reader epoch); lbins wait out
+	// snapshots first (tagged with the lifetime epoch).
+	bins  [3]ctBin[K, V]
+	lbins [3]ctBin[K, V]
 
 	// Freelists (allocator cache). cnodes is indexed by array length.
 	mains    []*ctMain[K, V]
@@ -88,6 +184,7 @@ func (h *ctHandle[K, V]) pin() {
 	h.ops++
 	if h.ops%ctAdvanceEvery == 0 {
 		h.pool.ebr.tryAdvance()
+		h.pool.advanceLife()
 		h.drainExpired()
 	}
 }
@@ -154,7 +251,7 @@ func (h *ctHandle[K, V]) newINodeBranch(in *ctINode[K, V], gen *ctGen) *ctBranch
 
 // --- retirement ---------------------------------------------------------
 
-// bin returns the retire bin for the current epoch, draining the residue
+// bin returns the reader bin for the current epoch, draining the residue
 // class first if it still holds a fully-aged previous cohort.
 func (h *ctHandle[K, V]) bin() *ctBin[K, V] {
 	e := h.pool.ebr.global.Load()
@@ -168,33 +265,52 @@ func (h *ctHandle[K, V]) bin() *ctBin[K, V] {
 	return b
 }
 
-func (h *ctHandle[K, V]) retireMain(m *ctMain[K, V]) {
-	b := h.bin()
-	b.mains = append(b.mains, m)
+// lifeBin returns the lifetime bin for the current lifetime epoch, moving
+// the residue class's previous cohort on to the reader bins first (the same
+// multiple-of-3 argument: every snapshot that could see it is discarded).
+// The caller reads the epoch here, after the displacing GCAS won.
+func (h *ctHandle[K, V]) lifeBin() *ctBin[K, V] {
+	e := h.pool.life.Load()
+	b := &h.lbins[e%3]
+	if b.epoch != e {
+		h.promote(b)
+		b.epoch = e
+	}
+	return b
 }
 
-func (h *ctHandle[K, V]) retireCNode(cn *ctCNode[K, V]) {
-	b := h.bin()
-	b.cnodes = append(b.cnodes, cn)
+// binFor is where a node of generation gen goes once an operation of
+// generation owner has displaced it: the reader bin when gen is owner
+// (created since the trie's latest snapshot, so no snapshot can reach it),
+// the lifetime bin when gen is an older generation of owner's lineage (the
+// trie built it, so only snapshots taken since can still reach it), and
+// nowhere for a node of another lineage, which is still live in the trie
+// it came from.
+func (h *ctHandle[K, V]) binFor(owner, gen *ctGen) *ctBin[K, V] {
+	switch {
+	case gen == owner:
+		return h.bin()
+	case gen.line == owner.line:
+		return h.lifeBin()
+	}
+	return nil
 }
 
-func (h *ctHandle[K, V]) retireBranch(br *ctBranch[K, V]) {
-	b := h.bin()
-	b.branches = append(b.branches, br)
-}
-
-func (h *ctHandle[K, V]) retireINode(in *ctINode[K, V]) {
-	b := h.bin()
-	b.ins = append(b.ins, in)
-}
-
-// drainExpired moves every fully-aged bin to the freelists.
+// drainExpired moves every fully-aged reader bin to the freelists and every
+// fully-aged lifetime bin to the reader bins.
 func (h *ctHandle[K, V]) drainExpired() {
 	g := h.pool.ebr.global.Load()
 	for i := range h.bins {
 		b := &h.bins[i]
 		if b.epoch+ebrGrace <= g {
 			h.drainBin(b)
+		}
+	}
+	l := h.pool.life.Load()
+	for i := range h.lbins {
+		b := &h.lbins[i]
+		if b.epoch+ebrGrace <= l {
+			h.promote(b)
 		}
 	}
 }
@@ -218,9 +334,31 @@ func (h *ctHandle[K, V]) drainBin(b *ctBin[K, V]) {
 	b.ins = b.ins[:0]
 }
 
+// promote hands a lifetime cohort whose snapshots are all gone to the
+// current reader bin: a reader of the trie that displaced it may still be
+// walking it.
+func (h *ctHandle[K, V]) promote(lb *ctBin[K, V]) {
+	if len(lb.mains)+len(lb.cnodes)+len(lb.branches)+len(lb.ins) == 0 {
+		return
+	}
+	b := h.bin()
+	b.mains = append(b.mains, lb.mains...)
+	b.cnodes = append(b.cnodes, lb.cnodes...)
+	b.branches = append(b.branches, lb.branches...)
+	b.ins = append(b.ins, lb.ins...)
+	lb.mains = lb.mains[:0]
+	lb.cnodes = lb.cnodes[:0]
+	lb.branches = lb.branches[:0]
+	lb.ins = lb.ins[:0]
+}
+
 // --- immediate recycling (never-published or fully-aged nodes) ----------
 
 func (h *ctHandle[K, V]) recycleMainNow(m *ctMain[K, V]) {
+	if g := h.pool.poison; g != nil {
+		m.cn, m.tn, m.ln, m.failed = &ctCNode[K, V]{gen: g}, nil, nil, nil
+		return
+	}
 	if len(h.mains) >= ctMainCap {
 		return
 	}
@@ -230,6 +368,10 @@ func (h *ctHandle[K, V]) recycleMainNow(m *ctMain[K, V]) {
 }
 
 func (h *ctHandle[K, V]) recycleCNodeNow(cn *ctCNode[K, V]) {
+	if g := h.pool.poison; g != nil {
+		cn.bmp, cn.gen = 0, g
+		return
+	}
 	n := len(cn.array)
 	if len(h.cnodes[n]) >= ctCNodeCap {
 		return
@@ -239,6 +381,11 @@ func (h *ctHandle[K, V]) recycleCNodeNow(cn *ctCNode[K, V]) {
 }
 
 func (h *ctHandle[K, V]) recycleINodeNow(in *ctINode[K, V]) {
+	if g := h.pool.poison; g != nil {
+		in.gen = g
+		in.main.Store(&ctMain[K, V]{cn: &ctCNode[K, V]{gen: g}})
+		return
+	}
 	if len(h.ins) >= ctINodeCap {
 		return
 	}
@@ -248,6 +395,10 @@ func (h *ctHandle[K, V]) recycleINodeNow(in *ctINode[K, V]) {
 }
 
 func (h *ctHandle[K, V]) recycleBranchNow(b *ctBranch[K, V]) {
+	if g := h.pool.poison; g != nil {
+		b.in, b.gen, b.hc = nil, g, ^b.hc
+		return
+	}
 	if len(h.branches) >= ctBranchCap {
 		return
 	}

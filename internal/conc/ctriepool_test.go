@@ -30,7 +30,7 @@ func TestCtriePoolRecycledBranchesFresh(t *testing.T) {
 		b := h.newSNode(0xdeadbeef, 123456+i, -1-i, &ctGen{})
 		b.in = &ctINode[int, int]{} // junk that must never survive recycling
 		poisoned[b] = true
-		h.retireBranch(b)
+		h.bin().addBranch(b)
 	}
 	// Age the bin out: each advance re-keys bin(); after ebrGrace+1 epochs
 	// the cohort's residue class is revisited and drained.
@@ -74,7 +74,7 @@ func TestCtriePoolRecycledMainsFresh(t *testing.T) {
 		m.failed = junkMain
 		m.prev.Store(junkMain)
 		poisoned[m] = true
-		h.retireMain(m)
+		h.bin().addMain(m)
 	}
 	for i := 0; i < 3*(ebrGrace+1); i++ {
 		pool.ebr.tryAdvance()

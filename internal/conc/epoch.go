@@ -13,13 +13,13 @@ import (
 // be reused once the global epoch has advanced twice past its tag — at
 // that point every pinned section that could have observed it has ended.
 //
-// The facility exists so lock-free structures in this package (today the
-// Ctrie, later the skiplist/hashmap) can pool and reuse retired nodes
-// instead of leaving every displaced node to the garbage collector. It is
-// deliberately tiny: a global epoch counter, a grow-only registry of
-// padded participant slots, and two operations (tryAdvance, synchronize).
-// Typed retire lists live with the callers (see ctriepool.go), keyed by
-// the epoch tag this package hands out.
+// The facility exists so lock-free structures in this package (the Ctrie,
+// the skiplist, EpochPool users) can pool and reuse retired nodes instead
+// of leaving every displaced node to the garbage collector. It is
+// deliberately tiny: a global epoch counter, a registry of padded
+// participant slots whose released entries are handed out again, and two
+// operations (tryAdvance, synchronize). Typed retire lists live with the
+// callers (see ctriepool.go), keyed by the epoch tag this package hands out.
 
 // ebrGrace is the number of epoch advances that must be observed after an
 // object is retired before it may be reused: a participant pinned at epoch
@@ -52,8 +52,13 @@ func (s *ebrSlot) unpin() {
 type ebr struct {
 	global atomic.Uint64
 
-	mu    sync.Mutex
+	mu sync.Mutex
+	// slots is every slot ever created, published for tryAdvance's lock-free
+	// scan. A new slot is appended into spare capacity when there is some:
+	// readers of an older header see only their own prefix, so registration
+	// copies the registry only when the backing array doubles.
 	slots atomic.Pointer[[]*ebrSlot]
+	free  []*ebrSlot // released slots, handed out again by register
 }
 
 func newEBR() *ebr {
@@ -63,19 +68,39 @@ func newEBR() *ebr {
 	return e
 }
 
-// register adds a participant slot to the domain. Slots are never removed:
-// the registry is bounded by the peak number of concurrent participants
-// (handles are recycled through a sync.Pool, see ctriepool.go), and an
-// unpinned slot never blocks advancement.
+// register hands out an unpinned participant slot: a released one when
+// there is one, else a new one appended to the registry (amortised O(1)).
+// An unpinned slot never blocks advancement.
 func (e *ebr) register() *ebrSlot {
-	s := &ebrSlot{}
 	e.mu.Lock()
-	old := *e.slots.Load()
-	next := make([]*ebrSlot, len(old)+1)
-	copy(next, old)
-	next[len(old)] = s
+	defer e.mu.Unlock()
+	if n := len(e.free); n > 0 {
+		s := e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+		return s
+	}
+	s := &ebrSlot{}
+	next := append(*e.slots.Load(), s)
 	e.slots.Store(&next)
+	return s
+}
+
+// release returns an unpinned slot for register to hand out again.
+func (e *ebr) release(s *ebrSlot) {
+	e.mu.Lock()
+	e.free = append(e.free, s)
 	e.mu.Unlock()
+}
+
+// registerFor registers a slot that goes back to the domain once owner is
+// unreachable. Participant handles live in a sync.Pool, which drops them
+// across two collections (and at random under the race detector); without
+// the release every dropped handle would leave a dead slot that tryAdvance
+// scans forever, so the registry is bounded by live handles, not by churn.
+func registerFor[T any](e *ebr, owner *T) *ebrSlot {
+	s := e.register()
+	runtime.AddCleanup(owner, e.release, s)
 	return s
 }
 

@@ -1,6 +1,7 @@
 package conc
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -74,6 +75,44 @@ func TestEBRSynchronizeWaitsForPinned(t *testing.T) {
 		default:
 			time.Sleep(time.Millisecond)
 		}
+	}
+}
+
+// TestEBRRegistryBoundedUnderHandleChurn lets sync.Pool drop a Ctrie's
+// participant handles again and again — every collection empties the pool
+// after two cycles — and checks that the slots of dropped handles are
+// handed out again instead of piling up in the registry tryAdvance scans.
+func TestEBRRegistryBoundedUnderHandleChurn(t *testing.T) {
+	const live, rounds = 8, 40
+	ct := NewCtrie[int, int](IntHasher)
+	e := ct.pool.ebr
+	churn := func() {
+		hs := make([]*ctHandle[int, int], live)
+		for i := range hs {
+			hs[i] = ct.pool.get()
+			hs[i].pin()
+			hs[i].unpin()
+		}
+		for _, h := range hs {
+			ct.pool.put(h)
+		}
+	}
+	released := func() int {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return len(e.free)
+	}
+	for round := 0; round < rounds; round++ {
+		churn()
+		runtime.GC() // the pool's contents move to its victim cache
+		runtime.GC() // and are dropped
+		// Cleanups run on their own goroutine once the collection is done.
+		for wait := 0; wait < 100 && released() == 0; wait++ {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if n := len(*e.slots.Load()); n > 3*live {
+		t.Fatalf("%d registered slots after %d rounds of %d handles: dropped handles' slots are not reused", n, rounds, live)
 	}
 }
 

@@ -41,7 +41,9 @@ type slPool[K any, V any] struct {
 func newSlPool[K any, V any]() *slPool[K, V] {
 	p := &slPool[K, V]{ebr: newEBR()}
 	p.handles.New = func() any {
-		return &slHandle[K, V]{pool: p, slot: p.ebr.register()}
+		h := &slHandle[K, V]{pool: p}
+		h.slot = registerFor(p.ebr, h)
+		return h
 	}
 	return p
 }

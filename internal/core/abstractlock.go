@@ -181,7 +181,11 @@ func (l *AbstractLock[K]) done2(tx *stm.Txn, a, b Intent[K]) {
 // Apply runs op under the conflict abstraction described by intents.
 // inverse, if non-nil and the strategy is eager, is registered to undo op's
 // effect when the transaction aborts; it receives op's return value.
-// Inverses run in LIFO order on abort (the boosting discipline).
+// Inverses run in LIFO order on abort (the boosting discipline). The inverse
+// is registered only once op returns, so op must make no STM access after
+// its base mutation — an access that aborts the attempt there would leave
+// the mutation without an inverse; the caller makes such accesses (a size
+// update) after Apply returns.
 func (l *AbstractLock[K]) Apply(tx *stm.Txn, intents []Intent[K], op func() any, inverse func(any)) any {
 	return l.ApplyOp(tx, "", intents, op, inverse)
 }

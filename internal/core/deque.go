@@ -85,35 +85,31 @@ func (q *Deque[V]) PushFront(tx *stm.Txn, v V) {
 	q.al.Apply(tx, q.pushIntents(DQFront), func() any {
 		it := &conc.QItem[V]{Value: v}
 		q.base.PushFront(it)
-		q.size.Modify(tx, func(n int) int { return n + 1 })
 		return it
 	}, func(r any) {
 		it := r.(*conc.QItem[V])
 		it.Delete()
 		q.base.NoteDeleted()
 	})
+	q.size.Modify(tx, func(n int) int { return n + 1 })
 }
 
 // PushBack inserts v at the back.
 func (q *Deque[V]) PushBack(tx *stm.Txn, v V) {
 	q.al.Apply(tx, q.pushIntents(DQBack), func() any {
-		it := q.base.Enqueue(v)
-		q.size.Modify(tx, func(n int) int { return n + 1 })
-		return it
+		return q.base.Enqueue(v)
 	}, func(r any) {
 		it := r.(*conc.QItem[V])
 		it.Delete()
 		q.base.NoteDeleted()
 	})
+	q.size.Modify(tx, func(n int) int { return n + 1 })
 }
 
 // PopFront removes and returns the front value.
 func (q *Deque[V]) PopFront(tx *stm.Txn) (V, bool) {
 	ret := q.al.Apply(tx, q.popIntents(DQFront), func() any {
 		it, ok := q.base.Dequeue()
-		if ok {
-			q.size.Modify(tx, func(n int) int { return n - 1 })
-		}
 		return qItemResult[V]{it: it, ok: ok}
 	}, func(r any) {
 		res := r.(qItemResult[V])
@@ -126,6 +122,7 @@ func (q *Deque[V]) PopFront(tx *stm.Txn) (V, bool) {
 		var zero V
 		return zero, false
 	}
+	q.size.Modify(tx, func(n int) int { return n - 1 })
 	return res.it.Value, true
 }
 
@@ -133,9 +130,6 @@ func (q *Deque[V]) PopFront(tx *stm.Txn) (V, bool) {
 func (q *Deque[V]) PopBack(tx *stm.Txn) (V, bool) {
 	ret := q.al.Apply(tx, q.popIntents(DQBack), func() any {
 		it, ok := q.base.PopBack()
-		if ok {
-			q.size.Modify(tx, func(n int) int { return n - 1 })
-		}
 		return qItemResult[V]{it: it, ok: ok}
 	}, func(r any) {
 		res := r.(qItemResult[V])
@@ -148,6 +142,7 @@ func (q *Deque[V]) PopBack(tx *stm.Txn) (V, bool) {
 		var zero V
 		return zero, false
 	}
+	q.size.Modify(tx, func(n int) int { return n - 1 })
 	return res.it.Value, true
 }
 

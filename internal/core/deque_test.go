@@ -201,6 +201,58 @@ func TestDequeWorkStealing(t *testing.T) {
 	})
 }
 
+// TestDequePopAbortedAfterBaseMutationRestoresItem pins the registration
+// order of the dynamic Apply path deterministically: a pop mutates the base,
+// and the size update after it may abort the attempt, so the inverse must
+// already be registered by then. A writer parked while it owns the size ref
+// (its PushBack takes only W(Back) on a long deque) makes a thief's
+// PopFront (only W(Front)) abort exactly at the size update; the popped
+// item must be back at the front once the thief has given up.
+func TestDequePopAbortedAfterBaseMutationRestoresItem(t *testing.T) {
+	s := stm.New(stm.WithBackend("eager"), stm.WithContentionManager(stm.Timestamp{}), stm.WithMaxAttempts(1))
+	q := newTxDeque(s, designPoint{policy: stm.EagerEager, optimistic: true})
+	if err := s.Atomically(func(tx *stm.Txn) error {
+		for v := 1; v <= 4; v++ {
+			q.PushBack(tx, v)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	parked, resume, writerDone := make(chan struct{}), make(chan struct{}), make(chan error)
+	go func() {
+		writerDone <- s.Atomically(func(tx *stm.Txn) error {
+			q.PushBack(tx, 5)
+			close(parked)
+			<-resume
+			return nil
+		})
+	}()
+	<-parked
+	err := s.Atomically(func(tx *stm.Txn) error {
+		q.PopFront(tx) // younger than the writer: loses the size ref and gives up
+		return nil
+	})
+	close(resume)
+	if werr := <-writerDone; werr != nil {
+		t.Fatalf("writer: %v", werr)
+	}
+	if !errors.Is(err, stm.ErrMaxAttempts) {
+		t.Fatalf("thief: err = %v, want ErrMaxAttempts", err)
+	}
+	if err := s.Atomically(func(tx *stm.Txn) error {
+		for want := 1; want <= 5; want++ {
+			if v, ok := q.PopFront(tx); !ok || v != want {
+				t.Errorf("PopFront = (%d,%v), want (%d,true): the aborted pop was not undone", v, ok, want)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDQStateHashDistinct(t *testing.T) {
 	if DQStateHash(DQFront) == DQStateHash(DQBack) {
 		t.Fatal("deque abstract-state elements must hash to distinct locations")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -140,6 +141,82 @@ func TestTheoremEagerOptimisticOpaque(t *testing.T) {
 			s := stm.New(stm.WithPolicy(stm.EagerEager), stm.WithContentionManager(cm))
 			m := v0EagerMap(s)
 			theoremHarness(t, s, m)
+		})
+	}
+}
+
+// TestAbortedEagerWriteInvisibleWhileParked makes Theorem 5.2's rollback
+// obligation deterministic with two transactions. The aborter writes key k
+// of an eager map and aborts; an OnAbort hook registered after the write —
+// so it runs before the write's inverse — parks it there while a
+// competitor reads k. Inverses run while the aborter still owns its
+// conflict-abstraction location (optimistic) or abstract lock
+// (pessimistic), so the competitor cannot get past its leading access until
+// the aborter has undone the write and released; reading the aborted value
+// means something was released before the inverse ran.
+func TestAbortedEagerWriteInvisibleWhileParked(t *testing.T) {
+	const k, committed, aborted = 3, 10, 99
+	for _, optimistic := range []bool{true, false} {
+		p := designPoint{policy: stm.EagerEager, optimistic: optimistic}
+		t.Run(p.String(), func(t *testing.T) {
+			s := stm.New(stm.WithBackend("eager"))
+			m := mapVariants()[0].build(s, newIntLAP(s, p))
+			if err := s.Atomically(func(tx *stm.Txn) error {
+				m.Put(tx, k, committed)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+
+			parked, resume, aborterDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(aborterDone)
+				first := true
+				_ = s.Atomically(func(tx *stm.Txn) error {
+					m.Put(tx, k, aborted)
+					if first {
+						first = false
+						tx.OnAbort(func() {
+							close(parked)
+							<-resume
+						})
+					}
+					return fmt.Errorf("abort")
+				})
+			}()
+			<-parked
+
+			var sawAborted atomic.Bool
+			readerDone := make(chan struct{})
+			go func() {
+				defer close(readerDone)
+				if err := s.Atomically(func(tx *stm.Txn) error {
+					if v, _ := m.Get(tx, k); v == aborted {
+						sawAborted.Store(true)
+					}
+					return nil
+				}); err != nil {
+					t.Errorf("reader: %v", err)
+				}
+			}()
+			select {
+			case <-readerDone:
+			case <-time.After(50 * time.Millisecond): // blocked, as it should be
+			}
+			close(resume)
+			<-aborterDone
+			<-readerDone
+			if sawAborted.Load() {
+				t.Fatal("a competitor read the aborted write before its inverse ran")
+			}
+			if err := s.Atomically(func(tx *stm.Txn) error {
+				if v, ok := m.Get(tx, k); !ok || v != committed {
+					t.Errorf("after the abort: Get(%d) = (%d,%v), want (%d,true)", k, v, ok, committed)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }

@@ -251,8 +251,7 @@ func NewPessimisticLAP[K comparable](hash func(K) uint64, n int, timeout time.Du
 				l.held.Release(hs)
 			}
 		}
-		tx.OnCommit(hs.rel)
-		tx.OnAbort(hs.rel)
+		tx.OnRelease(hs.rel)
 	})
 	return l
 }
@@ -266,8 +265,9 @@ func (l *PessimisticLAP[K]) SetObserver(o lock.Observer) { l.locks.SetObserver(o
 func (l *PessimisticLAP[K]) Locks() *lock.Striped { return l.locks }
 
 // PreOp1 acquires the stripe for one intent on behalf of the transaction.
-// Locks are released by OnCommit/OnAbort hooks (strict two-phase locking:
-// "released implicitly on commit or abort", Section 3).
+// Locks are released by an OnRelease hook (strict two-phase locking:
+// "released implicitly on commit or abort", Section 3) — on abort only
+// after the inverses have run and the STM has rolled back.
 func (l *PessimisticLAP[K]) PreOp1(tx *stm.Txn, in Intent[K]) {
 	hs := l.held.Get(tx)
 	h := l.hash(in.Key)

@@ -113,9 +113,6 @@ func (m *OrderedMap[K, V]) Contains(tx *stm.Txn, k K) bool {
 func (m *OrderedMap[K, V]) Put(tx *stm.Txn, k K, v V) (V, bool) {
 	ret := m.al.Apply(tx, []Intent[int]{W(m.stripe(k))}, func() any {
 		old, had := m.base.Put(k, v)
-		if !had {
-			m.size.Modify(tx, func(n int) int { return n + 1 })
-		}
 		return prev[V]{val: old, had: had}
 	}, func(r any) {
 		pr := r.(prev[V])
@@ -126,6 +123,9 @@ func (m *OrderedMap[K, V]) Put(tx *stm.Txn, k K, v V) (V, bool) {
 		}
 	})
 	pr := ret.(prev[V])
+	if !pr.had {
+		m.size.Modify(tx, func(n int) int { return n + 1 })
+	}
 	return pr.val, pr.had
 }
 
@@ -133,9 +133,6 @@ func (m *OrderedMap[K, V]) Put(tx *stm.Txn, k K, v V) (V, bool) {
 func (m *OrderedMap[K, V]) Remove(tx *stm.Txn, k K) (V, bool) {
 	ret := m.al.Apply(tx, []Intent[int]{W(m.stripe(k))}, func() any {
 		old, had := m.base.Remove(k)
-		if had {
-			m.size.Modify(tx, func(n int) int { return n - 1 })
-		}
 		return prev[V]{val: old, had: had}
 	}, func(r any) {
 		pr := r.(prev[V])
@@ -144,6 +141,9 @@ func (m *OrderedMap[K, V]) Remove(tx *stm.Txn, k K) (V, bool) {
 		}
 	})
 	pr := ret.(prev[V])
+	if pr.had {
+		m.size.Modify(tx, func(n int) int { return n - 1 })
+	}
 	return pr.val, pr.had
 }
 

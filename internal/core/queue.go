@@ -52,23 +52,19 @@ func (q *Queue[V]) Enqueue(tx *stm.Txn, v V) {
 		intents = append(intents, W(QHead))
 	}
 	q.al.Apply(tx, intents, func() any {
-		it := q.base.Enqueue(v)
-		q.size.Modify(tx, func(n int) int { return n + 1 })
-		return it
+		return q.base.Enqueue(v)
 	}, func(r any) {
 		it := r.(*conc.QItem[V])
 		it.Delete()
 		q.base.NoteDeleted()
 	})
+	q.size.Modify(tx, func(n int) int { return n + 1 })
 }
 
 // Dequeue removes and returns the oldest value.
 func (q *Queue[V]) Dequeue(tx *stm.Txn) (V, bool) {
 	ret := q.al.Apply(tx, []Intent[QState]{W(QHead)}, func() any {
 		it, ok := q.base.Dequeue()
-		if ok {
-			q.size.Modify(tx, func(n int) int { return n - 1 })
-		}
 		return qItemResult[V]{it: it, ok: ok}
 	}, func(r any) {
 		res := r.(qItemResult[V])
@@ -81,6 +77,7 @@ func (q *Queue[V]) Dequeue(tx *stm.Txn) (V, bool) {
 		var zero V
 		return zero, false
 	}
+	q.size.Modify(tx, func(n int) int { return n - 1 })
 	return res.it.Value, true
 }
 

@@ -23,8 +23,7 @@ func (tx *Txn) readVersioned(r *baseRef) any {
 			continue
 		}
 		b := r.value.Load()
-		o2 := r.owner.Load()
-		if (o2 != nil && o2 != tx) || r.version.Load() != v1 {
+		if !r.holds(v1, b, tx) {
 			continue
 		}
 		if v1 > rv {

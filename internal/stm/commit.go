@@ -23,37 +23,49 @@ func (tx *Txn) runCommitLocked() {
 }
 
 // finishCommit runs after the backend publishes the commit: visible-reader
-// registrations are dropped, OnCommit handlers run, and the commit is
-// counted and traced.
+// registrations are dropped, OnCommit then OnRelease handlers run, and the
+// commit is counted and traced.
 func (tx *Txn) finishCommit() {
 	tx.unregisterReaders()
 	for _, f := range tx.onCommit {
 		f()
 	}
+	tx.runReleases()
 	tx.s.stats.Commits.Add(1)
 	tx.traceCommit()
+}
+
+// runReleases runs the OnRelease handlers, the last hooks of an attempt.
+func (tx *Txn) runReleases() {
+	for _, f := range tx.onRelease {
+		f()
+	}
 }
 
 // Commit-time read-set validation lives in shard.go (validateCommit /
 // validateReadsPartialTimed): the sharded timebase partitions the pass by
 // shard, so the backends no longer run a monolithic validateReads at commit.
 
-// rollback undoes all transaction effects: the backend releases its locks
-// and restores encounter-time writes, OnAbort handlers run in LIFO order
-// (Proust inverses), visible readers are deregistered, and the abort is
-// counted and traced. Every caller invokes it exactly once per failed
-// attempt.
+// rollback undoes all transaction effects, innermost first: OnAbort
+// handlers run in LIFO order (Proust inverses) while the attempt still owns
+// everything it acquired, then the backend restores encounter-time writes
+// and releases its locks, then OnRelease handlers drop what must outlive
+// both (pessimistic abstract locks), then visible readers are deregistered;
+// the abort is counted and traced. Theorem 5.2 needs exactly this: an
+// inverse is applied under the abstract conflict, so no competitor can
+// acquire mem[i] and read the base structure between the release and the
+// inverse. Every caller invokes it exactly once per failed attempt.
 func (tx *Txn) rollback(cause AbortCause) {
 	snap := tx.state.Load()
 	if snap&statusMask == statusActive {
 		tx.state.CompareAndSwap(snap, snap&^statusMask|statusAborted)
 	}
 
-	tx.s.backend.abort(tx)
-
 	for i := len(tx.onAbort) - 1; i >= 0; i-- {
 		tx.onAbort[i]()
 	}
+	tx.s.backend.abort(tx)
+	tx.runReleases()
 	tx.unregisterReaders()
 
 	tx.s.stats.countAbort(cause)

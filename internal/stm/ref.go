@@ -43,6 +43,19 @@ type baseRef struct {
 	lastReader atomic.Uint64
 }
 
+// holds reports whether r still holds box b at version v1, unowned or
+// owned by self — the re-check of a read that loaded v1, found no foreign
+// owner and then loaded b. Owner and version alone do not bracket the
+// value: an aborting encounter-time writer restores the previous box
+// without moving the version, so a box it installed after the first
+// owner check and withdrew before the second would pass both. The box
+// identity check rejects it (tentative boxes are never restored, so one
+// cannot reappear).
+func (r *baseRef) holds(v1 uint64, b *box, self *Txn) bool {
+	o := r.owner.Load()
+	return (o == nil || o == self) && r.version.Load() == v1 && r.value.Load() == b
+}
+
 // addReader inserts tx into r's visible-reader table, reporting whether the
 // registration is new (false when tx was already registered this attempt).
 func (r *baseRef) addReader(tx *Txn) bool {
@@ -157,7 +170,7 @@ func (r *Ref[T]) Load() T {
 			continue
 		}
 		b := r.b.value.Load()
-		if r.b.owner.Load() != nil || r.b.version.Load() != v1 {
+		if !r.b.holds(v1, b, nil) {
 			continue
 		}
 		v, ok := b.v.(T)

@@ -828,6 +828,50 @@ func TestLoadNeverSeesUncommitted(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsWithdrawnTentativeBox replays, step by step, the schedule
+// TestLoadNeverSeesUncommitted hits about once in 300 runs: a read loads the
+// version and finds no owner; an encounter-time writer installs its
+// tentative box; the read loads that box; the writer, parked mid-abort,
+// then restores the previous box and releases the ref without moving the
+// version. The read's re-check must reject the box it loaded.
+func TestLoadRejectsWithdrawnTentativeBox(t *testing.T) {
+	for _, backend := range []string{"ccstm", "eager"} {
+		t.Run(backend, func(t *testing.T) {
+			s := New(WithBackend(backend))
+			r := NewRef(s, 0)
+			v1 := r.b.version.Load()
+			if r.b.owner.Load() != nil {
+				t.Fatal("fresh ref is owned")
+			}
+			parked, resume, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				_ = s.Atomically(func(tx *Txn) error {
+					r.Set(tx, 1)
+					tx.OnAbort(func() {
+						close(parked)
+						<-resume
+					})
+					return errors.New("abort")
+				})
+			}()
+			<-parked
+			b := r.b.value.Load()
+			if b.v != 1 {
+				t.Fatalf("the parked writer's tentative value is %v, want 1", b.v)
+			}
+			close(resume)
+			<-done
+			if r.b.holds(v1, b, nil) {
+				t.Fatal("the re-check accepted a tentative box its aborted writer withdrew")
+			}
+			if got := r.Load(); got != 0 {
+				t.Fatalf("Load = %d, want 0", got)
+			}
+		})
+	}
+}
+
 func ExampleSTM_Atomically() {
 	s := New()
 	balance := NewRef(s, 100)

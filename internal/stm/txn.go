@@ -117,6 +117,7 @@ type Txn struct {
 	onAbort        []func() // run LIFO on abort (inverse operations)
 	onCommit       []func() // run FIFO after the commit completes
 	onCommitLocked []func() // run FIFO inside the commit critical section
+	onRelease      []func() // run FIFO last, after commit or abort
 
 	// token caches the attempt's conflict-abstraction write token (the
 	// self-referential token box as an interface value); tokenFor is the
@@ -225,13 +226,13 @@ func (tx *Txn) reset() {
 	truncate(&tx.sortBuf)
 	if max(cap(tx.reads), cap(tx.wset.entries), cap(tx.sortBuf), cap(tx.undo),
 		cap(tx.owned), cap(tx.commitLocks), cap(tx.visible), cap(tx.onAbort),
-		cap(tx.onCommit), cap(tx.onCommitLocked), cap(tx.ops)) > maxRetainedCap {
+		cap(tx.onCommit), cap(tx.onCommitLocked), cap(tx.onRelease), cap(tx.ops)) > maxRetainedCap {
 		// A log grew past the bound: the gigantic transaction's arrays go to
 		// the collector together, and the next user regrows from nil exactly
 		// like a freshly allocated descriptor.
 		tx.reads, tx.wset, tx.ops = nil, writeSet{}, nil
 		tx.sortBuf, tx.undo, tx.owned, tx.commitLocks, tx.visible = nil, nil, nil, nil, nil
-		tx.onAbort, tx.onCommit, tx.onCommitLocked = nil, nil, nil
+		tx.onAbort, tx.onCommit, tx.onCommitLocked, tx.onRelease = nil, nil, nil, nil
 	}
 	tx.id = 0
 	clear(tx.rvVec)
@@ -275,6 +276,7 @@ func (tx *Txn) truncateLogs() {
 	truncate(&tx.onAbort)
 	truncate(&tx.onCommit)
 	truncate(&tx.onCommitLocked)
+	truncate(&tx.onRelease)
 }
 
 // stateWord composes the descriptor's state word for the current attempt
@@ -414,12 +416,21 @@ func AbortAndRetry(tx *Txn) {
 
 // OnAbort registers f to run if the transaction aborts (for any reason,
 // including retries of the current attempt). Handlers run in LIFO order,
-// which is the order required for Proust's eager inverses.
+// which is the order required for Proust's eager inverses, and before the
+// backend restores and releases anything the attempt holds, so an inverse
+// runs while the attempt still owns its conflict-abstraction locations.
 func (tx *Txn) OnAbort(f func()) { tx.onAbort = append(tx.onAbort, f) }
 
 // OnCommit registers f to run after the transaction commits and its write
-// locks are released. Pessimistic abstract locks are released here.
+// locks are released.
 func (tx *Txn) OnCommit(f func()) { tx.onCommit = append(tx.onCommit, f) }
+
+// OnRelease registers f to run when the attempt is over, whichever way it
+// ended: after the OnCommit handlers of a commit, or after the OnAbort
+// inverses of an abort and the backend's rollback. Pessimistic abstract
+// locks are released here, so no inverse and no restore of an aborting
+// attempt is ever visible to a transaction that acquires them next.
+func (tx *Txn) OnRelease(f func()) { tx.onRelease = append(tx.onRelease, f) }
 
 // OnCommitLocked registers f to run inside the commit critical section:
 // after the write set is locked and the read set validated, but before

@@ -60,8 +60,8 @@ func (l *TxnLocal[T]) Set(tx *Txn, v T) {
 // logs, held-stripe sets) live in Pooled slots so a steady-state transaction
 // appends into warm backing storage. attach runs on each first Get of an
 // attempt with the drawn value; it must register the OnCommit/OnAbort (or
-// OnCommitLocked) hooks that consume the value and eventually hand it back
-// via Release. The caller owns the reset discipline: a value must be
+// OnCommitLocked, OnRelease) hooks that consume the value and eventually
+// hand it back via Release. The caller owns the reset discipline: a value must be
 // indistinguishable from `new(T)` by the time it is Released (same contract
 // as the descriptor pool's reset, DESIGN.md §9).
 type Pooled[T any] struct {
