@@ -8,14 +8,12 @@
 //	proust-bench -experiment trends           # summary of claims (a)-(d)
 //	proust-bench -experiment quick            # reduced grid for smoke runs
 //	proust-bench -experiment backends         # per-STM-backend throughput sweep
-//	proust-bench -experiment contended-scale  # sharded vs single-clock timebase
-//	proust-bench -shards 1 -experiment quick  # classic single-clock timebase
 //	proust-bench -list-backends               # enumerate registered STM backends
 //	proust-bench -policy tl2                  # run every system on one backend
 //	proust-bench -ops 1000000 -warmups 10 -reps 10   # the paper's protocol
 //	proust-bench -metrics-addr :9090 -experiment figure4   # live observability
 //	proust-bench -series ts.jsonl -flight flight.jsonl     # time series + flight dump
-//	proust-bench -experiment contended-scale -trace-out trace.json  # Perfetto trace
+//	proust-bench -experiment quick -trace-out trace.json  # Perfetto trace
 //	proust-bench -flight run.jsonl -metrics-out run.metrics.json    # proust-report inputs
 //
 // The absolute numbers differ from the paper's EC2 m4.10xlarge/JVM setup;
@@ -111,7 +109,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("proust-bench", flag.ContinueOnError)
 	var (
-		experiment = fs.String("experiment", "quick", "figure4 | figure4memo | trends | quick | contention | backends | read-heavy | contended-scale | serve")
+		experiment = fs.String("experiment", "quick", "figure4 | figure4memo | trends | quick | contention | backends | read-heavy | serve")
 		ops        = fs.Int("ops", 0, "operations per configuration (0 = experiment default)")
 		warmups    = fs.Int("warmups", -1, "warm-up runs per configuration (-1 = experiment default)")
 		reps       = fs.Int("reps", -1, "timed repetitions per configuration (-1 = experiment default)")
@@ -122,7 +120,6 @@ func run(args []string) error {
 		listBk     = fs.Bool("list-backends", false, "list registered STM backends and exit")
 		jsonPath   = fs.String("json", "", "write per-backend results (ops/sec, abort causes, histograms) as JSON to this file ('-' = stdout)")
 		csvPath    = fs.String("csv", "", "also write results as CSV to this file")
-		shards     = fs.Int("shards", 0, "STM timebase shard count (0 = automatic, 1 = classic single clock)")
 		readOps    = fs.Int("read-txn-ops", 0, "read-heavy experiment: ops per read-only transaction (0 = default scan length)")
 
 		serveAddr   = fs.String("addr", "", "serve experiment: address of an already-running proust-serve (empty = spin up an in-process server)")
@@ -231,22 +228,18 @@ func run(args []string) error {
 	}
 
 	if *experiment == "backends" {
-		return runBackends(*policy, *threads, *ops, *warmups, *reps, *keyRange, *shards, *jsonPath)
+		return runBackends(*policy, *threads, *ops, *warmups, *reps, *keyRange, *jsonPath)
 	}
 	if *experiment == "read-heavy" {
-		return runReadHeavy(*threads, *ops, *warmups, *reps, *keyRange, *shards, *readOps, *jsonPath)
-	}
-	if *experiment == "contended-scale" {
-		return runContendedScale(*threads, *ops, *warmups, *reps, *shards, *jsonPath, obsv)
+		return runReadHeavy(*threads, *ops, *warmups, *reps, *keyRange, *readOps, *jsonPath)
 	}
 	if *experiment == "serve" {
 		return runServe(*serveAddr, *policy, *serveMaps, *conns, *pipelineStr, *arrivalStr,
-			*roMix, *ops, *serveDur, *shards, *jsonPath, *csvPath)
+			*roMix, *ops, *serveDur, *jsonPath, *csvPath)
 	}
 
 	cfg := bench.DefaultSweep(os.Stdout)
 	cfg.Backend = *policy
-	cfg.Shards = *shards
 	cfg.Obs = obsv
 	if *chaos {
 		cc := stm.DefaultChaosConfig()
@@ -350,9 +343,8 @@ func run(args []string) error {
 // backend registry) and optionally exports full instrumentation — abort-cause
 // breakdown, validation-time and lock-hold histograms, tracer summary — as
 // JSON.
-func runBackends(policy, threads string, ops, warmups, reps, keyRange, shards int, jsonPath string) error {
+func runBackends(policy, threads string, ops, warmups, reps, keyRange int, jsonPath string) error {
 	cfg := bench.DefaultBackendBench()
-	cfg.Shards = shards
 	if ops > 0 {
 		cfg.TotalOps = ops
 	}
@@ -438,9 +430,8 @@ func runBackends(policy, threads string, ops, warmups, reps, keyRange, shards in
 // backend, with read-only transactions declared via stm.WithReadOnly so the
 // mvcc backend serves them from snapshot vectors. JSON output (the shape of
 // bench/history/BENCH_mvcc.json) carries the full per-run instrumentation.
-func runReadHeavy(threads string, ops, warmups, reps, keyRange, shards, readTxnOps int, jsonPath string) error {
+func runReadHeavy(threads string, ops, warmups, reps, keyRange, readTxnOps int, jsonPath string) error {
 	cfg := bench.DefaultBackendBench()
-	cfg.Shards = shards
 	cfg.ReadTxnOps = bench.DefaultReadTxnOps
 	if readTxnOps > 0 {
 		cfg.ReadTxnOps = readTxnOps
@@ -483,72 +474,6 @@ func runReadHeavy(threads string, ops, warmups, reps, keyRange, shards, readTxnO
 			Mixes   []float64                `json:"mixes"`
 			Results []bench.ReadHeavyResult  `json:"results"`
 		}{cfg, bench.ReadHeavyMixes, results}
-		data, err := json.MarshalIndent(payload, "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		if jsonPath == "-" {
-			os.Stdout.Write(data)
-		} else {
-			if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("\n# wrote %d results to %s\n", len(results), jsonPath)
-		}
-	}
-	return nil
-}
-
-// runContendedScale executes the sharded-timebase contended-scale experiment
-// (control single-clock arm vs sharded arm, see internal/bench/shardbench.go)
-// and optionally exports the measurements plus per-backend speedups as JSON.
-func runContendedScale(threads string, ops, warmups, reps, shards int, jsonPath string, obsv *bench.Observability) error {
-	cfg := bench.DefaultShardBench()
-	cfg.Shards = shards
-	if obsv != nil {
-		cfg.Instrument = obsv.InstrumentSTM
-	}
-	if ops > 0 {
-		cfg.TotalOps = ops
-	}
-	if warmups >= 0 {
-		cfg.Warmups = warmups
-	}
-	if reps > 0 {
-		cfg.Reps = reps
-	}
-	if threads != "" {
-		var ts []int
-		for _, part := range strings.Split(threads, ",") {
-			var t int
-			if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &t); err != nil || t < 1 {
-				return fmt.Errorf("bad -threads entry %q", part)
-			}
-			ts = append(ts, t)
-		}
-		cfg.Threads = ts
-	}
-
-	fmt.Printf("# proust-bench: experiment=contended-scale GOMAXPROCS=%d ops=%d warmups=%d reps=%d partitions=%d partitionRefs=%d tailReads=%d\n\n",
-		runtime.GOMAXPROCS(0), cfg.TotalOps, cfg.Warmups, cfg.Reps, cfg.Partitions, cfg.PartitionRefs, cfg.TailReads)
-
-	results, err := bench.RunContendedScale(cfg, os.Stdout)
-	if err != nil {
-		return err
-	}
-	speedups := bench.Speedups(results)
-	fmt.Println("\n# Speedup (sharded ops/sec ÷ single-clock control, averaged over skews)")
-	for _, sp := range speedups {
-		fmt.Printf("  %-8s t=%-3d %6.3fx\n", sp.Backend, sp.Threads, sp.Speedup)
-	}
-
-	if jsonPath != "" {
-		payload := struct {
-			Config   bench.ShardBenchConfig `json:"config"`
-			Results  []bench.ShardResult    `json:"results"`
-			Speedups []bench.ShardSpeedup   `json:"speedups"`
-		}{cfg, results, speedups}
 		data, err := json.MarshalIndent(payload, "", "  ")
 		if err != nil {
 			return err

@@ -19,12 +19,11 @@ import (
 // wire-issued read-only batches commit as abort-free snapshot transactions.
 // -json writes the results (bench/history/BENCH_serve.json is one such run).
 func runServe(addr, policy, maps, connsFlag, pipelineFlag, rateFlag string,
-	roMix float64, ops int, duration time.Duration, shards int,
+	roMix float64, ops int, duration time.Duration,
 	jsonPath, csvPath string) error {
 
 	cfg := bench.DefaultServeBench()
 	cfg.Addr = addr
-	cfg.Shards = shards
 	cfg.Maps = maps
 	if policy != "" {
 		cfg.Backend = policy

@@ -36,7 +36,6 @@ func run(args []string) error {
 		addr        = fs.String("addr", ":7654", "TCP listen address")
 		backend     = fs.String("backend", "", "STM backend (see -list-backends; default ccstm)")
 		listBk      = fs.Bool("list-backends", false, "list registered STM backends and exit")
-		shards      = fs.Int("shards", 0, "STM timebase shard count (0 = automatic)")
 		maps        = fs.String("maps", "predication", "namespace map implementation: predication | boosted")
 		inflight    = fs.Int("inflight", 0, "max concurrently executing batches (0 = 4x GOMAXPROCS)")
 		shedWait    = fs.Duration("shed-wait", 0, "how long a batch waits for an execution slot before being shed (0 = 2ms)")
@@ -66,9 +65,6 @@ func run(args []string) error {
 	var opts []stm.Option
 	if *backend != "" {
 		opts = append(opts, stm.WithBackend(*backend))
-	}
-	if *shards > 0 {
-		opts = append(opts, stm.WithShards(*shards))
 	}
 	sys := stm.New(opts...)
 	defer sys.Close()

@@ -30,12 +30,6 @@ type BackendBenchConfig struct {
 	Seed          uint64  `json:"seed"`
 	Warmups       int     `json:"warmups"`
 	Reps          int     `json:"reps"`
-	// Shards is the STM timebase shard count (stm.WithShards): 0 =
-	// automatic, 1 = the classic single-clock control.
-	Shards int `json:"shards"`
-	// ZipfS, when > 1, draws keys Zipf-skewed with this exponent instead of
-	// uniformly (see Workload.ZipfS).
-	ZipfS float64 `json:"zipf_s,omitempty"`
 	// Interleave yields the processor after every operation inside a
 	// transaction (see Workload.Interleave).
 	Interleave bool `json:"interleave,omitempty"`
@@ -141,7 +135,6 @@ type TraceSummary struct {
 type BackendResult struct {
 	Backend   string  `json:"backend"`
 	Threads   int     `json:"threads"`
-	Shards    int     `json:"shards"`
 	OpsPerSec float64 `json:"ops_per_sec"`
 	AbortRate float64 `json:"abort_rate"`
 	// ValidationP50NS and LockHoldP50NS are upper-bound estimates of the
@@ -160,9 +153,6 @@ func RunBackendBench(backendName string, threads int, cfg BackendBenchConfig) (B
 	}
 	tracer := &CauseTracer{}
 	opts := []stm.Option{stm.WithBackend(backendName), stm.WithTracer(tracer)}
-	if cfg.Shards != 0 {
-		opts = append(opts, stm.WithShards(cfg.Shards))
-	}
 	if cfg.VersionCap > 0 {
 		opts = append(opts, stm.WithVersionCap(cfg.VersionCap))
 	}
@@ -190,8 +180,7 @@ func RunBackendBench(backendName string, threads int, cfg BackendBenchConfig) (B
 			defer wg.Done()
 			r := newRNG(cfg.Seed + uint64(id)*0x1000193)
 			w := Workload{KeyRange: cfg.KeyRange, WriteFraction: cfg.WriteFraction,
-				Seed: cfg.Seed, ZipfS: cfg.ZipfS}
-			zk := w.zipfFor(id)
+				Seed: cfg.Seed}
 			roCut := uint64(cfg.ReadTxnFraction * (1 << 32))
 			roCtx := stm.WithReadOnly(nil)
 			done := uint64(0)
@@ -204,7 +193,7 @@ func RunBackendBench(backendName string, threads int, cfg BackendBenchConfig) (B
 					done += uint64(roOps)
 					_ = s.AtomicallyCtx(roCtx, func(tx *stm.Txn) error {
 						for j := 0; j < roOps; j++ {
-							op := genOpKey(r, w, zk)
+							op := genOp(r, w)
 							_ = refs[op.Key].Get(tx)
 							if cfg.Interleave {
 								runtime.Gosched()
@@ -217,7 +206,7 @@ func RunBackendBench(backendName string, threads int, cfg BackendBenchConfig) (B
 				done += uint64(cfg.OpsPerTxn)
 				_ = s.Atomically(func(tx *stm.Txn) error {
 					for j := 0; j < cfg.OpsPerTxn; j++ {
-						op := genOpKey(r, w, zk)
+						op := genOp(r, w)
 						if op.Kind == OpGet || op.Kind == OpRemove {
 							_ = refs[op.Key].Get(tx)
 						} else {
@@ -243,7 +232,6 @@ func RunBackendBench(backendName string, threads int, cfg BackendBenchConfig) (B
 	return BackendResult{
 		Backend:         backendName,
 		Threads:         threads,
-		Shards:          s.Shards(),
 		OpsPerSec:       total / elapsed.Seconds(),
 		AbortRate:       rate,
 		ValidationP50NS: int64(st.ValidationTime.Quantile(0.5)),

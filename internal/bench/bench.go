@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"runtime"
 	"sort"
 	"strings"
@@ -75,12 +74,6 @@ type Workload struct {
 	// the tail-latency robustness measurement. Zero keeps the nil-ctx
 	// fast path (allocation-identical to pre-robustness builds).
 	TxnDeadline time.Duration
-	// ZipfS, when > 1, draws keys from a Zipf distribution with exponent s
-	// over the key range instead of uniformly (rank-0 key most popular) —
-	// the skewed-key contended workloads of the sharded-timebase story.
-	// Values near 1 (1.01) give a heavy tail; larger (1.2+) concentrate
-	// sharply. 0 keeps the paper's uniform draw.
-	ZipfS float64
 }
 
 // DefaultKeyRange matches the paper.
@@ -111,43 +104,12 @@ func NewWorkloadRNG(seed uint64) *RNG { return newRNG(seed) }
 // RNG is the exported name of the workload generator state.
 type RNG = rng
 
-// ZipfKeys draws Zipf-distributed keys over [0, keyRange): rank 0 is the most
-// popular key, with probability ∝ 1/(rank+1)^s. One instance per worker
-// (stdlib Zipf is not concurrency-safe); deterministic given the seed.
-type ZipfKeys struct{ z *rand.Zipf }
-
-// NewZipfKeys builds a skewed key generator. s must be > 1 (the stdlib
-// sampler's domain); keyRange must be positive.
-func NewZipfKeys(seed uint64, s float64, keyRange int) *ZipfKeys {
-	return &ZipfKeys{z: rand.NewZipf(rand.New(rand.NewSource(int64(seed))), s, 1, uint64(keyRange-1))}
-}
-
-// Next draws one key.
-func (zk *ZipfKeys) Next() int { return int(zk.z.Uint64()) }
-
-// zipfFor returns the workload's skewed key generator for one worker, or nil
-// for the uniform draw.
-func (w Workload) zipfFor(id int) *ZipfKeys {
-	if w.ZipfS <= 1 {
-		return nil
-	}
-	return NewZipfKeys(w.Seed+uint64(id)*0x1000193+0x5bf0, w.ZipfS, w.KeyRange)
-}
-
 // GenOp draws one operation per the workload mix.
 func GenOp(r *RNG, w Workload) Op { return genOp(r, w) }
 
 // genOp draws one operation per the workload mix (uniform keys).
-func genOp(r *rng, w Workload) Op { return genOpKey(r, w, nil) }
-
-// genOpKey draws one operation, taking keys from zk when non-nil.
-func genOpKey(r *rng, w Workload, zk *ZipfKeys) Op {
-	var key int
-	if zk != nil {
-		key = zk.Next()
-	} else {
-		key = int(r.next() % uint64(w.KeyRange))
-	}
+func genOp(r *rng, w Workload) Op {
+	key := int(r.next() % uint64(w.KeyRange))
 	// Compare in fixed-point to avoid float per op.
 	writeCut := uint64(w.WriteFraction * (1 << 32))
 	if uint64(uint32(r.next())) < writeCut {
@@ -333,10 +295,6 @@ type Result struct {
 	// Escalations counts transactions that escalated to serial mode
 	// (non-zero only when the system's STM runs stm.WithEscalation).
 	Escalations uint64
-	// Shards is the system STM's timebase shard count for this run.
-	Shards int
-	// ZipfS echoes Workload.ZipfS (0 = uniform keys).
-	ZipfS float64
 }
 
 // Millis returns the duration in milliseconds (Figure 4's y-axis).
@@ -433,7 +391,6 @@ func RunPrepared(sys System, w Workload) (Result, error) {
 		go func(id int) {
 			defer wg.Done()
 			r := newRNG(w.Seed + uint64(id)*0x1000193)
-			zk := w.zipfFor(id)
 			ops := make([]Op, w.OpsPerTxn)
 			// One closure per worker, not per transaction: the body reads
 			// the ops buffer regenerated in place each iteration.
@@ -455,7 +412,7 @@ func RunPrepared(sys System, w Workload) (Result, error) {
 			}
 			for i := 0; i < perThread; i++ {
 				for j := range ops {
-					ops[j] = genOpKey(r, w, zk)
+					ops[j] = genOp(r, w)
 				}
 				var err error
 				if w.TxnDeadline > 0 {
@@ -499,8 +456,6 @@ func RunPrepared(sys System, w Workload) (Result, error) {
 		Aborts:        st.Aborts,
 		Timeouts:      timeouts.Load(),
 		Escalations:   st.Escalations,
-		Shards:        sys.STM.Shards(),
-		ZipfS:         w.ZipfS,
 	}, nil
 }
 
@@ -553,12 +508,6 @@ type SweepConfig struct {
 	// Escalate, when positive, enables starvation escalation on every
 	// system's STM with this conflict-abort threshold.
 	Escalate int
-	// Shards sets every system STM's timebase shard count (stm.WithShards):
-	// 0 = automatic, 1 = the classic single-clock degeneracy.
-	Shards int
-	// ZipfS, when > 1, draws workload keys Zipf-skewed with this exponent
-	// (see Workload.ZipfS); 0 keeps the paper's uniform draw.
-	ZipfS float64
 	// TxnDeadline, when positive, bounds each transaction via AtomicallyCtx;
 	// expiries are reported as Result.Timeouts (see Workload.TxnDeadline).
 	TxnDeadline time.Duration
@@ -599,9 +548,6 @@ func Sweep(cfg SweepConfig) ([]Result, error) {
 	}
 	if cfg.Escalate > 0 {
 		stmOpts = append(stmOpts, stm.WithEscalation(cfg.Escalate))
-	}
-	if cfg.Shards != 0 {
-		stmOpts = append(stmOpts, stm.WithShards(cfg.Shards))
 	}
 	factories := FactoriesWithOptions(cfg.Backend, stmOpts...)
 	if cfg.Obs != nil {
@@ -655,7 +601,6 @@ func Sweep(cfg SweepConfig) ([]Result, error) {
 						Seed:          42,
 						Interleave:    cfg.Interleave,
 						TxnDeadline:   cfg.TxnDeadline,
-						ZipfS:         cfg.ZipfS,
 					}
 					res, _, err := RunRepeated(f, w, cfg.Warmups, cfg.Reps)
 					if err != nil {
@@ -673,12 +618,12 @@ func Sweep(cfg SweepConfig) ([]Result, error) {
 
 // WriteCSV emits results in CSV form.
 func WriteCSV(out io.Writer, results []Result) {
-	fmt.Fprintln(out, "system,threads,ops_per_txn,write_fraction,total_ops,millis,ops_per_sec,commits,aborts,abort_rate,timeouts,escalations,shards,zipf_s")
+	fmt.Fprintln(out, "system,threads,ops_per_txn,write_fraction,total_ops,millis,ops_per_sec,commits,aborts,abort_rate,timeouts,escalations")
 	for _, r := range results {
-		fmt.Fprintf(out, "%s,%d,%d,%.2f,%d,%.3f,%.0f,%d,%d,%.4f,%d,%d,%d,%.2f\n",
+		fmt.Fprintf(out, "%s,%d,%d,%.2f,%d,%.3f,%.0f,%d,%d,%.4f,%d,%d\n",
 			r.System, r.Threads, r.OpsPerTxn, r.WriteFraction, r.TotalOps,
 			r.Millis(), r.OpsPerSec(), r.Commits, r.Aborts, r.AbortRate(),
-			r.Timeouts, r.Escalations, r.Shards, r.ZipfS)
+			r.Timeouts, r.Escalations)
 	}
 }
 

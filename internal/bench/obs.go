@@ -70,18 +70,6 @@ func (o *Observability) InstrumentSystem(sys *System) {
 	}
 }
 
-// InstrumentSTM wires a bare STM instance (one built outside the System
-// factory path, e.g. by the contended-scale sweep) into the tracer stack and
-// the collector. Repeated attaches of the same backend replace each other, so
-// scrape-time families always reflect the most recently built instance.
-func (o *Observability) InstrumentSTM(s *stm.STM) {
-	if o == nil || s == nil {
-		return
-	}
-	s.SetTracer(obs.Tracers(o.Flight, o.Estimator, o.Phases))
-	o.Collector.Attach(s)
-}
-
 // Instrumented wraps a factory so every System it builds is instrumented.
 // With a nil receiver the factory is returned unchanged (zero overhead).
 func (o *Observability) Instrumented(f Factory) Factory {

@@ -25,7 +25,6 @@ type ServeBenchConfig struct {
 	// an in-process server on a loopback ephemeral port.
 	Addr    string `json:"addr,omitempty"`
 	Backend string `json:"backend"`
-	Shards  int    `json:"shards"`
 	Maps    string `json:"maps"` // "predication" (default) | "boosted"
 
 	Conns    int `json:"conns"`
@@ -135,11 +134,7 @@ func RunServeBench(cfg ServeBenchConfig) (ServeResult, error) {
 	var srv *server.Server
 	var sys *stm.STM
 	if addr == "" {
-		opts := []stm.Option{stm.WithBackend(cfg.Backend)}
-		if cfg.Shards > 0 {
-			opts = append(opts, stm.WithShards(cfg.Shards))
-		}
-		sys = stm.New(opts...)
+		sys = stm.New(stm.WithBackend(cfg.Backend))
 		var err error
 		srv, err = server.New(server.Config{
 			System:      sys,

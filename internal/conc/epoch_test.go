@@ -116,6 +116,42 @@ func TestEBRRegistryBoundedUnderHandleChurn(t *testing.T) {
 	}
 }
 
+// TestEpochPoolRegistryBoundedUnderHandleChurn is the EpochPool edition of
+// TestEBRRegistryBoundedUnderHandleChurn: handles the pool's sync.Pool drops
+// must give their epoch slots back.
+func TestEpochPoolRegistryBoundedUnderHandleChurn(t *testing.T) {
+	const live, rounds = 8, 40
+	p := NewEpochPool[int](0, nil)
+	e := p.ebr
+	churn := func() {
+		hs := make([]*EpochHandle[int], live)
+		for i := range hs {
+			hs[i] = p.Get()
+			hs[i].Pin()
+			hs[i].Unpin()
+		}
+		for _, h := range hs {
+			p.Put(h)
+		}
+	}
+	released := func() int {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return len(e.free)
+	}
+	for round := 0; round < rounds; round++ {
+		churn()
+		runtime.GC()
+		runtime.GC()
+		for wait := 0; wait < 100 && released() == 0; wait++ {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if n := len(*e.slots.Load()); n > 3*live {
+		t.Fatalf("%d registered slots after %d rounds of %d handles: dropped handles' slots are not reused", n, rounds, live)
+	}
+}
+
 // TestEBRConcurrentPinUnpin stresses pin/unpin against a synchronizer; the
 // invariant under test is that synchronize always terminates (participants
 // that keep re-pinning pick up the new epoch and so never wedge it) while

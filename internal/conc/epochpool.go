@@ -57,14 +57,17 @@ func NewEpochPool[T any](capPerHandle int, reset func(*T)) *EpochPool[T] {
 	}
 	p := &EpochPool[T]{ebr: newEBR(), cap: capPerHandle, reset: reset}
 	p.handles.New = func() any {
-		return &EpochHandle[T]{pool: p, slot: p.ebr.register()}
+		h := &EpochHandle[T]{pool: p}
+		h.slot = registerFor(p.ebr, h)
+		return h
 	}
 	return p
 }
 
-// Get borrows a handle. Handles are recycled through a sync.Pool, so the
-// number of registered epoch slots is bounded by the peak number of
-// concurrent participants.
+// Get borrows a handle. Handles are recycled through a sync.Pool, and the
+// epoch slot of a handle the pool drops (or a caller never returns) goes back
+// to the domain once the handle is collected, so the number of registered
+// slots is bounded by the peak number of live handles.
 func (p *EpochPool[T]) Get() *EpochHandle[T] {
 	return p.handles.Get().(*EpochHandle[T])
 }

@@ -169,9 +169,8 @@ type STMCollector struct {
 	observations                     *CounterVec
 
 	// Per-shard heat families (labels: backend, shard).
-	shardClock       *CounterVec
-	epochExtensions  *CounterVec
-	validationShards *CounterVec // labels: backend, result
+	shardClock      *CounterVec
+	epochExtensions *CounterVec
 
 	// Multi-version (mvcc) families; only populated for attached instances
 	// whose backend exposes MVCCTelemetry.
@@ -225,10 +224,6 @@ func NewSTMCollector(r *Registry) *STMCollector {
 		epochExtensions: r.Counter("proust_stm_epoch_extensions_total",
 			"Read-set extensions forced by the cross-shard epoch fence during "+
 				"shard-clock capture.", "backend"),
-		validationShards: r.Counter("proust_stm_validation_shards_total",
-			"Commit-time validation shard visits by result: checked (walked) "+
-				"versus skipped (proved quiet by an unmoved shard clock).",
-			"backend", "result"),
 		mvccSnapshotReads: r.Counter("proust_stm_mvcc_snapshot_reads_total",
 			"Reads served to WithReadOnly snapshot transactions under the mvcc "+
 				"backend (no read log, no validation, no aborts).", "backend"),
@@ -291,8 +286,6 @@ func (c *STMCollector) collect() {
 		c.shardSkew.With(backend).Set(int64(s.ShardClockSkew()))
 		c.epoch.With(backend).Set(int64(s.Epoch()))
 		c.epochExtensions.With(backend).set(st.EpochExtensions)
-		c.validationShards.With(backend, "checked").set(st.ValidationShardsChecked)
-		c.validationShards.With(backend, "skipped").set(st.ValidationShardsSkipped)
 		for name, h := range map[string]stm.DurationHistSnapshot{
 			"validation": st.ValidationTime,
 			"lock_hold":  st.LockHold,

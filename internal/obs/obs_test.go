@@ -333,7 +333,7 @@ func TestSTMCollectorExportsRobustnessCounters(t *testing.T) {
 // output.
 func TestSTMCollectorExportsShardMetrics(t *testing.T) {
 	r := NewRegistry()
-	s := stm.New(stm.WithBackend("tl2"), stm.WithShards(8))
+	s := stm.New(stm.WithBackend("tl2"))
 	RegisterSTM(r, s)
 	// Ref ids are sequential and map to shards in blocks of 64, so two refs
 	// allocated 64 ids apart land in adjacent shards; writing both in one

@@ -89,14 +89,12 @@ type KeyConflict struct {
 // ShardSummary aggregates one backend's timebase heat from the metrics
 // snapshot.
 type ShardSummary struct {
-	Shards            int     `json:"shards"`
-	HottestShard      int     `json:"hottest_shard"`
-	HottestClock      uint64  `json:"hottest_clock"`
-	TotalClock        uint64  `json:"total_clock"`
-	ClockGini         float64 `json:"clock_gini"`
-	EpochExtensions   uint64  `json:"epoch_extensions"`
-	ValidationChecked uint64  `json:"validation_shards_checked"`
-	ValidationSkipped uint64  `json:"validation_shards_skipped"`
+	Shards          int     `json:"shards"`
+	HottestShard    int     `json:"hottest_shard"`
+	HottestClock    uint64  `json:"hottest_clock"`
+	TotalClock      uint64  `json:"total_clock"`
+	ClockGini       float64 `json:"clock_gini"`
+	EpochExtensions uint64  `json:"epoch_extensions"`
 }
 
 // MVCCSummary aggregates one backend's multi-version telemetry from the
@@ -275,7 +273,6 @@ func (a *Analysis) summarizeShards(fams []obs.FamilySnapshot) {
 		byBackend[b] = append(byBackend[b], shardRow{shard: sh, clock: *m.Count})
 	}
 	epochExtF := findFamily(fams, "proust_stm_epoch_extensions_total")
-	valF := findFamily(fams, "proust_stm_validation_shards_total")
 	for backend, rows := range byBackend {
 		s := ShardSummary{Shards: len(rows)}
 		clocks := make([]uint64, 0, len(rows))
@@ -288,8 +285,6 @@ func (a *Analysis) summarizeShards(fams []obs.FamilySnapshot) {
 		}
 		s.ClockGini = obs.Gini(clocks)
 		s.EpochExtensions, _ = counterBy(epochExtF, map[string]string{"backend": backend})
-		s.ValidationChecked, _ = counterBy(valF, map[string]string{"backend": backend, "result": "checked"})
-		s.ValidationSkipped, _ = counterBy(valF, map[string]string{"backend": backend, "result": "skipped"})
 		a.ShardsByBackend[backend] = s
 	}
 }
@@ -411,8 +406,7 @@ func (a *Analysis) hints() {
 		case "validation":
 			a.Hints = append(a.Hints,
 				"validation aborts dominate: reads are going stale under writers — "+
-					"shrink transaction footprints, or partition hot keys so "+
-					"single-shard commits can skip quiet shards")
+					"shrink transaction footprints or split hot keys")
 		case "lock-conflict":
 			a.Hints = append(a.Hints,
 				"lock-conflict aborts dominate: writers collide on the same refs — "+
@@ -425,20 +419,6 @@ func (a *Analysis) hints() {
 		}
 	}
 	for backend, s := range a.ShardsByBackend {
-		if s.Shards > 1 && s.ClockGini > 0.6 {
-			a.Hints = append(a.Hints, fmt.Sprintf(
-				"%s: shard imbalance is high (Gini %.2f, shard %d absorbs the "+
-					"most commits) — keys hash into too few id blocks; widen the "+
-					"key partition or lower WithShardBlockBits", backend, s.ClockGini, s.HottestShard))
-		}
-		if ck := s.ValidationChecked + s.ValidationSkipped; ck > 0 &&
-			s.ValidationSkipped*10 < ck && s.Shards > 1 {
-			a.Hints = append(a.Hints, fmt.Sprintf(
-				"%s: partitioned validation skips only %.1f%% of shard visits — "+
-					"read sets span hot shards; align structure partitions with "+
-					"shard blocks (WithShardBlockBits)", backend,
-				pct(s.ValidationSkipped, ck)))
-		}
 		if s.EpochExtensions > 0 && s.EpochExtensions*10 > s.TotalClock && s.TotalClock > 0 {
 			a.Hints = append(a.Hints, fmt.Sprintf(
 				"%s: the epoch fence forced %d extensions against %d commits — "+
@@ -475,8 +455,8 @@ func (a *Analysis) hints() {
 		}
 	}
 	if len(a.Hints) == 0 {
-		a.Hints = append(a.Hints, "nothing stands out: abort rate and shard "+
-			"balance both look healthy")
+		a.Hints = append(a.Hints, "nothing stands out: abort rate, epoch "+
+			"fence and snapshot retention all look healthy")
 	}
 }
 
@@ -526,11 +506,6 @@ func (a Analysis) WriteText(w io.Writer) error {
 			s := a.ShardsByBackend[b]
 			fmt.Fprintf(bw, "  %s: %d shards, hottest shard %d (clock %d of %d), Gini %.2f\n",
 				b, s.Shards, s.HottestShard, s.HottestClock, s.TotalClock, s.ClockGini)
-			if ck := s.ValidationChecked + s.ValidationSkipped; ck > 0 {
-				fmt.Fprintf(bw, "    validation: %d shard visits checked, %d skipped (%.1f%% skipped)\n",
-					s.ValidationChecked, s.ValidationSkipped,
-					pct(s.ValidationSkipped, ck))
-			}
 			if s.EpochExtensions > 0 {
 				fmt.Fprintf(bw, "    epoch fence: %d forced extensions\n", s.EpochExtensions)
 			}

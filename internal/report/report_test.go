@@ -87,10 +87,6 @@ func testFams() []obs.FamilySnapshot {
 		{Name: "proust_stm_epoch_extensions_total", Metrics: []obs.MetricSnapshot{
 			{Labels: map[string]string{"backend": "tl2"}, Count: u(0)},
 		}},
-		{Name: "proust_stm_validation_shards_total", Metrics: []obs.MetricSnapshot{
-			{Labels: map[string]string{"backend": "tl2", "result": "checked"}, Count: u(100)},
-			{Labels: map[string]string{"backend": "tl2", "result": "skipped"}, Count: u(1)},
-		}},
 		{Name: "proust_server_connections", Metrics: []obs.MetricSnapshot{
 			{Value: i64(3)},
 		}},
@@ -171,13 +167,9 @@ func TestAnalyze(t *testing.T) {
 	if s.ClockGini < 0.399 || s.ClockGini > 0.401 {
 		t.Errorf("clock Gini = %g, want 0.4", s.ClockGini)
 	}
-	if s.ValidationChecked != 100 || s.ValidationSkipped != 1 {
-		t.Errorf("validation accounting = %+v", s)
-	}
 
-	// 4 of 14 events aborted with validation dominant and a <10% validation
-	// skip rate: two hints fire.
-	wantHints := []string{"validation aborts dominate", "partitioned validation skips only"}
+	// 4 of 14 events aborted with validation dominant: the hint fires.
+	wantHints := []string{"validation aborts dominate"}
 	for _, want := range wantHints {
 		found := false
 		for _, h := range a.Hints {
@@ -243,7 +235,7 @@ func TestParseMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fams) != 7 || fams[0].Name != "proust_stm_shard_clock" {
+	if len(fams) != 6 || fams[0].Name != "proust_stm_shard_clock" {
 		t.Errorf("metrics round-trip = %+v", fams)
 	}
 }
@@ -273,8 +265,7 @@ func assertFiniteText(t *testing.T, text string) {
 }
 
 // TestRenderersEmptyDump feeds a fully empty dump through both renderers:
-// every section denominator (events, validation visits) is
-// zero, and neither the text report nor the JSON encoding may produce a
+// every section denominator is zero, and neither the text report nor the JSON encoding may produce a
 // non-finite number (json.Encode rejects NaN/Inf outright, so a missing
 // guard fails this test loudly).
 func TestRenderersEmptyDump(t *testing.T) {
@@ -296,13 +287,12 @@ func TestRenderersEmptyDump(t *testing.T) {
 
 // TestRenderersZeroCountSections renders an analysis whose sections are
 // present but all-zero — the abort-forensics shape of a run that traced
-// nothing — through text and JSON, covering the in-section ratios
-// (validation-skip percentage, abort rate) at denominator
-// zero.
+// nothing — through text and JSON, covering the in-section figures (clock
+// totals, Gini, abort rate) at denominator zero.
 func TestRenderersZeroCountSections(t *testing.T) {
 	a := Analysis{
 		ShardsByBackend: map[string]ShardSummary{
-			"tl2": {Shards: 2, ValidationChecked: 1},
+			"tl2": {Shards: 2},
 		},
 		AbortsByCause: map[string]uint64{},
 		Hints:         []string{"nothing stands out"},
@@ -313,7 +303,7 @@ func TestRenderersZeroCountSections(t *testing.T) {
 	}
 	assertFiniteText(t, buf.String())
 	for _, want := range []string{
-		"validation: 1 shard visits checked, 0 skipped (0.0% skipped)",
+		"tl2: 2 shards, hottest shard 0 (clock 0 of 0), Gini 0.00",
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("zero-count report missing %q:\n%s", want, buf.String())

@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -77,9 +78,10 @@ type mvccSlot struct {
 // locally and flushed to Stats once at release (per-read atomic bumps would
 // put contention back on the path the backend exists to clear). A reader is
 // minted once per transaction descriptor and cached there (Txn.mvccRd), so
-// the slot registry and the EBR registry stay bounded by the descriptor pool
-// — the peak number of concurrent transactions — with no per-attempt pool
-// traffic on the read-only begin path.
+// the read-only begin path has no per-attempt pool traffic. The descriptor
+// pool drops descriptors at every collection; a collected reader's watermark
+// slot and epoch slot go back to their registries (getReader), so both stay
+// bounded by the peak number of live descriptors.
 type mvccReader struct {
 	slot  *mvccSlot
 	eh    *conc.EpochHandle[mvccVerNode]
@@ -91,10 +93,14 @@ type mvccReader struct {
 type mvccBackend struct {
 	pool *conc.EpochPool[mvccVerNode]
 
-	// slots is the grow-only registry of watermark slots, republished as a
-	// whole on growth so scans are lock-free. slotMu serializes growth only.
+	// slots is every watermark slot ever created, published for lock-free
+	// scans; a new slot is appended into spare capacity when there is some
+	// (scanners of an older header see only their own prefix). free holds
+	// the slots of collected readers, handed out again by newSlot. slotMu
+	// guards growth and free.
 	slotMu sync.Mutex
 	slots  atomic.Pointer[[]*mvccSlot]
+	free   []*mvccSlot
 
 	// wmVec caches the last watermark scan, per shard: wmVec[sh] bounds what
 	// any active or future snapshot reader can need from a ref in shard sh.
@@ -457,34 +463,48 @@ func (b *mvccBackend) releaseReader(tx *Txn) {
 	mr.eh.Unpin()
 }
 
-// getReader returns the descriptor's cached reader, minting it — fresh
-// watermark slot, fresh epoch handle, both kept for the descriptor's life —
-// on first use.
+// getReader returns the descriptor's cached reader, minting it on first use:
+// a watermark slot and an epoch handle, both kept for the reader's life. The
+// slot goes back to the free list once the reader is collected (its epoch
+// handle releases its own slot the same way). A collected reader's slot is
+// free (0): only an attempt in flight holds a floor, and it keeps its
+// descriptor, hence the reader, reachable.
 func (b *mvccBackend) getReader(tx *Txn) *mvccReader {
 	if mr := tx.mvccRd; mr != nil {
 		return mr
 	}
 	mr := &mvccReader{slot: b.newSlot(), eh: b.pool.Get()}
+	runtime.AddCleanup(mr, b.releaseSlot, mr.slot)
 	tx.mvccRd = mr
 	return mr
 }
 
-// newSlot registers a watermark slot, growing the registry copy-on-write so
-// scans stay lock-free.
+// newSlot hands out a free watermark slot: a released one when there is one,
+// else a new one appended to the registry (amortised O(1)).
 func (b *mvccBackend) newSlot() *mvccSlot {
-	sl := &mvccSlot{}
 	b.slotMu.Lock()
-	var next []*mvccSlot
-	if cur := b.slots.Load(); cur != nil {
-		next = make([]*mvccSlot, len(*cur)+1)
-		copy(next, *cur)
-		next[len(*cur)] = sl
-	} else {
-		next = []*mvccSlot{sl}
+	defer b.slotMu.Unlock()
+	if n := len(b.free); n > 0 {
+		sl := b.free[n-1]
+		b.free[n-1] = nil
+		b.free = b.free[:n-1]
+		return sl
 	}
+	sl := &mvccSlot{}
+	var cur []*mvccSlot
+	if sp := b.slots.Load(); sp != nil {
+		cur = *sp
+	}
+	next := append(cur, sl)
 	b.slots.Store(&next)
-	b.slotMu.Unlock()
 	return sl
+}
+
+// releaseSlot returns a collected reader's slot for newSlot to hand out again.
+func (b *mvccBackend) releaseSlot(sl *mvccSlot) {
+	b.slotMu.Lock()
+	b.free = append(b.free, sl)
+	b.slotMu.Unlock()
 }
 
 // scanWatermark recomputes the per-shard watermark vector: wmVec[sh] =

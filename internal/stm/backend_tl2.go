@@ -91,9 +91,8 @@ func (tl2Backend) commit(tx *Txn) bool {
 	tx.phaseExit(pp)
 
 	// Stamp the write shards (bumping the per-shard clocks); validateCommit
-	// applies the per-shard generalization of the
-	// TL2 wv == rv+1 optimization — quiet shards are skipped, and a solo
-	// fresh bump skips the transaction's own shard too.
+	// applies the per-shard generalization of the TL2 wv == rv+1
+	// optimization — no walk unless a captured clock or the epoch moved.
 	var p pubStamp
 	tx.stampWrites(&p, tx.wset.shardMask())
 	if !tx.validateCommit(&p) {

@@ -1,10 +1,12 @@
 package stm
 
+import "time"
+
 // Shared machinery of the versioned (TL2-lineage) backends: tl2, ccstm and
 // eager all stamp refs against the sharded timebase (per-shard commit
 // clocks, see shard.go), keep an invisible or visible read set validated
 // against the transaction's shard-clock vector, and lock refs through the
-// owner word. The norec backend uses only the per-shard write counters.
+// owner word.
 
 // readVersioned performs an opaque versioned read of r's committed (or, if
 // tx itself holds the encounter-time lock, tentative) value and records a
@@ -67,8 +69,7 @@ func (tx *Txn) waitOrDie(r *baseRef, owner *Txn, spins int) {
 	}
 }
 
-// validateReads checks every read-set entry's version and ownership (the
-// full, unpartitioned pass; Backend.validate API and chaos wrapper).
+// validateReads checks every read-set entry's version and ownership.
 func (tx *Txn) validateReads() bool {
 	for i := range tx.reads {
 		re := &tx.reads[i]
@@ -81,6 +82,18 @@ func (tx *Txn) validateReads() bool {
 		}
 	}
 	return true
+}
+
+// validateReadsTimed is validateReads with the commit-time ValidationTime
+// histogram sampling applied.
+func (tx *Txn) validateReadsTimed() bool {
+	if !tx.sampled {
+		return tx.validateReads()
+	}
+	t0 := time.Now()
+	ok := tx.validateReads()
+	tx.s.stats.ValidationTime.observe(time.Since(t0))
+	return ok
 }
 
 // acquire takes the write lock on r at encounter time, arbitrating with the

@@ -42,9 +42,8 @@ func (tx *Txn) runReleases() {
 	}
 }
 
-// Commit-time read-set validation lives in shard.go (validateCommit /
-// validateReadsPartialTimed): the sharded timebase partitions the pass by
-// shard, so the backends no longer run a monolithic validateReads at commit.
+// Commit-time read-set validation lives in shard.go (validateCommit): the
+// stamp decides whether the pass can be skipped.
 
 // rollback undoes all transaction effects, innermost first: OnAbort
 // handlers run in LIFO order (Proust inverses) while the attempt still owns

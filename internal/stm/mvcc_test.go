@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -82,7 +83,7 @@ func TestMVCCReadOnlyWritePanics(t *testing.T) {
 // A torn pair here means the snapshot vector straddled a cross-shard commit;
 // an attempt > 1 means a "no validation, no aborts" read path aborted.
 func TestMVCCSnapshotPairConsistency(t *testing.T) {
-	s := New(WithBackend("mvcc"), WithShards(8))
+	s := newSharded(8, WithBackend("mvcc"))
 	refs := shardedRefs(t, s, 0, 1)
 	x, y := refs[0], refs[1]
 	rounds := 300
@@ -211,7 +212,7 @@ func TestMVCCChaosSoakZeroReadOnlyAborts(t *testing.T) {
 	}
 	for mi, cc := range mixes {
 		for _, shards := range []int{1, 8} {
-			s := New(WithBackend("chaos-mvcc"), WithShards(shards), WithEscalation(5), WithChaos(cc))
+			s := newSharded(shards, WithBackend("chaos-mvcc"), WithEscalation(5), WithChaos(cc))
 			const goroutines, txnsPerG, refsN = 8, 100, 4
 			refs := make([]*Ref[int], refsN)
 			for i := range refs {
@@ -275,7 +276,7 @@ func TestMVCCChaosSoakZeroReadOnlyAborts(t *testing.T) {
 // the next writer trims the backlog back under the cap.
 func TestMVCCWatermarkGCShrink(t *testing.T) {
 	const cap = 4
-	s := New(WithBackend("mvcc"), WithShards(1), WithVersionCap(cap))
+	s := newSharded(1, WithBackend("mvcc"), WithVersionCap(cap))
 	r := NewRef(s, 0)
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -465,7 +466,7 @@ func TestMVCCRegistrySweep(t *testing.T) {
 // cross-shard epoch fence never trips here: every commit in this test writes
 // exactly one shard.
 func TestMVCCSnapshotCausalChain(t *testing.T) {
-	s := New(WithBackend("mvcc"), WithShards(8))
+	s := newSharded(8, WithBackend("mvcc"))
 	refs := shardedRefs(t, s, 0, 1)
 	x, y := refs[0], refs[1]
 
@@ -535,4 +536,41 @@ func TestMVCCSnapshotCausalChain(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestMVCCSlotRegistryBoundedUnderDescriptorChurn lets the descriptor pool
+// drop its descriptors — and with them their cached mvcc readers — round
+// after round, and checks that the watermark slots of collected readers are
+// handed out again instead of piling up in the registry every watermark scan
+// walks.
+func TestMVCCSlotRegistryBoundedUnderDescriptorChurn(t *testing.T) {
+	const rounds = 50
+	s := New(WithBackend("mvcc"))
+	b := s.backend.(*mvccBackend)
+	r := NewRef(s, 0)
+	roCtx := WithReadOnly(nil)
+	released := func() int {
+		b.slotMu.Lock()
+		defer b.slotMu.Unlock()
+		return len(b.free)
+	}
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < 4; i++ {
+			if err := s.AtomicallyCtx(roCtx, func(tx *Txn) error { _ = r.Get(tx); return nil }); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Atomically(func(tx *Txn) error { r.Set(tx, r.Get(tx)+1); return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC() // the pool's descriptors move to its victim cache
+		runtime.GC() // and are dropped
+		// Cleanups run on their own goroutine once the collection is done.
+		for wait := 0; wait < 100 && released() == 0; wait++ {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if n := len(*b.slots.Load()); n > 16 {
+		t.Fatalf("%d watermark slots after %d rounds of descriptor churn: collected readers' slots are not reused", n, rounds)
+	}
 }

@@ -1,7 +1,6 @@
 package stm
 
 import (
-	"math/bits"
 	"sync/atomic"
 	"time"
 )
@@ -27,18 +26,8 @@ func init() {
 // installs a fresh box, pointer identity of the box doubles as value
 // validation without requiring comparable value types. The transaction's
 // sequence snapshot lives in its own Txn field (Txn.snapshot), disjoint from
-// the read-version vector of the TL2-lineage backends.
-//
-// The sequence lock itself stays global — that is NOrec's defining O(1)
-// metadata footprint — but validation is partitioned along the instance's
-// timebase shards: writers bump a per-shard write counter (under the held
-// sequence lock) for every shard their redo log touches, and transactions
-// snapshot the counters (into Txn.rvVec) whenever they are stable. A
-// revalidation pass then only compares boxes of entries whose shard counter
-// moved; a quiet counter proves no publication into that shard since the
-// snapshot, so its entries cannot have changed. Under skewed workloads this
-// turns NOrec's O(|reads|)-per-seq-bump revalidation into a walk of the hot
-// shard's entries only.
+// the read-version vector of the TL2-lineage backends. Whenever the sequence
+// has moved, the whole read log is revalidated by value.
 //
 // Proust integration is unchanged: OnCommitLocked runs while the global
 // sequence lock is held — NOrec's "native locking mechanism" — so replay
@@ -46,10 +35,6 @@ func init() {
 // entry that commit-time validation checks, exactly as Theorem 5.3 needs.
 type norecBackend struct {
 	seq atomic.Uint64 // global sequence lock (even = stable)
-	_   [56]byte
-	// wcount counts committed publications per timebase shard; bumped only
-	// while seq is held odd, read only under a stable (even) seq.
-	wcount [MaxShards]atomic.Uint64
 }
 
 var _ Backend = (*norecBackend)(nil)
@@ -61,24 +46,18 @@ func (*norecBackend) Name() string { return "norec" }
 func (*norecBackend) Policy() DetectionPolicy { return NOrec }
 
 // begin samples a stable (even) sequence number into the transaction's
-// snapshot, together with the per-shard write counters it will validate
-// against (re-read until the sequence is stable across the copy).
+// snapshot.
 func (b *norecBackend) begin(tx *Txn) {
-	n := tx.s.nShards
+	tx.snapshot = b.stableSeq()
+}
+
+// stableSeq waits until the sequence lock is free (even) and returns it.
+func (b *norecBackend) stableSeq() uint64 {
 	for {
-		s := b.seq.Load()
-		if s&1 != 0 {
-			procYield()
-			continue
+		if s := b.seq.Load(); s&1 == 0 {
+			return s
 		}
-		for i := 0; i < n; i++ {
-			tx.rvVec[i] = b.wcount[i].Load()
-		}
-		if b.seq.Load() != s {
-			continue
-		}
-		tx.snapshot = s
-		return
+		procYield()
 	}
 }
 
@@ -113,66 +92,32 @@ func (*norecBackend) write(tx *Txn, r *baseRef, v any) {
 	tx.recordWrite(r, v)
 }
 
-// validate waits for a stable sequence and value-checks the read log,
-// advancing the snapshot (and the counter vector) on success. The pass is
-// partitioned: only entries whose shard write counter moved since the
-// transaction's snapshot are compared — counters and boxes are read under
-// the same stable sequence window, so an unmoved counter proves the shard
-// received no publication and its entries' boxes cannot have changed.
+// validate waits for a stable sequence and value-checks the whole read log,
+// advancing the snapshot on success; the check is retried if a writer
+// committed while it ran.
 func (b *norecBackend) validate(tx *Txn) bool {
 	pp := tx.phaseEnter(PhaseValidate)
-	ok := b.validateChains(tx)
+	ok := b.validateValues(tx)
 	tx.phaseExit(pp)
 	return ok
 }
 
-// validateChains is the validation pass proper (the validate wrapper only
+// validateValues is the validation pass proper (the validate wrapper only
 // attributes it to PhaseValidate; the bracket nests inside PhaseRead or
 // PhaseStamp and the token model restores the outer phase).
-func (b *norecBackend) validateChains(tx *Txn) bool {
-	n := tx.s.nShards
-	var cnt [MaxShards]uint64
+func (b *norecBackend) validateValues(tx *Txn) bool {
 	for {
-		s := b.seq.Load()
-		if s&1 == 1 {
-			procYield()
-			continue
-		}
-		var changed uint64
-		for i := 0; i < n; i++ {
-			cnt[i] = b.wcount[i].Load()
-			if cnt[i] != tx.rvVec[i] {
-				changed |= 1 << uint(i)
+		s := b.stableSeq()
+		for i := range tx.reads {
+			re := &tx.reads[i]
+			if re.r.value.Load() != re.box {
+				return false
 			}
 		}
-		if changed != 0 {
-			if n == 1 {
-				for i := range tx.reads {
-					re := &tx.reads[i]
-					if re.r.value.Load() != re.box {
-						return false
-					}
-				}
-			} else {
-				// Sharded: walk only the changed shards' read-log chains.
-				tx.chainReads()
-				for m := changed & tx.readShards; m != 0; m &= m - 1 {
-					sh := uint(bits.TrailingZeros64(m))
-					for i := tx.readHeads[sh]; i >= 0; i = tx.reads[i].next {
-						re := &tx.reads[i]
-						if re.r.value.Load() != re.box {
-							return false
-						}
-					}
-				}
-			}
+		if b.seq.Load() == s {
+			tx.snapshot = s
+			return true
 		}
-		if b.seq.Load() != s {
-			continue
-		}
-		copy(tx.rvVec[:n], cnt[:n])
-		tx.snapshot = s
-		return true
 	}
 }
 
@@ -225,12 +170,6 @@ func (b *norecBackend) commit(tx *Txn) bool {
 		e := &tx.wset.entries[i]
 		e.r.value.Store(tx.newBox(e.val))
 		e.r.version.Store(tx.snapshot + 2)
-	}
-	// Record the publication in each written shard's counter while the
-	// sequence lock is still held, so validators (who read the counters
-	// under a stable sequence) partition correctly.
-	for m := tx.wset.shardMask(); m != 0; m &= m - 1 {
-		b.wcount[bits.TrailingZeros64(m)].Add(1)
 	}
 	b.seq.Store(tx.snapshot + 2)
 	tx.observeLockHold()

@@ -89,15 +89,11 @@ func assertFresh(t *testing.T, s *STM, poisonLocal *TxnLocal[int], refs []*Ref[i
 		if len(tx.rvVec) != s.nShards {
 			t.Errorf("fresh txn rvVec sized %d, want %d", len(tx.rvVec), s.nShards)
 		}
-		// norec legitimately snapshots its write counters into rvVec at
-		// begin; for the versioned backends the vector must be untouched
-		// until the body's first read.
-		if s.backend.Policy() != NOrec {
-			for i, v := range tx.rvVec {
-				if v != 0 {
-					t.Errorf("fresh txn rvVec[%d] = %d before first read", i, v)
-					break
-				}
+		// The vector must be untouched until the body's first read.
+		for i, v := range tx.rvVec {
+			if v != 0 {
+				t.Errorf("fresh txn rvVec[%d] = %d before first read", i, v)
+				break
 			}
 		}
 		for i, r := range refs {

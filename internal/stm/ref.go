@@ -114,12 +114,6 @@ func NewRef[T any](s *STM, init T) *Ref[T] {
 	return r
 }
 
-// Shard returns the timebase shard this reference stamps against (see
-// WithShards). Layers that co-partition their own structures with the
-// timebase — or benchmarks that want shard-aligned key partitions — use it to
-// group references by shard.
-func (r *Ref[T]) Shard() int { return int(r.b.shard) }
-
 // Get reads the reference inside tx.
 func (r *Ref[T]) Get(tx *Txn) T {
 	v, ok := tx.read(&r.b).(T)

@@ -1,13 +1,21 @@
 package stm
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
+
+// newSharded creates an instance whose timebase has n shards (a power of two
+// ≤ MaxShards) instead of AutoShardCount, for tests that need a specific
+// layout. Nothing of the instance exists yet that depends on the count.
+func newSharded(n int, opts ...Option) *STM {
+	s := New(opts...)
+	s.setShards(n)
+	return s
+}
 
 // shardedRefs creates enough refs to span several shards and returns one ref
 // per requested shard, by allocating refs until each target shard has one.
@@ -32,12 +40,10 @@ func shardedRefs(t *testing.T, s *STM, shards ...uint32) map[uint32]*Ref[int] {
 }
 
 // TestShardAssignment checks the block ref→shard mapping: consecutive ids
-// share a shard per 64-id block, and WithShards(1) maps everything to 0.
+// share a shard per 64-id block, a single-shard instance maps everything to
+// 0, and a default instance runs AutoShardCount shards.
 func TestShardAssignment(t *testing.T) {
-	s := New(WithShards(8))
-	if got := s.Shards(); got != 8 {
-		t.Fatalf("Shards() = %d, want 8", got)
-	}
+	s := newSharded(8)
 	var refs []*Ref[int]
 	for i := 0; i < 200; i++ {
 		refs = append(refs, NewRef(s, i))
@@ -49,21 +55,15 @@ func TestShardAssignment(t *testing.T) {
 		}
 	}
 
-	one := New(WithShards(1))
-	if one.Shards() != 1 {
-		t.Fatalf("WithShards(1): Shards() = %d", one.Shards())
-	}
+	one := newSharded(1)
 	for i := 0; i < 100; i++ {
 		if r := NewRef(one, 0); r.b.shard != 0 {
 			t.Fatalf("single-shard instance assigned shard %d", r.b.shard)
 		}
 	}
 
-	if n := New(WithShards(0)).Shards(); n < 8 || n&(n-1) != 0 {
-		t.Fatalf("auto shard count = %d, want a power of two >= 8", n)
-	}
-	if n := New(WithShards(1000)).Shards(); n != MaxShards {
-		t.Fatalf("oversized shard request = %d, want cap %d", n, MaxShards)
+	if n := New().nShards; n != AutoShardCount() || n < 8 || n&(n-1) != 0 {
+		t.Fatalf("default shard count = %d, want AutoShardCount() = %d, a power of two >= 8", n, AutoShardCount())
 	}
 }
 
@@ -74,7 +74,7 @@ func TestShardAssignment(t *testing.T) {
 // tl2 backend holds no locks while the body runs), so the schedule is
 // deterministic.
 func TestShardVectorMonotonicity(t *testing.T) {
-	s := New(WithBackend("tl2"), WithShards(8))
+	s := newSharded(8, WithBackend("tl2"))
 	refs := shardedRefs(t, s, 0, 1)
 	a0, b0 := refs[0], refs[1]
 	mk := func(sh uint32) *Ref[int] { // extra ref in a specific shard
@@ -157,7 +157,7 @@ func TestShardVectorMonotonicity(t *testing.T) {
 // it would observe a torn (new, old) pair; with the fence the first attempt
 // must abort and the retry sees the consistent new values.
 func TestEpochFenceConsistentCut(t *testing.T) {
-	s := New(WithBackend("tl2"), WithShards(8))
+	s := newSharded(8, WithBackend("tl2"))
 	refs := shardedRefs(t, s, 0, 1)
 	x, y := refs[0], refs[1] // x in shard 0 ("A"), y in shard 1 ("B")
 	if err := s.Atomically(func(tx *Txn) error { x.Set(tx, 1); y.Set(tx, 1); return nil }); err != nil {
@@ -210,7 +210,7 @@ func TestEpochFenceConsistentCut(t *testing.T) {
 func TestSameShardPairConsistency(t *testing.T) {
 	for _, backend := range []string{"tl2", "ccstm", "eager"} {
 		t.Run(backend, func(t *testing.T) {
-			s := New(WithBackend(backend), WithShards(1))
+			s := newSharded(1, WithBackend(backend))
 			x, y := NewRef(s, 0), NewRef(s, 0)
 			rounds := 300
 			if testing.Short() {
@@ -282,7 +282,7 @@ func TestSameShardPairConsistency(t *testing.T) {
 func TestEpochFencePairConsistency(t *testing.T) {
 	for _, backend := range []string{"tl2", "ccstm", "eager"} {
 		t.Run(backend, func(t *testing.T) {
-			s := New(WithBackend(backend), WithShards(8))
+			s := newSharded(8, WithBackend(backend))
 			refs := shardedRefs(t, s, 0, 1)
 			x, y := refs[0], refs[1]
 			rounds := 300
@@ -357,7 +357,7 @@ func TestEpochFencePairConsistency(t *testing.T) {
 func TestSameShardDisjointWriters(t *testing.T) {
 	for _, backend := range []string{"tl2", "ccstm", "eager"} {
 		t.Run(backend, func(t *testing.T) {
-			s := New(WithBackend(backend), WithShards(1)) // one shard: every commit shares the clock
+			s := newSharded(1, WithBackend(backend)) // one shard: every commit shares the clock
 			const workers, rounds = 8, 200
 			refs := make([]*Ref[int], workers)
 			for i := range refs {
@@ -409,13 +409,13 @@ func TestBankConservationZipfShards(t *testing.T) {
 		}
 		for _, chaos := range []bool{false, true} {
 			name := bf.Name
-			opts := []Option{WithBackend(bf.Name), WithShards(8)}
+			opts := []Option{WithBackend(bf.Name)}
 			if chaos {
 				name += "-chaos"
 				opts = append(opts, WithChaos(DefaultChaosConfig()))
 			}
 			t.Run(name, func(t *testing.T) {
-				s := New(opts...)
+				s := newSharded(8, opts...)
 				refs := make([]*Ref[int], accounts)
 				for i := range refs {
 					refs[i] = NewRef(s, initial)
@@ -497,38 +497,10 @@ func TestBankConservationZipfShards(t *testing.T) {
 	}
 }
 
-// TestSingleShardDegenerates checks WithShards(1) reproduces the classic
-// single-clock behavior: one clock bump per writing commit, no
-// epoch movement, and the validation skip still engages for fresh solo
-// commits.
-func TestSingleShardDegenerates(t *testing.T) {
-	s := New(WithBackend("tl2"), WithShards(1))
-	r := NewRef(s, 0)
-	const n = 50
-	for i := 0; i < n; i++ {
-		if err := s.Atomically(func(tx *Txn) error {
-			r.Set(tx, r.Get(tx)+1)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.GlobalClock(); got != n {
-		t.Fatalf("GlobalClock = %d, want %d (one bump per writing commit)", got, n)
-	}
-	if got := s.Epoch(); got != 0 {
-		t.Fatalf("Epoch = %d, want 0 (no cross-shard commits possible)", got)
-	}
-	st := s.Stats()
-	if st.CrossShardCommits != 0 {
-		t.Fatalf("CrossShardCommits = %d on a single shard", st.CrossShardCommits)
-	}
-}
-
 // TestShardStatsSnapshot checks the new counters survive the snapshot/reset
 // round trip.
 func TestShardStatsSnapshot(t *testing.T) {
-	s := New(WithShards(8))
+	s := newSharded(8)
 	refs := shardedRefs(t, s, 0, 1)
 	if err := s.Atomically(func(tx *Txn) error {
 		refs[0].Set(tx, 1)
@@ -557,7 +529,7 @@ func TestShardStatsSnapshot(t *testing.T) {
 func TestSerialCrossShardPairConsistency(t *testing.T) {
 	for _, backend := range []string{"tl2", "ccstm", "eager"} {
 		t.Run(backend, func(t *testing.T) {
-			s := New(WithBackend(backend), WithShards(8), WithEscalation(1))
+			s := newSharded(8, WithBackend(backend), WithEscalation(1))
 			refs := shardedRefs(t, s, 0, 1)
 			x, y := refs[0], refs[1]
 			rounds := 2000
@@ -641,7 +613,7 @@ func TestSerialCrossShardPairConsistency(t *testing.T) {
 // TestZipfSkewConcentratesShards sanity-checks the motivating skew story:
 // zipf-selected writes against block-sharded refs leave most shards quiet.
 func TestZipfSkewConcentratesShards(t *testing.T) {
-	s := New(WithBackend("tl2"), WithShards(8))
+	s := newSharded(8, WithBackend("tl2"))
 	const keys = 1024
 	refs := make([]*Ref[int], keys)
 	for i := range refs {
@@ -677,7 +649,7 @@ func TestZipfSkewConcentratesShards(t *testing.T) {
 // shard vector: after heavy reuse across shard-spanning transactions, a
 // descriptor drawn from the pool must carry no captured shard state.
 func TestShardVectorPoolHygiene(t *testing.T) {
-	s := New(WithBackend("tl2"), WithShards(8))
+	s := newSharded(8, WithBackend("tl2"))
 	refs := shardedRefs(t, s, 0, 1, 2, 3)
 	for i := 0; i < 64; i++ {
 		if err := s.Atomically(func(tx *Txn) error {
@@ -702,10 +674,4 @@ func TestShardVectorPoolHygiene(t *testing.T) {
 			t.Fatalf("rvVec[%d] = %d after release, want 0", i, v)
 		}
 	}
-}
-
-func ExampleWithShards() {
-	s := New(WithShards(2))
-	fmt.Println(s.Shards())
-	// Output: 2
 }

@@ -202,13 +202,6 @@ type Stats struct {
 	// Sharded-timebase counters (see shard.go).
 	CrossShardCommits atomic.Uint64 // commits whose write set spanned shards (epoch bumps)
 	EpochExtensions   atomic.Uint64 // extensions forced by the epoch fence during capture
-	// Partitioned commit-time validation accounting: of the shards a
-	// committing transaction had captured, how many the pass actually walked
-	// (clock moved, or epoch fence forced the full pass) versus proved quiet
-	// and skipped. Skipped/(Skipped+Checked) is the payoff of the sharded
-	// timebase under skew.
-	ValidationShardsChecked atomic.Uint64
-	ValidationShardsSkipped atomic.Uint64
 
 	// mvcc backend counters (see backend_mvcc.go); zero under other backends.
 	MVCCSnapshotTxns      atomic.Uint64 // committed read-only snapshot transactions
@@ -246,9 +239,11 @@ type StatsSnapshot struct {
 	DeadlineTxns  uint64 `json:"deadline_txns"`
 	ClosedTxns    uint64 `json:"closed_txns"`
 
-	GroupCommits            uint64 `json:"group_commits"` // never written; kept for its one reader, benchmark/run.go
-	CrossShardCommits       uint64 `json:"cross_shard_commits"`
-	EpochExtensions         uint64 `json:"epoch_extensions"`
+	CrossShardCommits uint64 `json:"cross_shard_commits"`
+	EpochExtensions   uint64 `json:"epoch_extensions"`
+
+	// Never written; kept for their one reader, benchmark/run.go.
+	GroupCommits            uint64 `json:"group_commits"`
 	ValidationShardsChecked uint64 `json:"validation_shards_checked"`
 	ValidationShardsSkipped uint64 `json:"validation_shards_skipped"`
 
@@ -277,32 +272,30 @@ func (s StatsSnapshot) AbortsByCause() map[string]uint64 {
 
 func (st *Stats) snapshot() StatsSnapshot {
 	return StatsSnapshot{
-		Starts:                  st.Starts.Load(),
-		Commits:                 st.Commits.Load(),
-		Aborts:                  st.Aborts.Load(),
-		ConflictAborts:          st.ConflictAborts.Load(),
-		ValidationAborts:        st.ValidationAborts.Load(),
-		DoomedAborts:            st.DoomedAborts.Load(),
-		UserAborts:              st.UserAborts.Load(),
-		MaxAttemptsAborts:       st.MaxAttemptsAborts.Load(),
-		ChaosAborts:             st.ChaosAborts.Load(),
-		Escalations:             st.Escalations.Load(),
-		SerialCommits:           st.SerialCommits.Load(),
-		CanceledTxns:            st.CanceledTxns.Load(),
-		DeadlineTxns:            st.DeadlineTxns.Load(),
-		ClosedTxns:              st.ClosedTxns.Load(),
-		CrossShardCommits:       st.CrossShardCommits.Load(),
-		EpochExtensions:         st.EpochExtensions.Load(),
-		ValidationShardsChecked: st.ValidationShardsChecked.Load(),
-		ValidationShardsSkipped: st.ValidationShardsSkipped.Load(),
-		MVCCSnapshotTxns:        st.MVCCSnapshotTxns.Load(),
-		MVCCSnapshotReads:       st.MVCCSnapshotReads.Load(),
-		MVCCHistoryReads:        st.MVCCHistoryReads.Load(),
-		MVCCVersionsAppended:    st.MVCCVersionsAppended.Load(),
-		MVCCVersionsReclaimed:   st.MVCCVersionsReclaimed.Load(),
-		MVCCCapOverflows:        st.MVCCCapOverflows.Load(),
-		ValidationTime:          st.ValidationTime.snapshot(),
-		LockHold:                st.LockHold.snapshot(),
+		Starts:                st.Starts.Load(),
+		Commits:               st.Commits.Load(),
+		Aborts:                st.Aborts.Load(),
+		ConflictAborts:        st.ConflictAborts.Load(),
+		ValidationAborts:      st.ValidationAborts.Load(),
+		DoomedAborts:          st.DoomedAborts.Load(),
+		UserAborts:            st.UserAborts.Load(),
+		MaxAttemptsAborts:     st.MaxAttemptsAborts.Load(),
+		ChaosAborts:           st.ChaosAborts.Load(),
+		Escalations:           st.Escalations.Load(),
+		SerialCommits:         st.SerialCommits.Load(),
+		CanceledTxns:          st.CanceledTxns.Load(),
+		DeadlineTxns:          st.DeadlineTxns.Load(),
+		ClosedTxns:            st.ClosedTxns.Load(),
+		CrossShardCommits:     st.CrossShardCommits.Load(),
+		EpochExtensions:       st.EpochExtensions.Load(),
+		MVCCSnapshotTxns:      st.MVCCSnapshotTxns.Load(),
+		MVCCSnapshotReads:     st.MVCCSnapshotReads.Load(),
+		MVCCHistoryReads:      st.MVCCHistoryReads.Load(),
+		MVCCVersionsAppended:  st.MVCCVersionsAppended.Load(),
+		MVCCVersionsReclaimed: st.MVCCVersionsReclaimed.Load(),
+		MVCCCapOverflows:      st.MVCCCapOverflows.Load(),
+		ValidationTime:        st.ValidationTime.snapshot(),
+		LockHold:              st.LockHold.snapshot(),
 	}
 }
 
@@ -323,8 +316,6 @@ func (st *Stats) reset() {
 	st.ClosedTxns.Store(0)
 	st.CrossShardCommits.Store(0)
 	st.EpochExtensions.Store(0)
-	st.ValidationShardsChecked.Store(0)
-	st.ValidationShardsSkipped.Store(0)
 	st.MVCCSnapshotTxns.Store(0)
 	st.MVCCSnapshotReads.Store(0)
 	st.MVCCHistoryReads.Store(0)

@@ -150,12 +150,10 @@ type STM struct {
 
 	// shards partitions the timebase: refs map to shards in id blocks
 	// (shardOf), each shard holding a padded commit clock. Sized once in
-	// New; see WithShards.
-	shards     []stmShard
-	nShards    int
-	shardMask  uint64
-	shardShift uint32 // log2 of the ref-id block size (WithShardBlockBits)
-	reqShards  int    // WithShards request; 0 = auto
+	// New to AutoShardCount.
+	shards    []stmShard
+	nShards   int
+	shardMask uint64
 
 	// versionCap bounds the per-reference version history of the mvcc
 	// backend (WithVersionCap, default 8). Other backends ignore it.
@@ -252,9 +250,8 @@ func WithVersionCap(n int) Option { return versionCapOption(n) }
 // (MixedEagerWWLazyRW), matching the paper's evaluation.
 func New(opts ...Option) *STM {
 	s := &STM{
-		cm:         Backoff{},
-		epoch:      time.Now(),
-		shardShift: shardBlockBits,
+		cm:    Backoff{},
+		epoch: time.Now(),
 	}
 	s.epochNS = s.epoch.UnixNano()
 	for _, o := range opts {
@@ -263,14 +260,7 @@ func New(opts ...Option) *STM {
 	if s.versionCap <= 0 {
 		s.versionCap = DefaultVersionCap
 	}
-	n := s.reqShards
-	if n <= 0 {
-		n = autoShardCount()
-	}
-	n = ceilShardPow2(n)
-	s.nShards = n
-	s.shardMask = uint64(n - 1)
-	s.shards = make([]stmShard, n)
+	s.setShards(AutoShardCount())
 	if s.backend == nil {
 		f, ok := BackendByName(DefaultBackend)
 		if !ok {
@@ -283,6 +273,14 @@ func New(opts ...Option) *STM {
 	}
 	s.retryCv = sync.NewCond(&s.retryMu)
 	return s
+}
+
+// setShards sizes the timebase to n shards (a power of two ≤ MaxShards). It
+// runs before any reference or descriptor of the instance exists.
+func (s *STM) setShards(n int) {
+	s.nShards = n
+	s.shardMask = uint64(n - 1)
+	s.shards = make([]stmShard, n)
 }
 
 // DefaultBackend is the registry name of the backend New selects when no

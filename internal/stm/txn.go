@@ -44,10 +44,9 @@ type conflictSignal struct{ cause AbortCause }
 type retrySignal struct{}
 
 type readEntry struct {
-	r    *baseRef
-	ver  uint64
-	box  *box  // norec backend: value identity instead of version
-	next int32 // same-shard chain link (index into Txn.reads); -1 ends it
+	r   *baseRef
+	ver uint64
+	box *box // norec backend: value identity instead of version
 }
 
 type undoEntry struct {
@@ -80,28 +79,18 @@ type Txn struct {
 	// state word so stale doom CASes can never cross a pool reuse.
 	incarnation uint32
 
-	// rvVec is the per-shard read-version vector: for the versioned backends
-	// (tl2, ccstm, eager) rvVec[s] is the shard-s commit clock captured at
-	// the transaction's first touch of shard s; for norec it holds the
-	// per-shard write-counter snapshot. It is allocated once per descriptor
-	// (sized to the instance's shard count) and retained across pool reuse —
-	// stale values are unreachable because shardSeen gates every read.
+	// rvVec is the per-shard read-version vector of the versioned backends
+	// (tl2, ccstm, eager, mvcc): rvVec[s] is the shard-s commit clock
+	// captured at the transaction's first touch of shard s (all shards at
+	// once for an mvcc snapshot). It is allocated once per descriptor (sized
+	// to the instance's shard count) and retained across pool reuse — stale
+	// values are unreachable because shardSeen gates every read.
 	rvVec     []uint64
 	shardSeen uint64 // bitmask of shards captured into rvVec this attempt
 	epochSeen uint64 // global epoch at first capture (cross-shard fence)
 	snapshot  uint64 // norec backend: global sequence-lock snapshot (even)
 
 	reads []readEntry
-	// readHeads/readShards thread the read log into per-shard chains (see
-	// logRead/chainReads): readHeads[sh] is the index of shard sh's most
-	// recent entry, readShards the bitmask of shards with entries. Heads are
-	// only valid for shards whose readShards bit is set, so clearing the mask
-	// resets all chains at once. The chains are built lazily — on the first
-	// partitioned validation pass (readChained) — so attempts that never
-	// revalidate (the common uncontended case) pay nothing per read.
-	readHeads   [MaxShards]int32
-	readShards  uint64
-	readChained bool
 
 	wset        writeSet    // redo log: inline entries, insertion-ordered
 	sortBuf     []*baseRef  // commit-time lock-order scratch (tl2 backend)
@@ -149,10 +138,9 @@ type Txn struct {
 	readOnly bool
 	mvccRO   *mvccReader
 	// mvccRd caches the descriptor's mvcc reader (watermark slot + epoch
-	// handle), minted on first use and kept for the descriptor's life —
-	// descriptors are pooled per instance, so the slot registry and the EBR
-	// registry stay bounded by the peak number of concurrent transactions
-	// without a second pooling layer on the read-only hot path. Update
+	// handle), minted on first use and kept for the descriptor's life, so
+	// the read-only hot path needs no second pooling layer; both slots are
+	// released when a dropped descriptor's reader is collected. Update
 	// commits borrow its epoch handle for the publish pass.
 	mvccRd *mvccReader
 
@@ -254,13 +242,11 @@ func (tx *Txn) reset() {
 }
 
 // truncateLogs empties every per-attempt log and the TxnLocal map, and
-// forgets the attempt's read chains, shard captures and lock-hold stamp.
+// forgets the attempt's shard captures and lock-hold stamp.
 // (sortBuf is commit scratch: the lazy backends truncate it where they fill
 // it, reset when the descriptor retires.)
 func (tx *Txn) truncateLogs() {
 	truncate(&tx.reads)
-	tx.readShards = 0
-	tx.readChained = false
 	tx.wset.reset()
 	truncate(&tx.undo)
 	truncate(&tx.owned)
@@ -461,49 +447,9 @@ func (tx *Txn) runBody(fn func(*Txn) error) (err error, sig txnSignal) {
 	return err, sigNone
 }
 
-// logRead appends a read-set entry. Once the attempt's per-shard chains have
-// been built (see chainReads), the entry is threaded onto its shard's chain
-// so later partitioned validation passes stay exact; before that, appends are
-// plain — the first partial pass back-fills the links.
+// logRead appends a read-set entry.
 func (tx *Txn) logRead(r *baseRef, ver uint64, bx *box) {
-	e := readEntry{r: r, ver: ver, box: bx, next: -1}
-	if tx.readChained {
-		sh := r.shard
-		if tx.readShards>>sh&1 == 1 {
-			e.next = tx.readHeads[sh]
-		} else {
-			tx.readShards |= 1 << sh
-		}
-		tx.readHeads[sh] = int32(len(tx.reads))
-	}
-	tx.reads = append(tx.reads, e)
-}
-
-// chainReads threads the read log into per-shard intrusive chains so the
-// partitioned validation passes (validateReadsPartial, the norec partitioned
-// revalidation) walk exactly the entries of the shards whose clock or write
-// counter moved — O(entries in changed shards) instead of a scan over the
-// whole log. Built lazily at the first partial pass of the attempt: one O(n)
-// sweep here buys O(changed) for every later extension, and attempts that
-// never revalidate (single-shard instances, uncontended runs) never pay the
-// per-read link maintenance at all.
-func (tx *Txn) chainReads() {
-	if tx.readChained {
-		return
-	}
-	tx.readShards = 0
-	for i := range tx.reads {
-		re := &tx.reads[i]
-		sh := re.r.shard
-		if tx.readShards>>sh&1 == 1 {
-			re.next = tx.readHeads[sh]
-		} else {
-			re.next = -1
-			tx.readShards |= 1 << sh
-		}
-		tx.readHeads[sh] = int32(i)
-	}
-	tx.readChained = true
+	tx.reads = append(tx.reads, readEntry{r: r, ver: ver, box: bx})
 }
 
 // read returns the value of r as observed by tx, maintaining opacity. Reads

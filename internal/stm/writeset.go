@@ -47,8 +47,8 @@ func wsHash(r *baseRef) uint64 {
 func (ws *writeSet) len() int { return len(ws.entries) }
 
 // shardMask returns the bitmask of timebase shards covered by the redo log.
-// The lazy backends use it at commit to decide between the single-shard
-// clock bump and the epoch-fenced cross-shard path (see Txn.stampWrites).
+// The lazy backends (tl2, mvcc) use it at commit to decide between the
+// single-shard clock bump and the epoch-fenced cross-shard path (see Txn.stampWrites).
 func (ws *writeSet) shardMask() uint64 {
 	var m uint64
 	for i := range ws.entries {
