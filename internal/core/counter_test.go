@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"proust/internal/stm"
 )
@@ -126,6 +127,85 @@ func TestNNCounterNeverNegative(t *testing.T) {
 					got, want, incrs.Load(), goodDecrs.Load())
 			}
 		})
+	}
+}
+
+// readerDoomSignal dooms every visible reader, like stm.Backoff, and reports
+// each reader arbitration on its channel.
+type readerDoomSignal struct {
+	stm.Backoff
+	arbitrated chan struct{}
+}
+
+func (c readerDoomSignal) InvalidatesReader(_, _ *stm.Txn) bool {
+	select {
+	case c.arbitrated <- struct{}{}:
+	default:
+	}
+	return true
+}
+
+// TestNNCounterDecrWaitsForDoomedIncr parks an eager-eager Incr between its
+// base update and its commit, then runs a Decr that dooms it through l0. The
+// Decr must not consume the parked increment: it may go on only once the
+// doomed Incr's rollback has run its inverse. Otherwise the Decr commits
+// while the Incr is parked, and the inverse then takes the counter below
+// zero.
+func TestNNCounterDecrWaitsForDoomedIncr(t *testing.T) {
+	cm := readerDoomSignal{arbitrated: make(chan struct{}, 1)}
+	s := stm.New(stm.WithPolicy(stm.EagerEager), stm.WithContentionManager(cm))
+	c := NewNNCounter(s)
+	parked, release := make(chan struct{}), make(chan struct{})
+	var lowest atomic.Int64
+	incrDone := make(chan error, 1)
+	go func() {
+		incrDone <- s.Atomically(func(tx *stm.Txn) error {
+			if v := c.Value(); v < lowest.Load() {
+				lowest.Store(v)
+			}
+			c.Incr(tx)
+			if tx.Attempt() == 1 {
+				close(parked)
+				<-release
+			}
+			return nil
+		})
+	}()
+	<-parked
+
+	var decrOK bool
+	decrDone := make(chan error, 1)
+	go func() {
+		decrDone <- s.Atomically(func(tx *stm.Txn) error {
+			decrOK = c.Decr(tx)
+			return nil
+		})
+	}()
+	<-cm.arbitrated
+	// Well inside the writer's bound on waiting for a doomed reader.
+	select {
+	case err := <-decrDone:
+		close(release)
+		<-incrDone
+		t.Fatalf("Decr committed (err %v, ok %v) while the Incr it doomed was parked before its rollback", err, decrOK)
+	case <-time.After(5 * time.Millisecond):
+	}
+	close(release)
+	if err := <-incrDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-decrDone; err != nil {
+		t.Fatal(err)
+	}
+	if v := lowest.Load(); v < 0 {
+		t.Fatalf("counter read %d at the start of a retried Incr", v)
+	}
+	want := int64(1)
+	if decrOK {
+		want = 0
+	}
+	if got := c.Value(); got != want {
+		t.Fatalf("Value = %d, want %d (Decr ok = %v)", got, want, decrOK)
 	}
 }
 

@@ -1,5 +1,7 @@
 package stm
 
+import "time"
+
 func init() {
 	RegisterBackend(BackendFactory{
 		Name:   "eager",
@@ -34,6 +36,9 @@ func (eagerBackend) read(tx *Txn, r *baseRef) any {
 	// acquires r after this point will arbitrate against us, so committed
 	// writes can never invalidate our read set silently (which is why this
 	// backend skips commit-time validation).
+	// A doomed reader stops here rather than reading on: writers that doomed
+	// it wait for its rollback (arbitrateReaders).
+	tx.checkAlive()
 	tx.registerReader(r)
 	return tx.readVersioned(r)
 }
@@ -74,22 +79,65 @@ func (tx *Txn) registerReader(r *baseRef) {
 
 // arbitrateReaders resolves read-write conflicts eagerly: tx holds the write
 // lock on r and must either doom every visible reader or abort itself.
+//
+// A doomed (or otherwise aborted) reader may already have changed base state
+// under the conflict abstraction it read r for — an NNCounter increment, say
+// — and undoes that only in its rollback, which runs its OnAbort inverses
+// before it deregisters from r. So tx waits until each such reader has left
+// r's table: going on earlier would let tx act on an effect whose inverse is
+// still pending. A doomed reader observes its doom, or gives up, on every STM
+// path that could wait for tx (acquiring or reading a ref tx owns checks it on
+// each spin, abstract-lock waits time out, and its own waits here check it),
+// and tx leaves its wait, releasing r, once tx is doomed itself. A reader
+// blocked outside the STM — in its body, on tx's own completion, say — never
+// rolls back while tx waits, so the wait is bounded by doomedReaderWait,
+// after which tx goes on as if the reader had left.
 func (tx *Txn) arbitrateReaders(r *baseRef) {
-	readers := r.activeReaders(tx)
+	readers := r.otherReaders(tx)
 	for _, rd := range readers {
 		snap := rd.stateSnapshot()
 		if snap&statusMask != statusActive {
 			continue
 		}
-		if tx.s.cmInvalidatesReader(tx, rd, snap) {
-			doomTxn(rd, snap)
-			continue
+		if !tx.s.cmInvalidatesReader(tx, rd, snap) {
+			// Reader wins: abort ourselves. The write is logged only after
+			// arbitration, so r is not in tx.owned yet and rollback would not
+			// release it.
+			r.owner.Store(nil)
+			tx.conflict(CauseLockConflict)
 		}
-		// Reader wins: abort ourselves. The write is logged only after
-		// arbitration, so r is not in tx.owned yet and rollback would not
-		// release it.
-		r.owner.Store(nil)
-		tx.conflict(CauseLockConflict)
+		doomTxn(rd, snap)
+	}
+	// Doom first, then wait: the doomed readers roll back side by side.
+	for _, rd := range readers {
+		if snap := rd.stateSnapshot(); snap&statusMask == statusAborted {
+			tx.awaitReaderRollback(r, rd, snap)
+		}
+	}
+}
+
+// doomedReaderWait bounds how long a writer waits for a doomed reader's
+// rollback (see arbitrateReaders). A running reader rolls back within
+// microseconds; the bound only matters for one blocked in its body.
+const doomedReaderWait = 100 * time.Millisecond
+
+// awaitReaderRollback waits until rd's aborted attempt (state word snap) has
+// deregistered from r, rd has moved on to another attempt, or
+// doomedReaderWait has passed. If tx is doomed meanwhile it releases r and
+// unwinds.
+func (tx *Txn) awaitReaderRollback(r *baseRef, rd *Txn, snap uint64) {
+	var deadline time.Time
+	for rd.stateSnapshot() == snap && r.listsReader(rd) {
+		if tx.status() == statusAborted {
+			r.owner.Store(nil)
+			tx.conflict(CauseDoomed)
+		}
+		if now := time.Now(); deadline.IsZero() {
+			deadline = now.Add(doomedReaderWait)
+		} else if now.After(deadline) {
+			return
+		}
+		procYield()
 	}
 }
 

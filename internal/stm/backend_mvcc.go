@@ -28,7 +28,11 @@ import (
 // after unlinking them, and a node returns to a freelist only after a full
 // grace period.
 //
-// Histories are garbage-collected by a per-shard oldest-active watermark W:
+// An update commit that finds no snapshot reader registered once its
+// publication window is open keeps no history at all: it retires each written
+// ref's whole chain instead of appending (see commit and readSnapshot). While
+// readers are registered, histories are garbage-collected by a per-shard
+// oldest-active watermark W:
 // every active snapshot transaction occupies a padded slot holding its
 // snapshot floor, W for a shard is the minimum of that floor and the shard's
 // own commit clock, and the writer-side trim keeps each chain down to the
@@ -325,9 +329,23 @@ func (b *mvccBackend) readSnapshot(tx *Txn, r *baseRef) any {
 				return n.val.v
 			}
 		}
-		// Unreachable while the watermark invariant holds (W ≤ snap, and the
-		// chain always reaches a node with ver ≤ W); a fresh publication may
-		// have raced the loads — retry rather than guess.
+		// Unreachable while the retention invariants hold; a fresh
+		// publication may have raced the loads — retry rather than guess.
+		//
+		//   - A commit that saw this reader's slot held appended the version
+		//     it displaced and trimmed only below the watermark (W ≤ snap,
+		//     and the chain always reaches a node with ver ≤ W).
+		//   - A commit that published with no history (no slot held once its
+		//     window was open) cannot have displaced a version this reader
+		//     needs. Its registry scan follows its pubClk.Add; this reader
+		//     stored its sentinel, then loaded pubDone and pubClk in
+		//     captureSnapshotVector — all sequentially consistent. A scan
+		//     that missed the sentinel (or loaded the registry before this
+		//     reader's slot was appended) therefore precedes the sentinel
+		//     store, so the capture's pubDone load came after that commit's
+		//     pubClk.Add and returned only once its window had closed: the
+		//     vector is at or above every version it published. Update
+		//     transactions never read history.
 		procYield()
 	}
 }
@@ -394,10 +412,16 @@ func (b *mvccBackend) commit(tx *Txn) bool {
 	pp = tx.phaseEnter(PhasePublish)
 	tx.runCommitLocked()
 	// Publish with history append: per ref, the displaced (previously
-	// committed) version/value pair becomes the new chain head before the new
-	// value and version are stored, all under the ref's owner lock, then the
-	// chain is trimmed against the watermark. Values and versions publish
+	// committed) version/value pair becomes the new chain head and the chain
+	// is trimmed against the watermark before the new value and version are
+	// stored, all under the ref's owner lock. Values and versions publish
 	// before the locks are released, exactly like tl2.
+	//
+	// With no snapshot reader registered once this window is open, no reader
+	// can ever need the displaced version (or anything older), so the commit
+	// publishes with no history instead: it unlinks and retires each written
+	// ref's whole chain. The registry scan must follow pubClk.Add above — see
+	// readSnapshot for the ordering argument.
 	h := b.getReader(tx).eh
 	h.Pin()
 	// One rescan-cadence draw per commit, not per written ref: the boundary
@@ -405,20 +429,28 @@ func (b *mvccBackend) commit(tx *Txn) bool {
 	if k := uint64(len(tx.wset.entries)); b.pubs.Add(k)%mvccWMRescanEvery < k {
 		b.scanWatermark(tx.s)
 	}
+	idle := b.noSnapshotReaders()
 	appended := uint64(0)
 	reclaimed := uint64(0)
 	for i := range tx.wset.entries {
 		e := &tx.wset.entries[i]
 		r := e.r
-		n := h.Alloc()
-		n.ver = r.version.Load()
-		n.val = r.value.Load()
-		n.next.Store(r.hist.Load())
-		r.hist.Store(n)
+		if idle {
+			if n := r.hist.Load(); n != nil {
+				r.hist.Store(nil)
+				reclaimed += retireChain(h, n)
+			}
+		} else {
+			n := h.Alloc()
+			n.ver = r.version.Load()
+			n.val = r.value.Load()
+			n.next.Store(r.hist.Load())
+			r.hist.Store(n)
+			appended++
+			reclaimed += b.trimHistory(tx, h, r)
+		}
 		r.value.Store(tx.newBox(e.val))
 		r.version.Store(p.ver(r))
-		appended++
-		reclaimed += b.trimHistory(tx, h, r)
 	}
 	h.Unpin()
 	b.versionsLive.Add(int64(appended) - int64(reclaimed))
@@ -543,7 +575,9 @@ func (b *mvccBackend) scanWatermark(s *STM) {
 	}
 }
 
-// trimHistory bounds r's chain, holding r's owner lock: it keeps nodes down
+// trimHistory bounds r's chain after an append, holding r's owner lock (a
+// commit that found no reader registered retires the whole chain instead and
+// never gets here): it keeps nodes down
 // to (and including) the first with ver ≤ W (r's shard's watermark) and
 // unlinks-then-retires the strictly older tail. Reclaiming only below such a
 // node is sound for every reader: a reader needing a reclaimed node n* (the
@@ -595,14 +629,34 @@ func (b *mvccBackend) trimHistory(tx *Txn, h *conc.EpochHandle[mvccVerNode], r *
 		return 0
 	}
 	n.next.Store(nil)
-	var reclaimed uint64
-	for t := tail; t != nil; {
-		nx := t.next.Load()
-		h.Retire(t)
-		reclaimed++
-		t = nx
+	return retireChain(h, tail)
+}
+
+// retireChain retires every node of an already-unlinked chain and returns how
+// many it retired.
+func retireChain(h *conc.EpochHandle[mvccVerNode], n *mvccVerNode) uint64 {
+	var retired uint64
+	for n != nil {
+		nx := n.next.Load()
+		h.Retire(n)
+		retired++
+		n = nx
 	}
-	return reclaimed
+	return retired
+}
+
+// noSnapshotReaders reports whether no watermark slot is held: every slot in
+// the registry reads 0 (the pre-capture sentinel 1 counts as held). Called by
+// an update commit after it has opened its publication window.
+func (b *mvccBackend) noSnapshotReaders() bool {
+	if sp := b.slots.Load(); sp != nil {
+		for _, sl := range *sp {
+			if sl.snap.Load() != 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // MVCCTelemetry is a point-in-time view of the mvcc backend's version-chain

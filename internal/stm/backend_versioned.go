@@ -55,9 +55,12 @@ func (tx *Txn) resolveRead(r *baseRef, owner *Txn, spins int) {
 }
 
 // waitOrDie spins briefly waiting for ownership of r to change; past the
-// spin budget it aborts tx.
+// spin budget, or once tx has been doomed, it aborts tx. The doom check lets
+// a doomed visible reader leave a read of a ref its writer owns at once: that
+// writer is waiting for the reader's rollback (arbitrateReaders).
 func (tx *Txn) waitOrDie(r *baseRef, owner *Txn, spins int) {
 	const spinBudget = 256
+	tx.checkAlive()
 	if spins > spinBudget {
 		tx.conflict(CauseLockConflict)
 	}

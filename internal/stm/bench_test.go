@@ -173,3 +173,56 @@ func BenchmarkSmallTxnAfterLargeTxn(b *testing.B) {
 		})
 	}
 }
+
+// benchMVCCPublish times 64-write mvcc update commits over 4096 refs, with
+// or without a goroutine running snapshot transactions beside them: with no
+// snapshot registered a commit keeps no history; under the reader every
+// commit appends the versions it displaces and trims against the watermark.
+func benchMVCCPublish(b *testing.B, underReader bool) {
+	const refsN, writes = 4096, 64
+	s := New(WithBackend("mvcc"))
+	refs := make([]*Ref[int], refsN)
+	for i := range refs {
+		refs[i] = NewRef(s, i)
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if !underReader {
+			return
+		}
+		ctx := WithReadOnly(nil)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = s.AtomicallyCtx(ctx, func(tx *Txn) error {
+				for j := 0; j < 4; j++ {
+					_ = refs[(i*97+j*131)%refsN].Get(tx)
+				}
+				return nil
+			})
+		}
+	}()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		base := (i * writes) % refsN
+		if err := s.Atomically(func(tx *Txn) error {
+			for j := 0; j < writes; j++ {
+				refs[base+j].Set(tx, i)
+			}
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	close(stop)
+	<-done
+}
+
+func BenchmarkMVCCPublishIdle(b *testing.B)        { benchMVCCPublish(b, false) }
+func BenchmarkMVCCPublishUnderReader(b *testing.B) { benchMVCCPublish(b, true) }

@@ -273,7 +273,7 @@ func TestMVCCChaosSoakZeroReadOnlyAborts(t *testing.T) {
 
 // TestMVCCWatermarkGCShrink: an active snapshot pins history past the version
 // cap (the soft budget yields, counting the overflow); once the reader exits,
-// the next writer trims the backlog back under the cap.
+// the next writer retires the whole backlog.
 func TestMVCCWatermarkGCShrink(t *testing.T) {
 	const cap = 4
 	s := newSharded(1, WithBackend("mvcc"), WithVersionCap(cap))
@@ -318,8 +318,8 @@ func TestMVCCWatermarkGCShrink(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	// The reader is gone; subsequent appends rescan the watermark (eagerly at
-	// the cap) and trim the backlog.
+	// The reader is gone; the next commit finds no reader registered and
+	// retires the whole backlog instead of appending.
 	for i := 0; i < 4; i++ {
 		if err := s.Atomically(func(tx *Txn) error {
 			r.Set(tx, commits+1+i)
@@ -332,31 +332,88 @@ func TestMVCCWatermarkGCShrink(t *testing.T) {
 	if tel.ActiveSnapshots != 0 {
 		t.Fatalf("ActiveSnapshots = %d after release, want 0", tel.ActiveSnapshots)
 	}
-	if tel.VersionsLive > cap+1 {
-		t.Fatalf("VersionsLive = %d after reader exit, want <= %d (backlog not trimmed)", tel.VersionsLive, cap+1)
+	if tel.VersionsLive != 0 {
+		t.Fatalf("VersionsLive = %d after reader exit, want 0 (backlog not retired)", tel.VersionsLive)
 	}
 }
 
-// TestMVCCVersionGCGate is the CI memory gate: sustained update churn with no
-// snapshot readers must keep live history bounded near refs × cap — version
-// chains must not grow with the commit count.
+// TestMVCCVersionGCGate is the CI memory gate: sustained update churn beside
+// a goroutine of short snapshot transactions (so commits both append and
+// trim) must keep live history bounded near refs × cap — version chains must
+// not grow with the commit count — and once no reader is left, one commit per
+// ref must leave no history at all.
+//
+// The leak bound is checked after one commit per ref under a reader parked at
+// the end of the churn: a churn reader preempted inside its body can pin any
+// amount of history for as long as it is descheduled, but the parked reader's
+// floor is the current clock, so each of those commits must trim its chain
+// back to at most cap nodes whatever the churn left. One shard makes the
+// floor the ref's own clock.
 func TestMVCCVersionGCGate(t *testing.T) {
 	const refsN = 16
-	s := New(WithBackend("mvcc"))
+	s := newSharded(1, WithBackend("mvcc"))
 	refs := make([]*Ref[int], refsN)
 	for i := range refs {
 		refs[i] = NewRef(s, 0)
 	}
+	roCtx := WithReadOnly(nil)
+	bump := func(r *Ref[int]) {
+		t.Helper()
+		if err := s.Atomically(func(tx *Txn) error {
+			r.Set(tx, r.Get(tx)+1)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := s.AtomicallyCtx(roCtx, func(tx *Txn) error {
+				_ = refs[i%refsN].Get(tx)
+				runtime.Gosched() // stay registered while the writer runs
+				return nil
+			}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 	const rounds = 500
 	for i := 0; i < rounds; i++ {
 		for _, r := range refs {
-			if err := s.Atomically(func(tx *Txn) error {
-				r.Set(tx, r.Get(tx)+1)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
+			bump(r)
 		}
+		runtime.Gosched() // let the reader in on one core
+	}
+	close(stop)
+	<-readerDone
+	if st := s.Stats(); st.MVCCVersionsAppended == 0 || st.MVCCVersionsReclaimed == 0 {
+		t.Fatalf("churn beside readers did not both append and reclaim: appended=%d reclaimed=%d", st.MVCCVersionsAppended, st.MVCCVersionsReclaimed)
+	}
+
+	started := make(chan struct{})
+	release := make(chan struct{})
+	parked := make(chan error, 1)
+	go func() {
+		parked <- s.AtomicallyCtx(roCtx, func(tx *Txn) error {
+			_ = refs[0].Get(tx)
+			close(started)
+			<-release
+			return nil
+		})
+	}()
+	<-started
+	for _, r := range refs {
+		bump(r)
 	}
 	tel, ok := s.MVCCTelemetry()
 	if !ok {
@@ -366,14 +423,264 @@ func TestMVCCVersionGCGate(t *testing.T) {
 	// chain may hold cap nodes plus the boundary node.
 	limit := int64(refsN * (DefaultVersionCap + 1))
 	if tel.VersionsLive > limit {
-		t.Fatalf("VersionsLive = %d after %d commits, want <= %d (history leak)", tel.VersionsLive, rounds*refsN, limit)
+		t.Fatalf("VersionsLive = %d after %d commits, want <= %d (history leak)", tel.VersionsLive, (rounds+1)*refsN, limit)
 	}
 	st := s.Stats()
+	if live := int64(st.MVCCVersionsAppended) - int64(st.MVCCVersionsReclaimed); live != tel.VersionsLive {
+		t.Fatalf("VersionsLive gauge %d disagrees with appended-reclaimed %d", tel.VersionsLive, live)
+	}
+	close(release)
+	if err := <-parked; err != nil {
+		t.Fatal(err)
+	}
+
+	for _, r := range refs {
+		bump(r)
+	}
+	tel, _ = s.MVCCTelemetry()
+	if tel.VersionsLive != 0 {
+		t.Fatalf("VersionsLive = %d after a commit per ref with no reader, want 0", tel.VersionsLive)
+	}
+	st = s.Stats()
 	if st.MVCCVersionsAppended == 0 || st.MVCCVersionsReclaimed == 0 {
 		t.Fatalf("version accounting inert: appended=%d reclaimed=%d", st.MVCCVersionsAppended, st.MVCCVersionsReclaimed)
 	}
 	if live := int64(st.MVCCVersionsAppended) - int64(st.MVCCVersionsReclaimed); live != tel.VersionsLive {
 		t.Fatalf("VersionsLive gauge %d disagrees with appended-reclaimed %d", tel.VersionsLive, live)
+	}
+}
+
+// TestMVCCIdleCommitKeepsNoHistory: a commit that finds no snapshot reader
+// registered publishes with no history — it appends nothing and retires
+// whatever chain a reader left behind — and a later snapshot still reads the
+// latest values.
+func TestMVCCIdleCommitKeepsNoHistory(t *testing.T) {
+	s := New(WithBackend("mvcc"))
+	x, y := NewRef(s, 0), NewRef(s, 0)
+	roCtx := WithReadOnly(nil)
+	set := func(v int) {
+		t.Helper()
+		if err := s.Atomically(func(tx *Txn) error {
+			x.Set(tx, v)
+			y.Set(tx, -v)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for v := 1; v <= 10; v++ {
+		set(v)
+	}
+	tel, _ := s.MVCCTelemetry()
+	if st := s.Stats(); tel.VersionsLive != 0 || st.MVCCVersionsAppended != 0 {
+		t.Fatalf("idle commits kept history: VersionsLive = %d, appended = %d", tel.VersionsLive, st.MVCCVersionsAppended)
+	}
+
+	// A parked reader makes commits append; the first commit after it leaves
+	// retires the chains it pinned.
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- s.AtomicallyCtx(roCtx, func(tx *Txn) error {
+			_ = x.Get(tx)
+			close(started)
+			<-release
+			return nil
+		})
+	}()
+	<-started
+	for v := 11; v <= 15; v++ {
+		set(v)
+	}
+	if tel, _ = s.MVCCTelemetry(); tel.VersionsLive == 0 {
+		t.Fatal("commits under a registered reader kept no history")
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	set(16)
+	tel, _ = s.MVCCTelemetry()
+	st := s.Stats()
+	if tel.VersionsLive != 0 {
+		t.Fatalf("VersionsLive = %d after an idle commit, want 0", tel.VersionsLive)
+	}
+	if st.MVCCVersionsAppended != st.MVCCVersionsReclaimed {
+		t.Fatalf("appended %d != reclaimed %d with nothing live", st.MVCCVersionsAppended, st.MVCCVersionsReclaimed)
+	}
+	var gx, gy int
+	if err := s.AtomicallyCtx(roCtx, func(tx *Txn) error {
+		gx, gy = x.Get(tx), y.Get(tx)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if gx != 16 || gy != -16 {
+		t.Fatalf("snapshot after idle commits read (%d,%d), want (16,-16)", gx, gy)
+	}
+}
+
+// TestMVCCReaderBeforeWindowKeepsDisplacedVersion: a snapshot registered
+// before commits open their publication windows still reads its values after
+// they have all been displaced — so every one of those commits appended.
+func TestMVCCReaderBeforeWindowKeepsDisplacedVersion(t *testing.T) {
+	const refsN, commits = 4, 20
+	s := New(WithBackend("mvcc"))
+	refs := make([]*Ref[int], refsN)
+	for i := range refs {
+		refs[i] = NewRef(s, 100+i)
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- s.AtomicallyCtx(WithReadOnly(nil), func(tx *Txn) error {
+			close(started)
+			<-release
+			for i, r := range refs {
+				if got := r.Get(tx); got != 100+i {
+					t.Errorf("ref %d: snapshot read %d, want %d", i, got, 100+i)
+				}
+			}
+			return nil
+		})
+	}()
+	<-started
+	for c := 1; c <= commits; c++ {
+		if err := s.Atomically(func(tx *Txn) error {
+			for _, r := range refs {
+				r.Set(tx, -c)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.MVCCVersionsAppended != refsN*commits {
+		t.Fatalf("MVCCVersionsAppended = %d, want %d (every commit under the reader appends)", st.MVCCVersionsAppended, refsN*commits)
+	}
+	if st.MVCCHistoryReads != refsN {
+		t.Fatalf("MVCCHistoryReads = %d, want %d", st.MVCCHistoryReads, refsN)
+	}
+}
+
+// TestMVCCSentinelSlotCountsAsReader: a reader whose slot holds the
+// pre-capture sentinel has (or may have) captured its vector without having
+// published its floor yet; a commit that sees only the sentinel must still
+// append. The body rewinds its own slot to the sentinel to stand in for that
+// moment of begin.
+func TestMVCCSentinelSlotCountsAsReader(t *testing.T) {
+	s := New(WithBackend("mvcc"))
+	r := NewRef(s, 1)
+	if err := s.AtomicallyCtx(WithReadOnly(nil), func(tx *Txn) error {
+		tx.mvccRO.slot.snap.Store(1)
+		done := make(chan error, 1)
+		go func() {
+			done <- s.Atomically(func(wtx *Txn) error {
+				r.Set(wtx, 2)
+				return nil
+			})
+		}()
+		if err := <-done; err != nil {
+			return err
+		}
+		if r.b.hist.Load() == nil {
+			t.Error("a commit that saw a sentinel slot published with no history")
+			return nil // the read below would wait forever
+		}
+		if got := r.Get(tx); got != 1 {
+			t.Errorf("snapshot read %d, want 1", got)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMVCCBeginVsPublishSoak starts batches of short snapshot readers while
+// writers commit x == y pairs across two shards, so reader begins race
+// commits that decide, once their windows are open, whether anyone needs the
+// versions they displace. A wrong decision strands a reader on a version no
+// chain holds (its read never returns); a torn pair means a broken snapshot.
+func TestMVCCBeginVsPublishSoak(t *testing.T) {
+	s := newSharded(8, WithBackend("mvcc"))
+	refs := shardedRefs(t, s, 0, 1)
+	x, y := refs[0], refs[1]
+	rounds := 3000
+	if testing.Short() {
+		rounds = 600
+	}
+	const writers, batch = 2, 4
+	var ww sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		ww.Add(1)
+		go func() {
+			defer ww.Done()
+			for i := 0; i < rounds; i++ {
+				if err := s.Atomically(func(tx *Txn) error {
+					v := x.Get(tx) + 1
+					x.Set(tx, v)
+					y.Set(tx, v)
+					return nil
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	go func() { ww.Wait(); close(stop) }()
+
+	roCtx := WithReadOnly(nil)
+	for {
+		select {
+		case <-stop:
+		default:
+			var rw sync.WaitGroup
+			for i := 0; i < batch; i++ {
+				rw.Add(1)
+				go func() {
+					defer rw.Done()
+					var xv, yv int
+					if err := s.AtomicallyCtx(roCtx, func(tx *Txn) error {
+						xv = x.Get(tx)
+						runtime.Gosched()
+						yv = y.Get(tx)
+						return nil
+					}); err != nil {
+						t.Error(err)
+					}
+					if xv != yv {
+						t.Errorf("torn snapshot pair: x=%d y=%d", xv, yv)
+					}
+				}()
+			}
+			finished := make(chan struct{})
+			go func() { rw.Wait(); close(finished) }()
+			select {
+			case <-finished:
+			case <-time.After(30 * time.Second):
+				t.Fatal("a snapshot read did not return: a version it needed was not kept")
+			}
+			continue
+		}
+		break
+	}
+	if got, want := x.Load(), writers*rounds; got != want || y.Load() != want {
+		t.Fatalf("final pair (%d,%d), want (%d,%d)", got, y.Load(), want, want)
+	}
+	st := s.Stats()
+	if st.MVCCSnapshotTxns == 0 {
+		t.Fatal("no snapshot transactions ran; the soak exercised nothing")
+	}
+	if writes := uint64(2 * writers * rounds); st.MVCCVersionsAppended == 0 || st.MVCCVersionsAppended >= writes {
+		t.Fatalf("appended %d of %d displaced versions: the soak must run commits both with and without a reader registered", st.MVCCVersionsAppended, writes)
 	}
 }
 

@@ -77,9 +77,10 @@ func (r *baseRef) removeReader(tx *Txn) {
 	delete(r.readers, tx)
 }
 
-// activeReaders returns the currently registered readers other than self,
-// pruning entries whose transactions are no longer active.
-func (r *baseRef) activeReaders(self *Txn) []*Txn {
+// otherReaders returns the registered readers other than self, pruning
+// committed ones (their effects are final). An aborted reader stays listed
+// until its own rollback deregisters it, after its inverses have run.
+func (r *baseRef) otherReaders(self *Txn) []*Txn {
 	r.rmu.Lock()
 	defer r.rmu.Unlock()
 	var out []*Txn
@@ -87,13 +88,21 @@ func (r *baseRef) activeReaders(self *Txn) []*Txn {
 		if t == self {
 			continue
 		}
-		if t.status() != statusActive {
+		if t.status() == statusCommitted {
 			delete(r.readers, t)
 			continue
 		}
 		out = append(out, t)
 	}
 	return out
+}
+
+// listsReader reports whether tx is in r's visible-reader table.
+func (r *baseRef) listsReader(tx *Txn) bool {
+	r.rmu.Lock()
+	defer r.rmu.Unlock()
+	_, ok := r.readers[tx]
+	return ok
 }
 
 // Ref is a transactional reference holding a value of type T. Refs are

@@ -208,7 +208,7 @@ type Stats struct {
 	MVCCSnapshotReads     atomic.Uint64 // reads served under a snapshot vector
 	MVCCHistoryReads      atomic.Uint64 // of those, served from a version chain (not the current value)
 	MVCCVersionsAppended  atomic.Uint64 // displaced versions appended at publication
-	MVCCVersionsReclaimed atomic.Uint64 // versions trimmed below the watermark
+	MVCCVersionsReclaimed atomic.Uint64 // versions trimmed below the watermark or retired with no reader registered
 	MVCCCapOverflows      atomic.Uint64 // trims where the watermark overrode the version cap
 
 	// ValidationTime observes the duration of each commit-time read-set

@@ -79,7 +79,8 @@ const (
 	// reference, stamped by the sharded timebase. Update transactions behave
 	// like LazyLazy (redo log, commit-time locking, invisible readers,
 	// commit-time validation) but additionally append the displaced version
-	// to the reference's history at publication; transactions declared
+	// to the reference's history at publication while a snapshot reader is
+	// registered (with none, no history is kept); transactions declared
 	// read-only (WithReadOnly) capture a shard-clock snapshot vector once and
 	// serve every read from the newest version at or below it — no read log,
 	// no validation, no conflict aborts. This is the MVCC point of the design
