@@ -38,8 +38,8 @@ type Backend interface {
 	// policy-agnostic core serves those from the write set.
 	read(tx *Txn, r *baseRef) any
 	// write records (lazy backends) or applies (encounter-time backends) a
-	// write of v to r.
-	write(tx *Txn, r *baseRef, v any)
+	// write of box b to r.
+	write(tx *Txn, r *baseRef, b *box)
 	// touch forces r into the read set for commit-time validation even if
 	// the transaction has already written r.
 	touch(tx *Txn, r *baseRef)

@@ -33,12 +33,12 @@ func (ccstmBackend) read(tx *Txn, r *baseRef) any { return tx.readVersioned(r) }
 
 func (ccstmBackend) touch(tx *Txn, r *baseRef) { _ = tx.readVersioned(r) }
 
-func (ccstmBackend) write(tx *Txn, r *baseRef, v any) {
-	if tx.updateOwnedWrite(r, v) {
+func (ccstmBackend) write(tx *Txn, r *baseRef, b *box) {
+	if tx.updateOwnedWrite(r, b) {
 		return
 	}
 	tx.acquire(r)
-	tx.logUndoAndWrite(r, v)
+	tx.logUndoAndWrite(r, b)
 }
 
 func (ccstmBackend) validate(tx *Txn) bool { return tx.validateReads() }

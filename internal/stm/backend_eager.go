@@ -45,13 +45,13 @@ func (eagerBackend) read(tx *Txn, r *baseRef) any {
 
 func (b eagerBackend) touch(tx *Txn, r *baseRef) { _ = b.read(tx, r) }
 
-func (eagerBackend) write(tx *Txn, r *baseRef, v any) {
-	if tx.updateOwnedWrite(r, v) {
+func (eagerBackend) write(tx *Txn, r *baseRef, b *box) {
+	if tx.updateOwnedWrite(r, b) {
 		return
 	}
 	tx.acquire(r)
 	tx.arbitrateReaders(r)
-	tx.logUndoAndWrite(r, v)
+	tx.logUndoAndWrite(r, b)
 }
 
 func (eagerBackend) validate(tx *Txn) bool { return tx.validateReads() }

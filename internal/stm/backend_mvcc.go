@@ -267,8 +267,8 @@ func (b *mvccBackend) touch(tx *Txn, r *baseRef) {
 	_ = tx.readVersioned(r)
 }
 
-func (b *mvccBackend) write(tx *Txn, r *baseRef, v any) {
-	tx.recordWrite(r, v)
+func (b *mvccBackend) write(tx *Txn, r *baseRef, bx *box) {
+	tx.recordWrite(r, bx)
 }
 
 func (b *mvccBackend) validate(tx *Txn) bool {
@@ -449,7 +449,7 @@ func (b *mvccBackend) commit(tx *Txn) bool {
 			appended++
 			reclaimed += b.trimHistory(tx, h, r)
 		}
-		r.value.Store(tx.newBox(e.val))
+		r.value.Store(e.val)
 		r.version.Store(p.ver(r))
 	}
 	h.Unpin()

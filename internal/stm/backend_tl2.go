@@ -33,8 +33,8 @@ func (tl2Backend) read(tx *Txn, r *baseRef) any { return tx.readVersioned(r) }
 
 func (tl2Backend) touch(tx *Txn, r *baseRef) { _ = tx.readVersioned(r) }
 
-func (tl2Backend) write(tx *Txn, r *baseRef, v any) {
-	tx.recordWrite(r, v)
+func (tl2Backend) write(tx *Txn, r *baseRef, b *box) {
+	tx.recordWrite(r, b)
 }
 
 func (tl2Backend) validate(tx *Txn) bool { return tx.validateReads() }
@@ -112,7 +112,7 @@ func (tl2Backend) commit(tx *Txn) bool {
 	tx.runCommitLocked()
 	for i := range tx.wset.entries {
 		e := &tx.wset.entries[i]
-		e.r.value.Store(tx.newBox(e.val))
+		e.r.value.Store(e.val)
 		e.r.version.Store(p.ver(e.r))
 	}
 	for i := range tx.wset.entries {

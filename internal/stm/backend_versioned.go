@@ -129,38 +129,27 @@ func (tx *Txn) acquire(r *baseRef) {
 	}
 }
 
-// updateOwnedWrite overwrites a ref the transaction already owns (it is in
-// the redo log, so the encounter lock is held). Reports whether r was owned.
-//
-// The box currently installed is this transaction's own tentative box (put
-// there by logUndoAndWrite); every other transaction checks the owner word
-// after loading the value and discards anything read while the encounter
-// lock is held, and the lock is only released after commit publication or
-// after the abort path restores the previous box. The tentative box can
-// therefore be updated in place instead of allocating a fresh one per
-// repeat write — except when the installed box is the shared token box,
-// which other refs may alias (see newBox).
-func (tx *Txn) updateOwnedWrite(r *baseRef, v any) bool {
+// updateOwnedWrite replaces the tentative box of a ref the transaction
+// already owns (it is in the redo log, so the encounter lock is held).
+// Reports whether r was owned. (A repeat Set of a cell this attempt wrote
+// never gets here: Ref.Set stores into that cell in place.)
+func (tx *Txn) updateOwnedWrite(r *baseRef, b *box) bool {
 	i := tx.wset.find(r)
 	if i < 0 {
 		return false
 	}
-	tx.wset.entries[i].val = v
-	if b := r.value.Load(); b != tx.tokenBox {
-		b.v = v
-	} else {
-		r.value.Store(tx.newBox(v))
-	}
+	tx.wset.entries[i].val = b
+	r.value.Store(b)
 	return true
 }
 
-// logUndoAndWrite installs the tentative value under the encounter lock,
+// logUndoAndWrite installs b as the tentative box under the encounter lock,
 // saving the previous box for rollback.
-func (tx *Txn) logUndoAndWrite(r *baseRef, v any) {
+func (tx *Txn) logUndoAndWrite(r *baseRef, b *box) {
 	tx.undo = append(tx.undo, undoEntry{r: r, oldVal: r.value.Load()})
 	tx.owned = append(tx.owned, r)
-	tx.recordWrite(r, v)
-	r.value.Store(tx.newBox(v))
+	tx.recordWrite(r, b)
+	r.value.Store(b)
 }
 
 // restoreUndoAndRelease rolls back encounter-time writes: tentative values

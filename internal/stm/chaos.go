@@ -115,9 +115,9 @@ func (c *chaosBackend) read(tx *Txn, r *baseRef) any {
 	return c.inner.read(tx, r)
 }
 
-func (c *chaosBackend) write(tx *Txn, r *baseRef, v any) { c.inner.write(tx, r, v) }
-func (c *chaosBackend) touch(tx *Txn, r *baseRef)        { c.inner.touch(tx, r) }
-func (c *chaosBackend) validate(tx *Txn) bool            { return c.inner.validate(tx) }
+func (c *chaosBackend) write(tx *Txn, r *baseRef, b *box) { c.inner.write(tx, r, b) }
+func (c *chaosBackend) touch(tx *Txn, r *baseRef)         { c.inner.touch(tx, r) }
+func (c *chaosBackend) validate(tx *Txn) bool             { return c.inner.validate(tx) }
 
 func (c *chaosBackend) commit(tx *Txn) bool {
 	if !tx.serialMode && !tx.readOnly {

@@ -87,9 +87,9 @@ func (b *norecBackend) read(tx *Txn, r *baseRef) any {
 
 func (b *norecBackend) touch(tx *Txn, r *baseRef) { _ = b.read(tx, r) }
 
-// write buffers v in the redo log (lazy w/w, like tl2).
-func (*norecBackend) write(tx *Txn, r *baseRef, v any) {
-	tx.recordWrite(r, v)
+// write buffers b in the redo log (lazy w/w, like tl2).
+func (*norecBackend) write(tx *Txn, r *baseRef, b *box) {
+	tx.recordWrite(r, b)
 }
 
 // validate waits for a stable sequence and value-checks the whole read log,
@@ -168,7 +168,7 @@ func (b *norecBackend) commit(tx *Txn) bool {
 	tx.runCommitLocked()
 	for i := range tx.wset.entries {
 		e := &tx.wset.entries[i]
-		e.r.value.Store(tx.newBox(e.val))
+		e.r.value.Store(e.val)
 		e.r.version.Store(tx.snapshot + 2)
 	}
 	b.seq.Store(tx.snapshot + 2)

@@ -7,9 +7,28 @@ import (
 )
 
 // box wraps a committed (or, under encounter-time locking, tentative) value
-// so the whole value can be published with a single pointer store.
+// so the whole value can be published with a single pointer store. Every box
+// but the serial token (see Txn.serialToken) is the head of a cell, and its
+// v points at the cell's value.
 type box struct {
 	v any
+}
+
+// cell is the one allocation behind a written value: the box and the value
+// it points at share one object, so publication allocates nothing and a read
+// dereferences into the line it already loaded. A cell is mutable only while
+// it sits in its writer's redo log (Ref.Set updates it in place on a repeat
+// write); once the attempt commits or aborts it is never written again.
+type cell[T any] struct {
+	b box
+	v T
+}
+
+// newCell returns the box of a fresh cell holding v.
+func newCell[T any](v T) *box {
+	c := &cell[T]{v: v}
+	c.b.v = &c.v
+	return &c.b
 }
 
 // baseRef is the untyped core of a transactional reference.
@@ -119,25 +138,36 @@ func NewRef[T any](s *STM, init T) *Ref[T] {
 	r.b.s = s
 	r.b.id = s.refIDs.Add(1)
 	r.b.shard = s.shardOf(r.b.id)
-	r.b.value.Store(&box{v: init})
+	r.b.value.Store(newCell(init))
 	return r
 }
 
 // Get reads the reference inside tx.
 func (r *Ref[T]) Get(tx *Txn) T {
-	v, ok := tx.read(&r.b).(T)
-	if !ok {
-		// A zero value stored as a nil interface, or a conflict-abstraction
-		// token (SetSerialToken); normalize to the zero value.
-		var zero T
-		return zero
-	}
-	return v
+	return cellValue[T](tx.read(&r.b))
 }
 
-// Set writes v to the reference inside tx.
+// cellValue dereferences a box's value pointer. Anything that is not a *T —
+// the conflict-abstraction token (SetSerialToken) or a nil interface — reads
+// as the zero value.
+func cellValue[T any](v any) T {
+	if p, ok := v.(*T); ok {
+		return *p
+	}
+	var zero T
+	return zero
+}
+
+// Set writes v to the reference inside tx. A repeat write within one attempt
+// stores into the cell the first one made, so it allocates nothing.
 func (r *Ref[T]) Set(tx *Txn, v T) {
-	tx.write(&r.b, v)
+	if b := tx.writtenBox(&r.b); b != nil {
+		if p, ok := b.v.(*T); ok {
+			*p = v
+			return
+		}
+	}
+	tx.write(&r.b, newCell(v))
 }
 
 // Touch adds the reference to the transaction's read set for commit-time
@@ -176,12 +206,7 @@ func (r *Ref[T]) Load() T {
 		if !r.b.holds(v1, b, nil) {
 			continue
 		}
-		v, ok := b.v.(T)
-		if !ok {
-			var zero T
-			return zero
-		}
-		return v
+		return cellValue[T](b.v)
 	}
 }
 

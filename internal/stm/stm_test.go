@@ -857,8 +857,8 @@ func TestLoadRejectsWithdrawnTentativeBox(t *testing.T) {
 			}()
 			<-parked
 			b := r.b.value.Load()
-			if b.v != 1 {
-				t.Fatalf("the parked writer's tentative value is %v, want 1", b.v)
+			if got := cellValue[int](b.v); got != 1 {
+				t.Fatalf("the parked writer's tentative value is %v, want 1", got)
 			}
 			close(resume)
 			<-done

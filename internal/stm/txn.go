@@ -108,13 +108,12 @@ type Txn struct {
 	onCommitLocked []func() // run FIFO inside the commit critical section
 	onRelease      []func() // run FIFO last, after commit or abort
 
-	// token caches the attempt's conflict-abstraction write token (the
-	// self-referential token box as an interface value); tokenFor is the
-	// attempt serial it was created for. Proust's optimistic LAP writes the
-	// same unique token into every conflict-abstraction location an attempt
-	// touches, so creating it once per attempt (instead of once per
-	// location) removes one allocation per write intent. See SetSerialToken.
-	token    any
+	// tokenBox caches the attempt's conflict-abstraction write token (a
+	// self-referential box); tokenFor is the attempt serial it was created
+	// for. Proust's optimistic LAP writes the same unique token into every
+	// conflict-abstraction location an attempt touches, so creating it once
+	// per attempt (instead of once per location) removes one allocation per
+	// write intent. See SetSerialToken.
 	tokenBox *box
 	tokenFor uint64
 
@@ -225,7 +224,6 @@ func (tx *Txn) reset() {
 	tx.id = 0
 	clear(tx.rvVec)
 	tx.snapshot = 0
-	tx.token = nil
 	tx.tokenBox = nil
 	tx.tokenFor = 0
 	tx.attempt = 0
@@ -303,35 +301,20 @@ func (tx *Txn) Serial() uint64 { return tx.id }
 // serialToken returns the attempt's conflict-abstraction write token. The
 // paper notes the values written into CA locations are irrelevant as long
 // as they are unique (Section 3), and nothing ever reads them back, so the
-// token is the box's own pointer identity — self-referential, created at
-// most once per attempt no matter how many locations it is written to (the
-// alternative, boxing the attempt serial, costs a second allocation for the
-// uint64-to-interface conversion). Uniqueness holds because a box stays
-// reachable from every location it was published to, so its address cannot
-// be recycled while any reader could still compare against it.
-func (tx *Txn) serialToken() any {
+// token is a box whose value is its own pointer identity — created at most
+// once per attempt no matter how many locations it is written to, and
+// published as is into every one of them. Uniqueness holds because a box
+// stays reachable from every location it was published to, so its address
+// cannot be recycled while any reader could still compare against it. Its
+// v is a *box, never a cell's *T, so Ref.Set never updates it in place.
+func (tx *Txn) serialToken() *box {
 	if tx.tokenFor != tx.id {
 		b := &box{}
 		b.v = b
-		tx.token = b.v
 		tx.tokenBox = b
 		tx.tokenFor = tx.id
 	}
-	return tx.token
-}
-
-// newBox wraps v for publication into a ref's value slot. When v is the
-// attempt's serial token the cached token box is reused: a Proust operation
-// writes the same token into every conflict-abstraction location it
-// touches, and token boxes are immutable after publication, so all those
-// locations can share one. (box is unexported, so a *box value can only be
-// the token; the type assertion keeps the comparison from panicking on refs
-// holding non-comparable types.)
-func (tx *Txn) newBox(v any) *box {
-	if bp, ok := v.(*box); ok && tx.tokenFor == tx.id && bp == tx.tokenBox {
-		return tx.tokenBox
-	}
-	return &box{v: v}
+	return tx.tokenBox
 }
 
 // Attempt returns the 1-based attempt number of the transaction: the number
@@ -457,8 +440,8 @@ func (tx *Txn) logRead(r *baseRef, ver uint64, bx *box) {
 // backend's consistent read.
 func (tx *Txn) read(r *baseRef) any {
 	tx.checkAlive()
-	if v, ok := tx.wset.get(r); ok {
-		return v
+	if b := tx.wset.get(r); b != nil {
+		return b.v
 	}
 	return tx.s.backend.read(tx, r)
 }
@@ -473,18 +456,34 @@ func (tx *Txn) touch(r *baseRef) {
 	tx.s.backend.touch(tx, r)
 }
 
-// write records or applies a write of v to r, per the backend's strategy.
-func (tx *Txn) write(r *baseRef, v any) {
+// writtenBox returns the box this attempt has already written to r, or nil.
+// It applies write's checks first, so a repeat write that updates the box in
+// place (Ref.Set) still aborts a doomed attempt and still panics in a
+// read-only one.
+func (tx *Txn) writtenBox(r *baseRef) *box {
+	tx.checkWrite()
+	return tx.wset.get(r)
+}
+
+// write records or applies a write of box b to r, per the backend's
+// strategy: the lazy backends publish b itself at commit, the encounter-time
+// ones install it as the tentative box.
+func (tx *Txn) write(r *baseRef, b *box) {
+	tx.checkWrite()
+	tx.s.backend.write(tx, r, b)
+}
+
+// checkWrite aborts a doomed attempt and rejects a write in a read-only one.
+func (tx *Txn) checkWrite() {
 	tx.checkAlive()
 	if tx.readOnly {
 		panic("stm: write inside a transaction declared with WithReadOnly")
 	}
-	tx.s.backend.write(tx, r, v)
 }
 
 // recordWrite enters r into the redo log (insert-or-update, no allocation).
-func (tx *Txn) recordWrite(r *baseRef, v any) {
-	tx.wset.put(r, v)
+func (tx *Txn) recordWrite(r *baseRef, b *box) {
+	tx.wset.put(r, b)
 }
 
 // markLocked stamps the start of the write-lock hold window (first lock

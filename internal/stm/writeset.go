@@ -18,10 +18,11 @@ package stm
 const wsLinearScan = 8
 
 // writeEntry is one redo-log entry, stored inline (by value) in the write
-// set — no per-write heap allocation.
+// set — no per-write heap allocation. val is the box the commit publishes
+// (or, under encounter-time locking, the installed tentative box).
 type writeEntry struct {
 	r   *baseRef
-	val any
+	val *box
 }
 
 // writeSet is the reusable transaction redo log. Entries keep insertion
@@ -79,22 +80,22 @@ func (ws *writeSet) find(r *baseRef) int {
 	}
 }
 
-// get returns the buffered value for r, if any.
-func (ws *writeSet) get(r *baseRef) (any, bool) {
+// get returns the buffered box for r, or nil if r has not been written.
+func (ws *writeSet) get(r *baseRef) *box {
 	if i := ws.find(r); i >= 0 {
-		return ws.entries[i].val, true
+		return ws.entries[i].val
 	}
-	return nil, false
+	return nil
 }
 
-// put records a write of v to r, updating in place when r is already in the
-// set. It reports whether the entry is new.
-func (ws *writeSet) put(r *baseRef, v any) bool {
+// put records a write of box b to r, replacing the entry's box when r is
+// already in the set. It reports whether the entry is new.
+func (ws *writeSet) put(r *baseRef, b *box) bool {
 	if i := ws.find(r); i >= 0 {
-		ws.entries[i].val = v
+		ws.entries[i].val = b
 		return false
 	}
-	ws.entries = append(ws.entries, writeEntry{r: r, val: v})
+	ws.entries = append(ws.entries, writeEntry{r: r, val: b})
 	if n := len(ws.entries); n > wsLinearScan {
 		if n == wsLinearScan+1 || 2*n > len(ws.idx) {
 			// First crossing this attempt (entries 0..wsLinearScan-1 are not

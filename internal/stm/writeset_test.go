@@ -15,6 +15,9 @@ func wsTestRefs(n int) []*baseRef {
 	return refs
 }
 
+// wsBox boxes a test value for the write set, which carries boxes.
+func wsBox(v int) *box { return &box{v: v} }
+
 func TestWriteSetPutGetUpdate(t *testing.T) {
 	// Cross the linear-scan threshold to exercise both lookup regimes.
 	for _, n := range []int{1, wsLinearScan, wsLinearScan + 1, 100} {
@@ -22,7 +25,7 @@ func TestWriteSetPutGetUpdate(t *testing.T) {
 			refs := wsTestRefs(n)
 			var ws writeSet
 			for i, r := range refs {
-				if !ws.put(r, i) {
+				if !ws.put(r, wsBox(i)) {
 					t.Fatalf("put(%d) reported existing entry", i)
 				}
 			}
@@ -30,14 +33,14 @@ func TestWriteSetPutGetUpdate(t *testing.T) {
 				t.Fatalf("len = %d, want %d", ws.len(), n)
 			}
 			for i, r := range refs {
-				v, ok := ws.get(r)
-				if !ok || v.(int) != i {
-					t.Fatalf("get(%d) = %v, %v; want %d, true", i, v, ok, i)
+				v := ws.get(r)
+				if v == nil || v.v.(int) != i {
+					t.Fatalf("get(%d) = %v; want a box holding %d", i, v, i)
 				}
 			}
 			// Update in place: no new entries, values replaced.
 			for i, r := range refs {
-				if ws.put(r, i*10) {
+				if ws.put(r, wsBox(i*10)) {
 					t.Fatalf("put update(%d) reported new entry", i)
 				}
 			}
@@ -45,12 +48,12 @@ func TestWriteSetPutGetUpdate(t *testing.T) {
 				t.Fatalf("len after update = %d, want %d", ws.len(), n)
 			}
 			for i, r := range refs {
-				if v, _ := ws.get(r); v.(int) != i*10 {
+				if v := ws.get(r); v.v.(int) != i*10 {
 					t.Fatalf("get after update(%d) = %v, want %d", i, v, i*10)
 				}
 			}
 			// Misses.
-			if _, ok := ws.get(&baseRef{id: 1 << 40}); ok {
+			if ws.get(&baseRef{id: 1 << 40}) != nil {
 				t.Fatal("get of unwritten ref reported a hit")
 			}
 		})
@@ -66,7 +69,7 @@ func TestWriteSetInsertionOrder(t *testing.T) {
 		perm = append(perm, refs[(i*37)%len(refs)])
 	}
 	for i, r := range perm {
-		ws.put(r, i)
+		ws.put(r, wsBox(i))
 	}
 	for i := range ws.entries {
 		if ws.entries[i].r != perm[i] {
@@ -86,19 +89,19 @@ func TestWriteSetResetAndReuse(t *testing.T) {
 			n = 3
 		}
 		for i := 0; i < n; i++ {
-			ws.put(refs[i], round*1000+i)
+			ws.put(refs[i], wsBox(round*1000+i))
 		}
 		if ws.len() != n {
 			t.Fatalf("round %d: len = %d, want %d", round, ws.len(), n)
 		}
 		for i := 0; i < n; i++ {
-			if v, ok := ws.get(refs[i]); !ok || v.(int) != round*1000+i {
-				t.Fatalf("round %d: get(%d) = %v, %v", round, i, v, ok)
+			if v := ws.get(refs[i]); v == nil || v.v.(int) != round*1000+i {
+				t.Fatalf("round %d: get(%d) = %v", round, i, v)
 			}
 		}
 		// Refs not written this round must miss, even if written last round.
 		for i := n; i < len(refs); i++ {
-			if _, ok := ws.get(refs[i]); ok {
+			if ws.get(refs[i]) != nil {
 				t.Fatalf("round %d: stale hit for ref %d", round, i)
 			}
 		}
@@ -121,11 +124,11 @@ func TestWriteSetResetLeavesSpareCapacityZero(t *testing.T) {
 	// smallest size inside the retained array).
 	for _, n := range []int{200, 3, wsLinearScan + 1, 1, 40} {
 		for i := 0; i < n; i++ {
-			ws.put(refs[i], i)
+			ws.put(refs[i], wsBox(i))
 		}
 		for i := 0; i < n; i++ {
-			if v, ok := ws.get(refs[i]); !ok || v.(int) != i {
-				t.Fatalf("n=%d: get(%d) = %v, %v", n, i, v, ok)
+			if v := ws.get(refs[i]); v == nil || v.v.(int) != i {
+				t.Fatalf("n=%d: get(%d) = %v", n, i, v)
 			}
 		}
 		ws.reset()
