@@ -284,11 +284,6 @@ func SweepBackends(cfg BackendBenchConfig, out io.Writer) ([]BackendResult, erro
 			"backend", "threads", "ops/sec", "abort%", "validation p50", "lock-hold p50")
 	}
 	for _, bf := range stm.Backends() {
-		if bf.Fault {
-			// chaos-* wrappers abort and delay on purpose; their numbers
-			// would pollute backend comparisons.
-			continue
-		}
 		for _, t := range cfg.Threads {
 			for i := 0; i < cfg.Warmups; i++ {
 				if _, err := RunBackendBench(bf.Name, t, cfg); err != nil {

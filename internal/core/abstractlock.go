@@ -5,21 +5,20 @@ import (
 )
 
 // AbstractLock brackets base-object operations with conflict-abstraction
-// accesses according to the design-space point (LAP × update strategy). It
-// is the Go rendering of ScalaProust's AbstractLock (paper Listing 1).
+// accesses. It is the Go rendering of ScalaProust's AbstractLock (paper
+// Listing 1), and the bracket is the only way a wrapper touches its
+// conflict abstraction:
 //
-// The wrappers use the closure-free bracket: begin1/begin2 acquire (or
-// announce) the fixed-arity intents, the wrapper runs the base operation
-// inline with typed arguments and results, records a typed undo record if
-// eager, and done1/done2 perform the strategy's trailing accesses
-// (Validate for eager — Theorem 5.2 — or the trailing reads of Theorem 5.3
-// for lazy/optimistic). Apply/ApplyOp remain for operations whose intent
-// sets are computed dynamically (range queries, state-dependent widening):
+//	al.begin1(tx, "op", in) // LAP PreOp on each intent
+//	ret := base.Op(...)     // the base operation, inline and typed
+//	undo.record(tx, ...)    // eager wrappers: the inverse, logged at once
+//	al.done1(tx, in)        // LAP PostOp on each intent
 //
-//	ret := al.Apply(tx, intents, op, inverse)
+// The update strategy does not appear: an eager wrapper logs undo records,
+// a lazy one routes its operations through a SnapshotLog, and the LAP's
+// PostOp is the trailing access both strategies need.
 type AbstractLock[K comparable] struct {
-	lap   LockAllocatorPolicy[K]
-	strat UpdateStrategy
+	lap LockAllocatorPolicy[K]
 
 	// Instrumentation (nil when not attached; see Instrument).
 	name    string
@@ -79,9 +78,9 @@ func (t *opTally) reset() {
 	clear(t.spill)
 }
 
-// NewAbstractLock creates an abstract lock for a design-space point.
-func NewAbstractLock[K comparable](lap LockAllocatorPolicy[K], strat UpdateStrategy) *AbstractLock[K] {
-	return &AbstractLock[K]{lap: lap, strat: strat}
+// NewAbstractLock creates an abstract lock over a LAP.
+func NewAbstractLock[K comparable](lap LockAllocatorPolicy[K]) *AbstractLock[K] {
+	return &AbstractLock[K]{lap: lap}
 }
 
 // Instrument attaches ADT-level observability: per-operation commit/abort
@@ -113,12 +112,6 @@ func (l *AbstractLock[K]) Instrument(name string, hash func(K) uint64, sink Sink
 	})
 }
 
-// Strategy returns the update strategy.
-func (l *AbstractLock[K]) Strategy() UpdateStrategy { return l.strat }
-
-// Optimistic reports whether the LAP delegates conflicts to the STM.
-func (l *AbstractLock[K]) Optimistic() bool { return l.lap.Optimistic() }
-
 // note attaches the operation label to the attempt's observability streams:
 // the flight-recorder op notes when the STM is traced, and the per-op
 // outcome tally when the structure is instrumented. With neither attached it
@@ -140,80 +133,30 @@ func (l *AbstractLock[K]) note(tx *stm.Txn, opName string, firstKey K) {
 }
 
 // begin1 opens a single-intent operation: observability note plus the LAP's
-// leading access. The intent is passed by value, so the wrapper's fast path
-// builds no slice.
+// leading access. The intent is passed by value, so the wrapper builds no
+// slice.
 func (l *AbstractLock[K]) begin1(tx *stm.Txn, opName string, in Intent[K]) {
 	l.note(tx, opName, in.Key)
-	l.lap.PreOp1(tx, in)
+	l.lap.PreOp(tx, in)
 }
 
-// begin2 opens a two-intent operation (priority-queue inserts and removes).
+// begin2 opens a two-intent operation (priority-queue inserts and removes,
+// deque operations widened to both ends).
 func (l *AbstractLock[K]) begin2(tx *stm.Txn, opName string, a, b Intent[K]) {
 	l.note(tx, opName, a.Key)
-	l.lap.PreOp1(tx, a)
-	l.lap.PreOp1(tx, b)
+	l.lap.PreOp(tx, a)
+	l.lap.PreOp(tx, b)
 }
 
 // done1 closes a single-intent operation after the base access (and, for
-// eager wrappers, after its undo record is logged): Validate for the eager
-// strategy, the trailing read of Theorem 5.3 for lazy/optimistic.
+// eager wrappers, after its undo record is logged) with the LAP's trailing
+// access.
 func (l *AbstractLock[K]) done1(tx *stm.Txn, in Intent[K]) {
-	switch {
-	case l.strat == Eager:
-		l.lap.Validate1(tx, in)
-	case l.lap.Optimistic():
-		l.lap.PostOp1(tx, in)
-	}
+	l.lap.PostOp(tx, in)
 }
 
 // done2 closes a two-intent operation; see done1.
 func (l *AbstractLock[K]) done2(tx *stm.Txn, a, b Intent[K]) {
-	switch {
-	case l.strat == Eager:
-		l.lap.Validate1(tx, a)
-		l.lap.Validate1(tx, b)
-	case l.lap.Optimistic():
-		l.lap.PostOp1(tx, a)
-		l.lap.PostOp1(tx, b)
-	}
-}
-
-// Apply runs op under the conflict abstraction described by intents.
-// inverse, if non-nil and the strategy is eager, is registered to undo op's
-// effect when the transaction aborts; it receives op's return value.
-// Inverses run in LIFO order on abort (the boosting discipline). The inverse
-// is registered only once op returns, so op must make no STM access after
-// its base mutation — an access that aborts the attempt there would leave
-// the mutation without an inverse; the caller makes such accesses (a size
-// update) after Apply returns.
-func (l *AbstractLock[K]) Apply(tx *stm.Txn, intents []Intent[K], op func() any, inverse func(any)) any {
-	return l.ApplyOp(tx, "", intents, op, inverse)
-}
-
-// ApplyOp is Apply with an ADT operation label for observability. It is the
-// dynamic-intent path; wrappers with fixed-arity intents use the
-// begin/done bracket instead, which allocates neither the intent slice nor
-// the op and inverse closures.
-func (l *AbstractLock[K]) ApplyOp(tx *stm.Txn, opName string, intents []Intent[K], op func() any, inverse func(any)) any {
-	if len(intents) > 0 {
-		l.note(tx, opName, intents[0].Key)
-	} else {
-		var zero K
-		l.note(tx, opName, zero)
-	}
-	l.lap.PreOp(tx, intents)
-	ret := op()
-	switch {
-	case l.strat == Eager:
-		if inverse != nil {
-			tx.OnAbort(func() { inverse(ret) })
-		}
-		// Re-validate before the result escapes (Theorem 5.2); a no-op
-		// under pessimistic locks.
-		l.lap.Validate(tx, intents)
-	case l.lap.Optimistic():
-		// Trailing reads of Theorem 5.3.
-		l.lap.PostOp(tx, intents)
-	}
-	return ret
+	l.lap.PostOp(tx, a)
+	l.lap.PostOp(tx, b)
 }

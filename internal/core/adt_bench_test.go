@@ -89,7 +89,7 @@ func BenchmarkADTMapTxn(b *testing.B) {
 // are dominated by the base structure's persistent path-copying; the wrapper
 // layer itself contributes the attempt's serial token, the committed-size
 // boxing, and nothing else (the memo case below isolates exactly that).
-// Before the closure-free Apply path and the typed pooled logs these numbers
+// Before the closure-free bracket and the typed pooled logs these numbers
 // were roughly 4× higher.
 func TestADTAllocsPerTxnGate(t *testing.T) {
 	if raceEnabled {
@@ -119,6 +119,11 @@ func TestADTAllocsPerTxnGate(t *testing.T) {
 		// token and the committed-size box). This is the zero-allocation
 		// claim of the ADT layer; the gate is intentionally tight.
 		{"memo-optimistic", true, mapVariants()[2].build, 4},
+		// The ordered map's skip list recycles its nodes, so it too exposes
+		// the wrapper layer alone: measured 1 (pessimistic) and 2
+		// (optimistic).
+		{"ordered-eager-pessimistic", false, newOrderedTxMap, 4},
+		{"ordered-eager-optimistic", true, newOrderedTxMap, 4},
 	}
 	for i := range cases {
 		c := &cases[i]
@@ -141,9 +146,75 @@ func TestADTAllocsPerTxnGate(t *testing.T) {
 			if txErr != nil {
 				t.Fatal(txErr)
 			}
+			t.Logf("%s: %.2f allocs per 16-op txn", c.name, avg)
 			if avg > c.maxAllocs {
 				t.Fatalf("%s: %.1f allocs per 16-op txn, gate is %.0f", c.name, avg, c.maxAllocs)
 			}
 		})
+	}
+}
+
+func newOrderedTxMap(s *stm.STM, lap LockAllocatorPolicy[int]) TxMap[int, int] {
+	return NewOrderedMap[int, int](s, lap, intCmp, func(k int) uint64 { return uint64(k) }, omIndexBits, 16)
+}
+
+// TestQueueDequeAllocsPerTxnGate is the allocation gate of the two
+// item-queue wrappers, which are not TxMaps: one push, one pop and one peek
+// per transaction must stay within 3 allocations at both LAPs. The pushed
+// item and the committed-size cell are two of them; the optimistic LAP adds
+// the attempt's serial token. A closure or an intent slice per operation
+// trips it.
+func TestQueueDequeAllocsPerTxnGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate is meaningless under the race detector")
+	}
+	cases := []struct {
+		name string
+		body func(s *stm.STM, p designPoint) func(tx *stm.Txn) error
+	}{
+		{"queue", func(s *stm.STM, p designPoint) func(tx *stm.Txn) error {
+			q := newTxQueue(s, p)
+			return func(tx *stm.Txn) error {
+				q.Enqueue(tx, 1)
+				q.Dequeue(tx)
+				q.Peek(tx)
+				return nil
+			}
+		}},
+		{"deque", func(s *stm.STM, p designPoint) func(tx *stm.Txn) error {
+			q := newTxDeque(s, p)
+			return func(tx *stm.Txn) error {
+				q.PushFront(tx, 1)
+				q.PopBack(tx)
+				q.PeekFront(tx)
+				return nil
+			}
+		}},
+	}
+	for _, c := range cases {
+		for _, opt := range []bool{false, true} {
+			p := designPoint{policy: stm.MixedEagerWWLazyRW, optimistic: opt}
+			t.Run(fmt.Sprintf("%s/%s", c.name, p), func(t *testing.T) {
+				s := stm.New(stm.WithPolicy(p.policy))
+				body := c.body(s, p)
+				var txErr error
+				run := func() {
+					if err := s.Atomically(body); err != nil {
+						txErr = err
+					}
+				}
+				for i := 0; i < 64; i++ {
+					run()
+				}
+				avg := testing.AllocsPerRun(300, run)
+				if txErr != nil {
+					t.Fatal(txErr)
+				}
+				t.Logf("%.2f allocs per txn", avg)
+				if avg > 3 {
+					t.Fatalf("%.1f allocs per push+pop+peek txn, gate is 3", avg)
+				}
+			})
+		}
 	}
 }

@@ -45,126 +45,137 @@ type Deque[V any] struct {
 	al   *AbstractLock[DQState]
 	base *conc.Queue[V]
 	size *stm.Ref[int]
+	undo *txnUndo[DQState, *conc.QItem[V]]
 }
+
+// Deque undo-record kinds: a push's inverse is a constant-time logical
+// delete of the pushed item; a pop's inverse re-links the item at the end
+// it left.
+const (
+	dqUndoPush uint8 = iota
+	dqUndoPopFront
+	dqUndoPopBack
+)
 
 // NewDeque creates an eager Proustian deque.
 func NewDeque[V any](s *stm.STM, lap LockAllocatorPolicy[DQState]) *Deque[V] {
-	return &Deque[V]{
-		al:   NewAbstractLock(lap, Eager),
+	q := &Deque[V]{
+		al:   NewAbstractLock(lap),
 		base: conc.NewQueue[V](),
 		size: stm.NewRef(s, 0),
 	}
+	q.undo = newTxnUndo(func(r undoRec[DQState, *conc.QItem[V]]) {
+		switch r.kind {
+		case dqUndoPush:
+			r.val.Delete()
+			q.base.NoteDeleted()
+		case dqUndoPopFront:
+			q.base.PushFront(r.val)
+		default:
+			q.base.PushBack(r.val)
+		}
+	})
+	return q
 }
 
-func (q *Deque[V]) pushIntents(own DQState) []Intent[DQState] {
-	other := DQBack
-	if own == DQBack {
-		other = DQFront
+// opposite returns the other end.
+func opposite(end DQState) DQState {
+	if end == DQFront {
+		return DQBack
 	}
-	intents := []Intent[DQState]{W(own)}
-	if q.base.Len() == 0 {
-		intents = append(intents, W(other))
-	}
-	return intents
+	return DQFront
 }
 
-func (q *Deque[V]) popIntents(own DQState) []Intent[DQState] {
-	other := DQBack
-	if own == DQBack {
-		other = DQFront
+// begin opens an update of end: W(end), widened to W(other end) when wide.
+func (q *Deque[V]) begin(tx *stm.Txn, opName string, end DQState, wide bool) {
+	if wide {
+		q.al.begin2(tx, opName, W(end), W(opposite(end)))
+	} else {
+		q.al.begin1(tx, opName, W(end))
 	}
-	intents := []Intent[DQState]{W(own)}
-	if q.base.Len() <= 2 {
-		intents = append(intents, W(other))
+}
+
+// done closes what begin opened.
+func (q *Deque[V]) done(tx *stm.Txn, end DQState, wide bool) {
+	if wide {
+		q.al.done2(tx, W(end), W(opposite(end)))
+	} else {
+		q.al.done1(tx, W(end))
 	}
-	return intents
+}
+
+// push inserts v at end.
+func (q *Deque[V]) push(tx *stm.Txn, opName string, end DQState, v V) {
+	wide := q.base.Len() == 0
+	q.begin(tx, opName, end, wide)
+	it := &conc.QItem[V]{Value: v}
+	if end == DQFront {
+		q.base.PushFront(it)
+	} else {
+		q.base.PushBack(it)
+	}
+	q.undo.record(tx, undoRec[DQState, *conc.QItem[V]]{val: it, kind: dqUndoPush})
+	q.size.Modify(tx, incr)
+	q.done(tx, end, wide)
+}
+
+// pop removes and returns the value at end.
+func (q *Deque[V]) pop(tx *stm.Txn, opName string, end DQState) (V, bool) {
+	wide := q.base.Len() <= 2
+	q.begin(tx, opName, end, wide)
+	var it *conc.QItem[V]
+	var ok bool
+	kind := dqUndoPopFront
+	if end == DQFront {
+		it, ok = q.base.Dequeue()
+	} else {
+		it, ok = q.base.PopBack()
+		kind = dqUndoPopBack
+	}
+	if ok {
+		q.undo.record(tx, undoRec[DQState, *conc.QItem[V]]{val: it, kind: kind})
+		q.size.Modify(tx, decr)
+	}
+	q.done(tx, end, wide)
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	return it.Value, true
+}
+
+// peek returns the value at end without removing it.
+func (q *Deque[V]) peek(tx *stm.Txn, opName string, end DQState) (V, bool) {
+	in := R(end)
+	q.al.begin1(tx, opName, in)
+	var v V
+	var ok bool
+	if end == DQFront {
+		v, ok = q.base.Peek()
+	} else {
+		v, ok = q.base.PeekBack()
+	}
+	q.al.done1(tx, in)
+	return v, ok
 }
 
 // PushFront inserts v at the front.
-func (q *Deque[V]) PushFront(tx *stm.Txn, v V) {
-	q.al.Apply(tx, q.pushIntents(DQFront), func() any {
-		it := &conc.QItem[V]{Value: v}
-		q.base.PushFront(it)
-		return it
-	}, func(r any) {
-		it := r.(*conc.QItem[V])
-		it.Delete()
-		q.base.NoteDeleted()
-	})
-	q.size.Modify(tx, func(n int) int { return n + 1 })
-}
+func (q *Deque[V]) PushFront(tx *stm.Txn, v V) { q.push(tx, "pushFront", DQFront, v) }
 
 // PushBack inserts v at the back.
-func (q *Deque[V]) PushBack(tx *stm.Txn, v V) {
-	q.al.Apply(tx, q.pushIntents(DQBack), func() any {
-		return q.base.Enqueue(v)
-	}, func(r any) {
-		it := r.(*conc.QItem[V])
-		it.Delete()
-		q.base.NoteDeleted()
-	})
-	q.size.Modify(tx, func(n int) int { return n + 1 })
-}
+func (q *Deque[V]) PushBack(tx *stm.Txn, v V) { q.push(tx, "pushBack", DQBack, v) }
 
 // PopFront removes and returns the front value.
-func (q *Deque[V]) PopFront(tx *stm.Txn) (V, bool) {
-	ret := q.al.Apply(tx, q.popIntents(DQFront), func() any {
-		it, ok := q.base.Dequeue()
-		return qItemResult[V]{it: it, ok: ok}
-	}, func(r any) {
-		res := r.(qItemResult[V])
-		if res.ok {
-			q.base.PushFront(res.it)
-		}
-	})
-	res := ret.(qItemResult[V])
-	if !res.ok {
-		var zero V
-		return zero, false
-	}
-	q.size.Modify(tx, func(n int) int { return n - 1 })
-	return res.it.Value, true
-}
+func (q *Deque[V]) PopFront(tx *stm.Txn) (V, bool) { return q.pop(tx, "popFront", DQFront) }
 
 // PopBack removes and returns the back value.
-func (q *Deque[V]) PopBack(tx *stm.Txn) (V, bool) {
-	ret := q.al.Apply(tx, q.popIntents(DQBack), func() any {
-		it, ok := q.base.PopBack()
-		return qItemResult[V]{it: it, ok: ok}
-	}, func(r any) {
-		res := r.(qItemResult[V])
-		if res.ok {
-			q.base.PushBack(res.it)
-		}
-	})
-	res := ret.(qItemResult[V])
-	if !res.ok {
-		var zero V
-		return zero, false
-	}
-	q.size.Modify(tx, func(n int) int { return n - 1 })
-	return res.it.Value, true
-}
+func (q *Deque[V]) PopBack(tx *stm.Txn) (V, bool) { return q.pop(tx, "popBack", DQBack) }
 
 // PeekFront returns the front value without removing it.
-func (q *Deque[V]) PeekFront(tx *stm.Txn) (V, bool) {
-	ret := q.al.Apply(tx, []Intent[DQState]{R(DQFront)}, func() any {
-		v, ok := q.base.Peek()
-		return prev[V]{val: v, had: ok}
-	}, nil)
-	pr := ret.(prev[V])
-	return pr.val, pr.had
-}
+func (q *Deque[V]) PeekFront(tx *stm.Txn) (V, bool) { return q.peek(tx, "peekFront", DQFront) }
 
 // PeekBack returns the back value without removing it.
-func (q *Deque[V]) PeekBack(tx *stm.Txn) (V, bool) {
-	ret := q.al.Apply(tx, []Intent[DQState]{R(DQBack)}, func() any {
-		v, ok := q.base.PeekBack()
-		return prev[V]{val: v, had: ok}
-	}, nil)
-	pr := ret.(prev[V])
-	return pr.val, pr.had
-}
+func (q *Deque[V]) PeekBack(tx *stm.Txn) (V, bool) { return q.peek(tx, "peekBack", DQBack) }
 
 // Size returns the committed size.
 func (q *Deque[V]) Size(tx *stm.Txn) int {

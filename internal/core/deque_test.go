@@ -202,9 +202,9 @@ func TestDequeWorkStealing(t *testing.T) {
 }
 
 // TestDequePopAbortedAfterBaseMutationRestoresItem pins the registration
-// order of the dynamic Apply path deterministically: a pop mutates the base,
-// and the size update after it may abort the attempt, so the inverse must
-// already be registered by then. A writer parked while it owns the size ref
+// order deterministically: a pop mutates the base, and the size update
+// after it may abort the attempt, so the undo record must already be logged
+// by then. A writer parked while it owns the size ref
 // (its PushBack takes only W(Back) on a long deque) makes a thief's
 // PopFront (only W(Front)) abort exactly at the size update; the popped
 // item must be back at the front once the thief has given up.

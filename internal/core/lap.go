@@ -14,31 +14,14 @@ import (
 // reads and writes of STM memory locations, letting the STM detect and
 // manage the conflicts.
 //
-// PreOp runs before the wrapped operation; PostOp runs after it, and only
-// under the lazy update strategy with an optimistic LAP (the trailing reads
-// of Theorem 5.3). Both abort the transaction (unwinding to Atomically for
-// a retry) rather than returning errors.
-//
-// Each hook comes in two arities: the slice form for operations whose
-// intent set is computed dynamically (range queries, state-dependent
-// widening), and a single-intent form used by the fixed-arity wrapper fast
-// paths — almost every ADT operation issues exactly one or two intents, and
-// the `[]Intent[K]{...}` literal the slice form forces on callers escapes to
-// the heap through the interface boundary.
+// An ADT wrapper brackets every base operation with the two hooks, one
+// intent at a time (paper Listing 1): PreOp before the base access, PostOp
+// after it and after the operation's undo record is logged. Both abort the
+// transaction (unwinding to Atomically for a retry) rather than returning
+// errors.
 type LockAllocatorPolicy[K comparable] interface {
-	PreOp(tx *stm.Txn, intents []Intent[K])
-	PreOp1(tx *stm.Txn, in Intent[K])
-	PostOp(tx *stm.Txn, intents []Intent[K])
-	PostOp1(tx *stm.Txn, in Intent[K])
-	// Validate re-checks every intent after an eager operation so that a
-	// value observed from a base structure mutated by a concurrent
-	// (doomed or still-active) transaction can never escape the wrapper.
-	// Pessimistic locks make this a no-op: the lock itself excludes the
-	// window.
-	Validate(tx *stm.Txn, intents []Intent[K])
-	Validate1(tx *stm.Txn, in Intent[K])
-	// Optimistic reports whether conflicts are delegated to the STM.
-	Optimistic() bool
+	PreOp(tx *stm.Txn, in Intent[K])
+	PostOp(tx *stm.Txn, in Intent[K])
 }
 
 // DefaultMemSize is the default number of STM locations in an optimistic
@@ -83,7 +66,7 @@ func (l *OptimisticLAP[K]) loc(k K) *stm.Ref[uint64] {
 	return l.mem[l.hash(k)&uint64(len(l.mem)-1)]
 }
 
-// PreOp1 announces a single intent: a read for a read intent, a unique-token
+// PreOp announces one intent: a read for a read intent, a unique-token
 // write for a write intent. Write intents additionally Touch the location,
 // recording a *leading* read-set entry: any transaction that later commits a
 // conflicting operation invalidates this one at validation time, even if no
@@ -92,7 +75,7 @@ func (l *OptimisticLAP[K]) loc(k K) *stm.Ref[uint64] {
 // conflicting commit landing between this announcement and the base-object
 // access could slip past read-version extension and let a stale shadow-copy
 // result escape.
-func (l *OptimisticLAP[K]) PreOp1(tx *stm.Txn, in Intent[K]) {
+func (l *OptimisticLAP[K]) PreOp(tx *stm.Txn, in Intent[K]) {
 	loc := l.loc(in.Key)
 	if in.Mode == ModeWrite {
 		stm.SetSerialToken(tx, loc)
@@ -102,52 +85,19 @@ func (l *OptimisticLAP[K]) PreOp1(tx *stm.Txn, in Intent[K]) {
 	}
 }
 
-// PreOp announces every intent; see PreOp1.
-func (l *OptimisticLAP[K]) PreOp(tx *stm.Txn, intents []Intent[K]) {
-	for _, in := range intents {
-		l.PreOp1(tx, in)
-	}
-}
-
-// PostOp1 performs the trailing read of Theorem 5.3: after the operation,
-// the conflict-abstraction location is Touch-ed — registered in the read
-// set and revalidated. This is what makes Lazy/Optimistic Proust opaque on
-// a fully lazy STM: if a conflicting transaction committed (and replayed its
-// log onto the base structure) between this operation's announcement and its
-// base access, the touch observes the bumped location version, read-set
-// extension fails, and the transaction aborts before the poisoned return
-// value escapes. Write intents need the touch additionally because a
-// buffered STM write alone does not conflict with another buffered write.
-func (l *OptimisticLAP[K]) PostOp1(tx *stm.Txn, in Intent[K]) {
+// PostOp touches the intent's location after the base access: it is
+// registered in the read set and revalidated, so if a conflicting
+// transaction acquired, committed or replayed onto the base structure since
+// the announcement, this transaction aborts here, before the operation's
+// (potentially inconsistent) result escapes. Under eager updates with eager
+// conflict detection this is the re-validation of Theorem 5.2; under lazy
+// updates it is the trailing read of Theorem 5.3, which makes
+// Lazy/Optimistic Proust opaque on a fully lazy STM. Write intents need the
+// touch as well, because a buffered STM write alone does not conflict with
+// another buffered write.
+func (l *OptimisticLAP[K]) PostOp(tx *stm.Txn, in Intent[K]) {
 	l.loc(in.Key).Touch(tx)
 }
-
-// PostOp performs the trailing reads of Theorem 5.3 for every intent.
-func (l *OptimisticLAP[K]) PostOp(tx *stm.Txn, intents []Intent[K]) {
-	for _, in := range intents {
-		l.loc(in.Key).Touch(tx)
-	}
-}
-
-// Validate1 touches the intent's location after an eager operation: if a
-// conflicting transaction acquired or committed the location in the
-// meantime, this transaction aborts here, before the (potentially
-// inconsistent) result of the base operation can escape. Together with
-// eager conflict detection this is what makes Eager/Optimistic Proust
-// opaque (Theorem 5.2).
-func (l *OptimisticLAP[K]) Validate1(tx *stm.Txn, in Intent[K]) {
-	l.loc(in.Key).Touch(tx)
-}
-
-// Validate touches every intent's location; see Validate1.
-func (l *OptimisticLAP[K]) Validate(tx *stm.Txn, intents []Intent[K]) {
-	for _, in := range intents {
-		l.loc(in.Key).Touch(tx)
-	}
-}
-
-// Optimistic reports true.
-func (l *OptimisticLAP[K]) Optimistic() bool { return true }
 
 // DefaultLockTimeout bounds pessimistic abstract-lock acquisition; a timeout
 // aborts the transaction (deadlock becomes abort + backoff).
@@ -264,11 +214,11 @@ func (l *PessimisticLAP[K]) SetObserver(o lock.Observer) { l.locks.SetObserver(o
 // Locks exposes the stripe table for diagnostics.
 func (l *PessimisticLAP[K]) Locks() *lock.Striped { return l.locks }
 
-// PreOp1 acquires the stripe for one intent on behalf of the transaction.
+// PreOp acquires the stripe for one intent on behalf of the transaction.
 // Locks are released by an OnRelease hook (strict two-phase locking:
 // "released implicitly on commit or abort", Section 3) — on abort only
 // after the inverses have run and the STM has rolled back.
-func (l *PessimisticLAP[K]) PreOp1(tx *stm.Txn, in Intent[K]) {
+func (l *PessimisticLAP[K]) PreOp(tx *stm.Txn, in Intent[K]) {
 	hs := l.held.Get(tx)
 	h := l.hash(in.Key)
 	hs.add(l.locks.Stripe(h))
@@ -290,25 +240,6 @@ func (l *PessimisticLAP[K]) PreOp1(tx *stm.Txn, in Intent[K]) {
 	}
 }
 
-// PreOp acquires the stripes for all intents; see PreOp1.
-func (l *PessimisticLAP[K]) PreOp(tx *stm.Txn, intents []Intent[K]) {
-	for _, in := range intents {
-		l.PreOp1(tx, in)
-	}
-}
-
-// PostOp1 is a no-op for pessimistic locks.
-func (l *PessimisticLAP[K]) PostOp1(*stm.Txn, Intent[K]) {}
-
-// PostOp is a no-op for pessimistic locks.
-func (l *PessimisticLAP[K]) PostOp(*stm.Txn, []Intent[K]) {}
-
-// Validate1 is a no-op: the held stripes exclude conflicting operations for
-// the whole transaction.
-func (l *PessimisticLAP[K]) Validate1(*stm.Txn, Intent[K]) {}
-
-// Validate is a no-op; see Validate1.
-func (l *PessimisticLAP[K]) Validate(*stm.Txn, []Intent[K]) {}
-
-// Optimistic reports false.
-func (l *PessimisticLAP[K]) Optimistic() bool { return false }
+// PostOp is a no-op: the held stripes exclude conflicting operations for
+// the whole transaction, so there is nothing to re-validate.
+func (l *PessimisticLAP[K]) PostOp(*stm.Txn, Intent[K]) {}

@@ -41,7 +41,7 @@ var _ TxMap[int, int] = (*LazySnapshotMap[int, int])(nil)
 func NewLazySnapshotMap[K comparable, V any](s *stm.STM, lap LockAllocatorPolicy[K], hash conc.Hasher[K]) *LazySnapshotMap[K, V] {
 	base := conc.NewCtrie[K, V](hash)
 	return &LazySnapshotMap[K, V]{
-		al:   NewAbstractLock(lap, Lazy),
+		al:   NewAbstractLock(lap),
 		log:  NewSnapshotLog(base, (*conc.Ctrie[K, V]).Snapshot, applyMapOp[K, V]),
 		size: stm.NewRef(s, 0),
 		hash: hash,
@@ -128,7 +128,7 @@ var _ TxMap[int, int] = (*LazyMemoMap[int, int])(nil)
 func NewLazyMemoMap[K comparable, V any](s *stm.STM, lap LockAllocatorPolicy[K], hash conc.Hasher[K], combine bool) *LazyMemoMap[K, V] {
 	base := conc.NewHashMap[K, V](hash)
 	return &LazyMemoMap[K, V]{
-		al:   NewAbstractLock(lap, Lazy),
+		al:   NewAbstractLock(lap),
 		log:  NewMemoLog[K, V](base, combine),
 		size: stm.NewRef(s, 0),
 		hash: hash,

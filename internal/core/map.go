@@ -18,14 +18,6 @@ type TxMap[K comparable, V any] interface {
 	Size(tx *stm.Txn) int
 }
 
-// prev carries an operation's previous-value result through the untyped
-// AbstractLock.Apply boundary (the dynamic-intent path still used by Queue,
-// Deque and OrderedMap).
-type prev[V any] struct {
-	val V
-	had bool
-}
-
 // incr and decr are the committedSize modifiers; package-level funcs so the
 // Modify call sites pass a static function value instead of a closure.
 func incr(n int) int { return n + 1 }
@@ -49,22 +41,14 @@ func NewMap[K comparable, V any](s *stm.STM, lap LockAllocatorPolicy[K], hash co
 	// The eager map never snapshots its base — rollback comes from the
 	// typed undo log below — so it uses the unversioned Ctrie and skips
 	// the persistence machinery entirely (DESIGN.md §13).
-	m := &Map[K, V]{
-		al:   NewAbstractLock(lap, Eager),
-		base: conc.NewCtrieUnversioned[K, V](hash),
+	base := conc.NewCtrieUnversioned[K, V](hash)
+	return &Map[K, V]{
+		al:   NewAbstractLock(lap),
+		base: base,
 		size: stm.NewRef(s, 0),
 		hash: hash,
+		undo: newBindingUndo[K, V](base),
 	}
-	// Restore-previous-binding inverse: each record snapshots the key's
-	// binding before the mutation.
-	m.undo = newTxnUndo(func(r undoRec[K, V]) {
-		if r.had {
-			m.base.Put(r.key, r.val)
-		} else {
-			m.base.Remove(r.key)
-		}
-	})
-	return m
 }
 
 // Instrument attaches ADT-level observability (see AbstractLock.Instrument).

@@ -41,7 +41,7 @@ type Multiset[K comparable] struct {
 // NewMultiset creates an eager Proustian multiset.
 func NewMultiset[K comparable](s *stm.STM, lap LockAllocatorPolicy[K], hash conc.Hasher[K]) *Multiset[K] {
 	ms := &Multiset[K]{
-		al:   NewAbstractLock(lap, Eager),
+		al:   NewAbstractLock(lap),
 		base: conc.NewHashMap[K, int](hash),
 		size: stm.NewRef(s, 0),
 	}

@@ -30,6 +30,7 @@ type OrderedMap[K comparable, V any] struct {
 	shift   uint
 	stripes int
 	size    *stm.Ref[int]
+	undo    *txnUndo[K, V]
 }
 
 // NewOrderedMap creates an ordered Proustian map.
@@ -58,14 +59,16 @@ func NewOrderedMap[K comparable, V any](
 		logN = indexBits
 		n = 1 << indexBits
 	}
+	base := conc.NewSkipListMap[K, V](cmp)
 	return &OrderedMap[K, V]{
-		al:      NewAbstractLock(lap, Eager),
-		base:    conc.NewSkipListMap[K, V](cmp),
+		al:      NewAbstractLock(lap),
+		base:    base,
 		cmp:     cmp,
 		index:   index,
 		shift:   indexBits - logN,
 		stripes: n,
 		size:    stm.NewRef(s, 0),
+		undo:    newBindingUndo[K, V](base),
 	}
 }
 
@@ -80,27 +83,13 @@ func (m *OrderedMap[K, V]) stripe(k K) int {
 	return st
 }
 
-// rangeIntents returns read intents covering [lo, hi].
-func (m *OrderedMap[K, V]) rangeIntents(lo, hi K) []Intent[int] {
-	from, to := m.stripe(lo), m.stripe(hi)
-	if from > to {
-		from, to = to, from
-	}
-	out := make([]Intent[int], 0, to-from+1)
-	for st := from; st <= to; st++ {
-		out = append(out, R(st))
-	}
-	return out
-}
-
 // Get returns the value stored under k.
 func (m *OrderedMap[K, V]) Get(tx *stm.Txn, k K) (V, bool) {
-	ret := m.al.Apply(tx, []Intent[int]{R(m.stripe(k))}, func() any {
-		v, ok := m.base.Get(k)
-		return prev[V]{val: v, had: ok}
-	}, nil)
-	pr := ret.(prev[V])
-	return pr.val, pr.had
+	in := R(m.stripe(k))
+	m.al.begin1(tx, "get", in)
+	v, ok := m.base.Get(k)
+	m.al.done1(tx, in)
+	return v, ok
 }
 
 // Contains reports whether k is present.
@@ -111,58 +100,53 @@ func (m *OrderedMap[K, V]) Contains(tx *stm.Txn, k K) bool {
 
 // Put stores v under k, returning the previous value if any.
 func (m *OrderedMap[K, V]) Put(tx *stm.Txn, k K, v V) (V, bool) {
-	ret := m.al.Apply(tx, []Intent[int]{W(m.stripe(k))}, func() any {
-		old, had := m.base.Put(k, v)
-		return prev[V]{val: old, had: had}
-	}, func(r any) {
-		pr := r.(prev[V])
-		if pr.had {
-			m.base.Put(k, pr.val)
-		} else {
-			m.base.Remove(k)
-		}
-	})
-	pr := ret.(prev[V])
-	if !pr.had {
-		m.size.Modify(tx, func(n int) int { return n + 1 })
+	in := W(m.stripe(k))
+	m.al.begin1(tx, "put", in)
+	old, had := m.base.Put(k, v)
+	m.undo.record(tx, undoRec[K, V]{key: k, val: old, had: had})
+	if !had {
+		m.size.Modify(tx, incr)
 	}
-	return pr.val, pr.had
+	m.al.done1(tx, in)
+	return old, had
 }
 
 // Remove deletes k, returning the previous value if any.
 func (m *OrderedMap[K, V]) Remove(tx *stm.Txn, k K) (V, bool) {
-	ret := m.al.Apply(tx, []Intent[int]{W(m.stripe(k))}, func() any {
-		old, had := m.base.Remove(k)
-		return prev[V]{val: old, had: had}
-	}, func(r any) {
-		pr := r.(prev[V])
-		if pr.had {
-			m.base.Put(k, pr.val)
-		}
-	})
-	pr := ret.(prev[V])
-	if pr.had {
-		m.size.Modify(tx, func(n int) int { return n - 1 })
+	in := W(m.stripe(k))
+	m.al.begin1(tx, "remove", in)
+	old, had := m.base.Remove(k)
+	if had {
+		m.undo.record(tx, undoRec[K, V]{key: k, val: old, had: true})
+		m.size.Modify(tx, decr)
 	}
-	return pr.val, pr.had
+	m.al.done1(tx, in)
+	return old, had
 }
 
 // RangeQuery returns the entries with lo <= key <= hi in ascending order.
-// It conflicts exactly with updates whose keys fall into the queried
-// stripes, and commutes with everything else.
+// It takes a read intent on every stripe the interval touches (the index is
+// monotone, so those are stripe(lo) through stripe(hi)): it conflicts
+// exactly with updates whose keys fall into the queried stripes, and
+// commutes with everything else.
 func (m *OrderedMap[K, V]) RangeQuery(tx *stm.Txn, lo, hi K) []Entry[K, V] {
 	if m.cmp(lo, hi) > 0 {
 		return nil
 	}
-	ret := m.al.Apply(tx, m.rangeIntents(lo, hi), func() any {
-		var out []Entry[K, V]
-		m.base.RangeBetween(lo, hi, func(k K, v V) bool {
-			out = append(out, Entry[K, V]{Key: k, Val: v})
-			return true
-		})
-		return out
-	}, nil)
-	out, _ := ret.([]Entry[K, V])
+	from, to := m.stripe(lo), m.stripe(hi)
+	op := "rangeQuery"
+	for st := from; st <= to; st++ {
+		m.al.begin1(tx, op, R(st))
+		op = ""
+	}
+	var out []Entry[K, V]
+	m.base.RangeBetween(lo, hi, func(k K, v V) bool {
+		out = append(out, Entry[K, V]{Key: k, Val: v})
+		return true
+	})
+	for st := from; st <= to; st++ {
+		m.al.done1(tx, R(st))
+	}
 	return out
 }
 

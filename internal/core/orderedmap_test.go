@@ -89,6 +89,57 @@ func TestOrderedMapAbortRollsBack(t *testing.T) {
 	}
 }
 
+// TestOrderedMapRemoveAbortedAfterBaseMutationRestoresBinding pins the
+// order of an eager remove: it mutates the base, and the size update after
+// it may abort the attempt, so the undo record must already be logged by
+// then. A writer parked while it owns the size ref (its Put of a new key
+// takes only its own stripe) makes a thief's Remove on another stripe abort
+// exactly at the size update; the removed binding must be back once the
+// thief has given up.
+func TestOrderedMapRemoveAbortedAfterBaseMutationRestoresBinding(t *testing.T) {
+	s := stm.New(stm.WithBackend("eager"), stm.WithContentionManager(stm.Timestamp{}), stm.WithMaxAttempts(1))
+	m := newOrderedMap(s, designPoint{policy: stm.EagerEager, optimistic: true}, 16)
+	if err := s.Atomically(func(tx *stm.Txn) error {
+		m.Put(tx, 200, 2000)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	parked, resume, writerDone := make(chan struct{}), make(chan struct{}), make(chan error)
+	go func() {
+		writerDone <- s.Atomically(func(tx *stm.Txn) error {
+			m.Put(tx, 10, 100)
+			close(parked)
+			<-resume
+			return nil
+		})
+	}()
+	<-parked
+	err := s.Atomically(func(tx *stm.Txn) error {
+		m.Remove(tx, 200) // younger than the writer: loses the size ref and gives up
+		return nil
+	})
+	close(resume)
+	if werr := <-writerDone; werr != nil {
+		t.Fatalf("writer: %v", werr)
+	}
+	if !errors.Is(err, stm.ErrMaxAttempts) {
+		t.Fatalf("thief: err = %v, want ErrMaxAttempts", err)
+	}
+	if err := s.Atomically(func(tx *stm.Txn) error {
+		if v, ok := m.Get(tx, 200); !ok || v != 2000 {
+			t.Errorf("Get(200) = (%d,%v), want (2000,true): the aborted remove was not undone", v, ok)
+		}
+		if n := m.Size(tx); n != 2 {
+			t.Errorf("Size = %d, want 2", n)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestOrderedMapRangeConflictSemantics: an update inside a parked range
 // query's interval conflicts; an update outside it (different stripe)
 // commutes. This is the Section 1 motivating example made executable.

@@ -59,7 +59,7 @@ var _ TxPQueue[int] = (*PQueue[int])(nil)
 // NewPQueue creates an eager Proustian priority queue.
 func NewPQueue[V any](s *stm.STM, lap LockAllocatorPolicy[PQState], less conc.Less[V], eq func(a, b V) bool) *PQueue[V] {
 	q := &PQueue[V]{
-		al:   NewAbstractLock(lap, Eager),
+		al:   NewAbstractLock(lap),
 		base: conc.NewPQueue(less),
 		less: less,
 		eq:   eq,
@@ -186,7 +186,7 @@ var _ TxPQueue[int] = (*LazyPQueue[int])(nil)
 func NewLazyPQueue[V any](s *stm.STM, lap LockAllocatorPolicy[PQState], less conc.Less[V], eq func(a, b V) bool) *LazyPQueue[V] {
 	heap := conc.NewCOWHeap(less)
 	return &LazyPQueue[V]{
-		al:   NewAbstractLock(lap, Lazy),
+		al:   NewAbstractLock(lap),
 		log:  NewSnapshotLog[pqBase[V]](heap, func(pqBase[V]) pqBase[V] { return heap.Snapshot() }, applyPQOp[V]),
 		less: less,
 		eq:   eq,

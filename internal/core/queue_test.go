@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -206,6 +207,87 @@ func TestQueueConservation(t *testing.T) {
 			t.Fatalf("dequeued %d unique values, want %d", len(seen), producers*perP)
 		}
 	})
+}
+
+// TestQueueNeverDequeuesAbortedEnqueue: an enqueue that aborts must never
+// be observed by a committed dequeue. One producer enqueues a negative value
+// and then aborts, another commits positive values, and a consumer dequeues
+// twice per transaction — the pattern that walks past the last committed
+// item onto an uncommitted one unless a dequeue near emptiness conflicts
+// with the enqueuer at the tail.
+func TestQueueNeverDequeuesAbortedEnqueue(t *testing.T) {
+	points := []struct {
+		backend    string
+		optimistic bool
+	}{{"ccstm", false}, {"eager", true}}
+	for _, pt := range points {
+		pt := pt
+		name := pt.backend + "/pessimistic"
+		if pt.optimistic {
+			name = pt.backend + "/optimistic"
+		}
+		t.Run(name, func(t *testing.T) {
+			s := stm.New(stm.WithBackend(pt.backend))
+			q := newTxQueue(s, designPoint{optimistic: pt.optimistic})
+			errAbort := errors.New("abort")
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			run := func(f func(i int)) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 1; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						f(i)
+					}
+				}()
+			}
+			run(func(i int) {
+				_ = s.Atomically(func(tx *stm.Txn) error {
+					q.Enqueue(tx, -i)
+					return errAbort
+				})
+			})
+			run(func(i int) {
+				_ = s.Atomically(func(tx *stm.Txn) error {
+					q.Enqueue(tx, i)
+					return nil
+				})
+			})
+			var bad, negLen atomic.Int64
+			run(func(int) {
+				var a, b int
+				var n, live int
+				if err := s.Atomically(func(tx *stm.Txn) error {
+					a, _ = q.Dequeue(tx)
+					b, _ = q.Dequeue(tx)
+					n, live = q.Size(tx), q.dq.base.Len()
+					return nil
+				}); err != nil {
+					return
+				}
+				if a < 0 || b < 0 {
+					bad.Add(1)
+				}
+				if n < 0 || live < 0 {
+					negLen.Add(1)
+				}
+			})
+			time.Sleep(250 * time.Millisecond)
+			close(stop)
+			wg.Wait()
+			if n := bad.Load(); n > 0 {
+				t.Errorf("%d committed dequeues returned a value whose enqueue aborted", n)
+			}
+			if n := negLen.Load(); n > 0 {
+				t.Errorf("queue length went negative in %d transactions", n)
+			}
+		})
+	}
 }
 
 func TestQStateHashDistinct(t *testing.T) {

@@ -19,7 +19,7 @@ type Set[K comparable] struct {
 // NewSet creates an eager Proustian set; cmp orders the keys.
 func NewSet[K comparable](s *stm.STM, lap LockAllocatorPolicy[K], cmp func(a, b K) int) *Set[K] {
 	st := &Set[K]{
-		al:   NewAbstractLock(lap, Eager),
+		al:   NewAbstractLock(lap),
 		base: conc.NewSkipListMap[K, struct{}](cmp),
 		size: stm.NewRef(s, 0),
 	}

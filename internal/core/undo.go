@@ -3,11 +3,8 @@ package core
 import "proust/internal/stm"
 
 // Typed undo logs for the eager Proustian wrappers (the boosting rollback
-// discipline). The original Apply path registered two closures per eager
-// mutation — the inverse itself plus the OnAbort wrapper that fed it the
-// operation's boxed result — which made inverses the dominant ADT-level
-// allocation on the Figure-4 eager series. An undoLog instead appends one
-// typed record per mutation into pooled, transaction-local storage; a single
+// discipline). An undoLog appends one typed record per mutation into
+// pooled, transaction-local storage; a single
 // per-transaction OnAbort registration replays the records LIFO (the order
 // the boosting correctness argument requires) through the wrapper's static
 // undo function. Steady state: zero allocations per operation, two hook
@@ -19,8 +16,8 @@ import "proust/internal/stm"
 //     replay re-Puts the previous value or Removes the key.
 //   - Multiset-style relative inverses (concurrent commuting updates forbid
 //     restoring an absolute snapshot): kind selects increment vs decrement.
-//   - PQueue-style item handles: val carries the *conc.Item to logically
-//     delete or re-link.
+//   - PQueue / Deque-style item handles: val carries the *conc.Item or
+//     *conc.QItem to logically delete or re-link.
 type undoRec[K comparable, V any] struct {
 	key  K
 	val  V
@@ -83,6 +80,22 @@ func newTxnUndo[K comparable, V any](undo func(undoRec[K, V])) *txnUndo[K, V] {
 		tx.OnCommit(lg.onCommit)
 	})
 	return u
+}
+
+// newBindingUndo is the "restore previous binding" log of the map wrappers:
+// each record holds the key's binding before the mutation, and replay
+// re-Puts the previous value or Removes the key.
+func newBindingUndo[K comparable, V any](base interface {
+	Put(K, V) (V, bool)
+	Remove(K) (V, bool)
+}) *txnUndo[K, V] {
+	return newTxnUndo(func(r undoRec[K, V]) {
+		if r.had {
+			base.Put(r.key, r.val)
+		} else {
+			base.Remove(r.key)
+		}
+	})
 }
 
 // record appends one undo record for the current transaction. Call it

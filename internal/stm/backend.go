@@ -63,10 +63,6 @@ type BackendFactory struct {
 	Policy DetectionPolicy
 	Doc    string
 	New    func() Backend
-	// Fault marks a fault-injecting backend (the chaos-* wrappers). Harnesses
-	// that enumerate the registry for correctness or performance comparisons
-	// should skip Fault backends: they abort and delay on purpose.
-	Fault bool
 }
 
 var (
@@ -129,17 +125,16 @@ func BackendByName(name string) (BackendFactory, bool) {
 }
 
 // backendForPolicy maps a Figure 1 classification to the registered backend
-// implementing it (the WithPolicy compatibility path). Fault-injecting
-// wrappers share their inner backend's policy and are never selected here.
-// This walks registration order, not sorted order: each built-in policy has
-// exactly one non-fault implementation, and keeping the original order means
+// implementing it (the WithPolicy compatibility path). This walks
+// registration order, not sorted order: each built-in policy has exactly one
+// implementation, and keeping the original order means
 // a hypothetical second implementation cannot silently steal a policy from
 // the canonical backend by sorting earlier.
 func backendForPolicy(p DetectionPolicy) (BackendFactory, bool) {
 	backendMu.RLock()
 	defer backendMu.RUnlock()
 	for _, name := range backendOrder {
-		if f := backendRegistry[name]; f.Policy == p && !f.Fault {
+		if f := backendRegistry[name]; f.Policy == p {
 			return f, true
 		}
 	}

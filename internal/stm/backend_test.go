@@ -2,26 +2,42 @@ package stm
 
 import (
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 )
 
-// forEachBackend runs f once per registered non-fault backend, on a fresh STM
-// built through the registry (not through WithPolicy), so the tests cover
-// exactly what the registry exposes. Fault (chaos-*) backends abort and delay
-// on purpose and are exercised by their own tests.
+// forEachBackend runs f once per registered backend, on a fresh STM built
+// through the registry (not through WithPolicy), so the tests cover exactly
+// what the registry exposes.
 func forEachBackend(t *testing.T, f func(t *testing.T, s *STM)) {
 	t.Helper()
 	for _, bf := range Backends() {
-		if bf.Fault {
-			continue
-		}
 		bf := bf
 		t.Run(bf.Name, func(t *testing.T) {
 			f(t, New(WithBackend(bf.Name)))
 		})
 	}
+}
+
+// backendVariant is one registered backend, or (chaos) the fault-injection
+// wrapper composed over it by WithChaos(DefaultChaosConfig()), named
+// "chaos-<inner>" as the wrapped instance reports itself.
+type backendVariant struct {
+	name  string
+	chaos bool
+	opts  []Option
+}
+
+// withChaosVariants returns every registered backend plus its chaos-wrapped
+// variant.
+func withChaosVariants() []backendVariant {
+	var out []backendVariant
+	for _, name := range BackendNames() {
+		out = append(out,
+			backendVariant{name: name, opts: []Option{WithBackend(name)}},
+			backendVariant{name: "chaos-" + name, chaos: true, opts: []Option{WithBackend(name), WithChaos(DefaultChaosConfig())}})
+	}
+	return out
 }
 
 func TestBackendRegistryComplete(t *testing.T) {
@@ -32,36 +48,8 @@ func TestBackendRegistryComplete(t *testing.T) {
 		"norec": NOrec,
 		"mvcc":  MultiVersion,
 	}
-	var real, fault []BackendFactory
-	for _, bf := range Backends() {
-		if bf.Fault {
-			fault = append(fault, bf)
-		} else {
-			real = append(real, bf)
-		}
-	}
-	if len(real) != len(want) {
-		t.Fatalf("registry has %d non-fault backends, want %d: %v", len(real), len(want), BackendNames())
-	}
-	// Every real backend has a chaos-wrapped fault variant and nothing else.
-	if len(fault) != len(want) {
-		t.Fatalf("registry has %d fault backends, want %d: %v", len(fault), len(want), BackendNames())
-	}
-	for _, bf := range fault {
-		inner := strings.TrimPrefix(bf.Name, "chaos-")
-		if inner == bf.Name {
-			t.Errorf("fault backend %q is not a chaos-* wrapper", bf.Name)
-			continue
-		}
-		if policy, ok := want[inner]; !ok {
-			t.Errorf("fault backend %q wraps unknown backend %q", bf.Name, inner)
-		} else if bf.Policy != policy {
-			t.Errorf("fault backend %q policy = %v, want %v (inner backend's)", bf.Name, bf.Policy, policy)
-		}
-		b := bf.New()
-		if b.Name() != bf.Name {
-			t.Errorf("fault backend %q instance reports Name() = %q", bf.Name, b.Name())
-		}
+	if n := len(Backends()); n != len(want) {
+		t.Fatalf("registry has %d backends, want %d: %v", n, len(want), BackendNames())
 	}
 	for name, policy := range want {
 		bf, ok := BackendByName(name)
@@ -458,11 +446,11 @@ func (ct *countingTracer) Trace(ev TraceEvent) {
 }
 
 func TestTracerObservesLifecycle(t *testing.T) {
-	for _, bf := range Backends() {
-		bf := bf
-		t.Run(bf.Name, func(t *testing.T) {
+	for _, v := range withChaosVariants() {
+		v := v
+		t.Run(v.name, func(t *testing.T) {
 			ct := &countingTracer{}
-			s := New(WithBackend(bf.Name), WithTracer(ct))
+			s := New(append(v.opts, WithTracer(ct))...)
 			r := NewRef(s, 0)
 			for i := 0; i < 3; i++ {
 				if err := s.Atomically(func(tx *Txn) error {
@@ -481,8 +469,8 @@ func TestTracerObservesLifecycle(t *testing.T) {
 			if ct.aborts[CauseUser] != 1 {
 				t.Errorf("tracer user aborts = %d, want 1 (%v)", ct.aborts[CauseUser], ct.aborts)
 			}
-			if ct.backend != bf.Name {
-				t.Errorf("tracer backend = %q, want %q", ct.backend, bf.Name)
+			if ct.backend != v.name {
+				t.Errorf("tracer backend = %q, want %q", ct.backend, v.name)
 			}
 		})
 	}

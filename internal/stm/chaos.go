@@ -4,9 +4,9 @@ import "time"
 
 // Fault injection: a chaos Backend wrapper for robustness testing.
 //
-// The wrapper composes with any registered backend (like the policy backends
-// of PR 1 it is registry-selectable, as "chaos-<inner>") and injects three
-// fault classes with a seeded, stateless RNG:
+// WithChaos composes the wrapper over whichever backend the other options
+// select; the wrapped instance reports its name as "chaos-<inner>". It
+// injects three fault classes with a seeded, stateless RNG:
 //
 //   - spurious aborts: a fraction of reads unwinds with CauseChaos, as if a
 //     conflict had been detected;
@@ -43,10 +43,9 @@ type ChaosConfig struct {
 	DoomEvery uint64
 }
 
-// DefaultChaosConfig is the configuration of the registered chaos-* backend
-// variants: frequent-but-survivable aborts and delays, no dooming (dooming
-// without escalation or a max-attempts bound would retry forever, which the
-// registry's enumeration-driven harnesses cannot tolerate).
+// DefaultChaosConfig is a frequent-but-survivable fault mix: aborts and
+// delays, no dooming (dooming without escalation or a max-attempts bound
+// would retry forever, which enumeration-driven harnesses cannot tolerate).
 func DefaultChaosConfig() ChaosConfig {
 	return ChaosConfig{
 		Seed:        1,
@@ -137,36 +136,3 @@ func (c *chaosBackend) commit(tx *Txn) bool {
 }
 
 func (c *chaosBackend) abort(tx *Txn) { c.inner.abort(tx) }
-
-// The chaos variants are registered over hardcoded (name, policy) pairs
-// rather than by enumerating the registry: package init runs file-by-file in
-// name order, so chaos.go's init cannot observe norec.go's registration. The
-// inner backend is resolved lazily, inside the constructor, by which time all
-// inits have run.
-func init() {
-	for _, b := range []struct {
-		name   string
-		policy DetectionPolicy
-	}{
-		{"tl2", LazyLazy},
-		{"ccstm", MixedEagerWWLazyRW},
-		{"eager", EagerEager},
-		{"norec", NOrec},
-		{"mvcc", MultiVersion},
-	} {
-		inner := b.name
-		RegisterBackend(BackendFactory{
-			Name:   "chaos-" + inner,
-			Policy: b.policy,
-			Doc:    "fault-injection wrapper over " + inner + " (seeded spurious aborts + commit delays)",
-			Fault:  true,
-			New: func() Backend {
-				f, ok := BackendByName(inner)
-				if !ok {
-					panic("stm: chaos wrapper: inner backend " + inner + " not registered")
-				}
-				return newChaosBackend(f.New(), DefaultChaosConfig())
-			},
-		})
-	}
-}

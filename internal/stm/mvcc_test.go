@@ -199,7 +199,7 @@ func TestMVCCSnapshotStability(t *testing.T) {
 	}
 }
 
-// TestMVCCChaosSoakZeroReadOnlyAborts: under chaos-mvcc with every fault
+// TestMVCCChaosSoakZeroReadOnlyAborts: under the chaos-wrapped mvcc with every fault
 // class enabled, read-only snapshot transactions must never abort — chaos
 // read/commit faults exempt them, and the read path has no abort cause of
 // its own. Update transactions absorb the injected faults and still count
@@ -212,7 +212,7 @@ func TestMVCCChaosSoakZeroReadOnlyAborts(t *testing.T) {
 	}
 	for mi, cc := range mixes {
 		for _, shards := range []int{1, 8} {
-			s := newSharded(shards, WithBackend("chaos-mvcc"), WithEscalation(5), WithChaos(cc))
+			s := newSharded(shards, WithBackend("mvcc"), WithEscalation(5), WithChaos(cc))
 			const goroutines, txnsPerG, refsN = 8, 100, 4
 			refs := make([]*Ref[int], refsN)
 			for i := range refs {
@@ -729,25 +729,19 @@ func TestMVCCVersionNodePoolPoisoning(t *testing.T) {
 }
 
 // TestMVCCRegistrySweep: mvcc participates in the registry like any other
-// backend (selectable, non-fault, sorted enumeration), and chaos-mvcc wraps
-// it with the Fault flag.
+// backend (selectable, sorted enumeration), and the chaos wrapper composed
+// over it keeps its policy and its telemetry.
 func TestMVCCRegistrySweep(t *testing.T) {
 	bf, ok := BackendByName("mvcc")
 	if !ok {
 		t.Fatal("mvcc not registered")
 	}
-	if bf.Fault {
-		t.Fatal("mvcc wrongly marked Fault")
-	}
 	if bf.Policy != MultiVersion {
 		t.Fatalf("mvcc policy = %v, want MultiVersion", bf.Policy)
 	}
-	cf, ok := BackendByName("chaos-mvcc")
-	if !ok {
-		t.Fatal("chaos-mvcc not registered")
-	}
-	if !cf.Fault || cf.Policy != MultiVersion {
-		t.Fatalf("chaos-mvcc: Fault=%v policy=%v, want Fault=true MultiVersion", cf.Fault, cf.Policy)
+	chaos := New(WithBackend("mvcc"), WithChaos(DefaultChaosConfig()))
+	if got := chaos.Backend(); got.Name() != "chaos-mvcc" || got.Policy() != MultiVersion {
+		t.Fatalf("chaos-wrapped mvcc: Name=%q Policy=%v, want chaos-mvcc MultiVersion", got.Name(), got.Policy())
 	}
 	names := BackendNames()
 	for i := 1; i < len(names); i++ {
@@ -759,7 +753,7 @@ func TestMVCCRegistrySweep(t *testing.T) {
 	if _, ok := New(WithBackend("tl2")).MVCCTelemetry(); ok {
 		t.Fatal("MVCCTelemetry reported ok on tl2")
 	}
-	if _, ok := New(WithBackend("chaos-mvcc")).MVCCTelemetry(); !ok {
+	if _, ok := chaos.MVCCTelemetry(); !ok {
 		t.Fatal("MVCCTelemetry not available through the chaos wrapper")
 	}
 }

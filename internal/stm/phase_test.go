@@ -32,9 +32,6 @@ func TestPhaseSampleInvariants(t *testing.T) {
 		refsN      = 8
 	)
 	for _, name := range BackendNames() {
-		if bf, _ := BackendByName(name); bf.Fault {
-			continue
-		}
 		name := name
 		t.Run(name, func(t *testing.T) {
 			pc := &phaseCollector{}

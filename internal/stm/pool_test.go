@@ -11,10 +11,6 @@ import (
 	"time"
 )
 
-// poolBackends is the pool-poisoning test matrix: every registered backend,
-// the chaos fault-injection wrappers included.
-var poolBackends = BackendNames()
-
 // forEachLog calls f on every pooled log of the descriptor: every slice field
 // of Txn and of the structs embedded in it by value (writeSet), found by
 // reflection, so a log added later is covered without touching the tests.
@@ -291,21 +287,21 @@ func poolPoisonScenarios() []poisonScenario {
 // user error, user panic, Retry park, ctx cancellation, WithMaxAttempts
 // abandonment, chaos-injected faults, escalated-serial commit — must hand
 // back a descriptor whose reuse is indistinguishable from a fresh
-// allocation, across all four backends and their chaos wrappers.
+// allocation, across every backend with and without the chaos wrapper.
 func TestPoolPoisoning(t *testing.T) {
-	for _, bf := range Backends() {
-		// 12 refs: enough writes to build the probe table. The real backends
+	for _, v := range withChaosVariants() {
+		// 12 refs: enough writes to build the probe table. The plain backends
 		// additionally run every scenario at 1100 refs, so each exit also
 		// recycles logs that grew to (and past) a thousand entries; a chaos
 		// wrapper aborts roughly every 64th read and could never finish one.
 		sizes := []int{12, 1100}
-		if bf.Fault {
+		if v.chaos {
 			sizes = sizes[:1]
 		}
 		for _, n := range sizes {
 			for _, sc := range poolPoisonScenarios() {
-				t.Run(fmt.Sprintf("%s/%s/%d", bf.Name, sc.name, n), func(t *testing.T) {
-					opts := append([]Option{WithBackend(bf.Name)}, sc.opts...)
+				t.Run(fmt.Sprintf("%s/%s/%d", v.name, sc.name, n), func(t *testing.T) {
+					opts := append(append([]Option{}, v.opts...), sc.opts...)
 					s := New(opts...)
 					local := NewTxnLocal(func(tx *Txn) int { return 0 })
 					refs := make([]*Ref[int], n)
@@ -434,9 +430,9 @@ func TestPoolReusesDescriptors(t *testing.T) {
 // contention managers may still hold stale pointers to them. Run with -race:
 // this is the regression for the atomic birth/state publication rules.
 func TestPoolConcurrentChurn(t *testing.T) {
-	for _, backend := range poolBackends {
-		t.Run(backend, func(t *testing.T) {
-			s := New(WithBackend(backend), WithContentionManager(Timestamp{}))
+	for _, v := range withChaosVariants() {
+		t.Run(v.name, func(t *testing.T) {
+			s := New(append(v.opts, WithContentionManager(Timestamp{}))...)
 			const nRefs = 8
 			refs := make([]*Ref[int], nRefs)
 			for i := range refs {

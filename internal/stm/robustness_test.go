@@ -447,20 +447,14 @@ func TestEscalationRetryReleasesToken(t *testing.T) {
 	}
 }
 
-// TestChaosBackendRegistry: the chaos-* variants are selectable by name,
-// carry the Fault flag, and commit correct results despite injected faults.
+// TestChaosBackendRegistry: WithChaos composes the fault-injection wrapper
+// over every registered backend, the wrapped instance reports itself as
+// "chaos-<inner>", and it commits correct results despite injected faults.
 func TestChaosBackendRegistry(t *testing.T) {
-	for _, inner := range []string{"tl2", "ccstm", "eager", "norec"} {
+	for _, inner := range BackendNames() {
 		name := "chaos-" + inner
 		t.Run(name, func(t *testing.T) {
-			bf, ok := BackendByName(name)
-			if !ok {
-				t.Fatalf("%s not registered", name)
-			}
-			if !bf.Fault {
-				t.Fatalf("%s not marked Fault", name)
-			}
-			s := New(WithBackend(name), WithEscalation(8))
+			s := New(WithBackend(inner), WithChaos(DefaultChaosConfig()), WithEscalation(8))
 			if got := s.Backend().Name(); got != name {
 				t.Fatalf("Backend().Name() = %q, want %q", got, name)
 			}

@@ -404,9 +404,6 @@ func TestBankConservationZipfShards(t *testing.T) {
 		transfers = 120
 	}
 	for _, bf := range Backends() {
-		if bf.Fault {
-			continue
-		}
 		for _, chaos := range []bool{false, true} {
 			name := bf.Name
 			opts := []Option{WithBackend(bf.Name)}

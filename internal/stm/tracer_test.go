@@ -41,9 +41,6 @@ func TestTracerConcurrentAccounting(t *testing.T) {
 		refsN      = 8
 	)
 	for _, name := range BackendNames() {
-		if bf, _ := BackendByName(name); bf.Fault {
-			continue // chaos-* backends abort on purpose; accounting differs
-		}
 		name := name
 		t.Run(name, func(t *testing.T) {
 			var ticks atomic.Int64

@@ -237,11 +237,19 @@ const (
 )
 
 // QueueModel is a bounded FIFO queue with the QHead/QTail abstract-state
-// conflict abstraction of internal/core's Queue:
+// conflict abstraction of internal/core's Queue, which is the
+// pushBack/popFront/peekFront subset of the deque (DequeModel with
+// PopThreshold 1):
 //
 //	enq(v): write(Tail); plus write(Head) when the queue is empty
-//	deq():  write(Head)
+//	deq():  write(Head); plus write(Tail) when N <= 1
 //	peek(): read(Head)
+//
+// Check and CheckSAT find the abstraction sound with or without the deq
+// widening: Definition 3.1 is checked pairwise, and the unsound history it
+// prevents needs three operations (an enq into a one-element queue, then
+// one transaction's deq, deq, which reaches the enqueued element while the
+// enq is uncommitted).
 //
 // DropEmptyUpgrade simulates the broken variant where enq never takes the
 // Head write even when enqueueing into an empty queue.
@@ -355,7 +363,11 @@ func (qm QueueModel) CA(op, s any) []Access {
 		}
 		return out
 	case "deq":
-		return []Access{{Loc: fqLocHead, Write: true}}
+		out := []Access{{Loc: fqLocHead, Write: true}}
+		if st.N <= 1 {
+			out = append(out, Access{Loc: fqLocTail, Write: true})
+		}
+		return out
 	case "peek":
 		return []Access{{Loc: fqLocHead, Write: false}}
 	}
