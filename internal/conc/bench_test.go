@@ -121,8 +121,8 @@ func BenchmarkCOWHeapSnapshot(b *testing.B) {
 	}
 }
 
-// BenchmarkCtrieSnapshotReplayChurn is the snapshot-map commit in
-// miniature: a snapshot (the transaction's shadow), eight writes to the
+// BenchmarkCtrieSnapshotReplayChurn is the snapshot-map commit as it was
+// before Adopt: a snapshot (the transaction's shadow), eight writes to the
 // base (the commit replay, which path-copies onto nodes the snapshot
 // shares), then Discard. Every node the writes displace is shared with the
 // snapshot, so allocs/op counts what snapshot-lifetime recycling gets back.
@@ -145,6 +145,33 @@ func BenchmarkCtrieSnapshotReplayChurn(b *testing.B) {
 			}
 		}
 		snap.Discard()
+	}
+}
+
+// BenchmarkCtrieSnapshotAdoptChurn is the snapshot-map commit as it is
+// now: a snapshot (the transaction's shadow), eight writes to it, then the
+// base adopts it. The source nodes the writes displace come back through
+// the snapshot's record once the base adopts it, so allocs/op counts what
+// that recycling misses beside the snapshot and the adoption themselves.
+func BenchmarkCtrieSnapshotAdoptChurn(b *testing.B) {
+	const n = 1024
+	ct := NewCtrie[int, int](IntHasher)
+	for i := 0; i < n; i++ {
+		ct.Put(i, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap := ct.Snapshot()
+		for j := 0; j < 8; j++ {
+			k := (i*8 + j) * 97 % n
+			if j%4 == 3 {
+				snap.Remove(k)
+			} else {
+				snap.Put(k, i)
+			}
+		}
+		ct.Adopt(snap)
 	}
 }
 

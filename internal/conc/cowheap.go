@@ -91,10 +91,21 @@ func (h *COWHeap[V]) Contains(v V, eq func(a, b V) bool) bool {
 }
 
 // Snapshot returns an O(1) snapshot supporting single-owner mutation. The
-// snapshot shares structure with the heap but never affects it.
+// snapshot shares structure with the heap but never affects it, unless the
+// heap adopts it.
 func (h *COWHeap[V]) Snapshot() *HeapSnapshot[V] {
 	cur := h.root.Load()
-	return &HeapSnapshot[V]{less: h.less, node: cur.node, size: cur.size}
+	return &HeapSnapshot[V]{less: h.less, src: cur, node: cur.node, size: cur.size}
+}
+
+// Adopt makes s's contents the heap's, in O(1): a compare-and-swap from the
+// version s was taken from to s's. It panics if the heap has moved on from
+// that version. s must not be used afterwards.
+func (h *COWHeap[V]) Adopt(s *HeapSnapshot[V]) {
+	if !h.root.CompareAndSwap(s.src, &heapVersion[V]{node: s.node, size: s.size}) {
+		panic("conc: Adopt of a heap snapshot whose source has changed since")
+	}
+	s.src = nil
 }
 
 // HeapSnapshot is a mutable single-owner view over a persistent heap
@@ -102,6 +113,7 @@ func (h *COWHeap[V]) Snapshot() *HeapSnapshot[V] {
 // transaction as the shadow copy.
 type HeapSnapshot[V any] struct {
 	less Less[V]
+	src  *heapVersion[V] // the version the snapshot was taken from
 	node *heapNode[V]
 	size int
 }

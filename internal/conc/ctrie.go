@@ -2,6 +2,7 @@ package conc
 
 import (
 	"math/bits"
+	"sync"
 	"sync/atomic"
 )
 
@@ -28,13 +29,17 @@ import (
 //     displaces from its own lineage: a node of the displacer's current
 //     generation after one reader grace period, an older one of its lineage
 //     once the snapshots that could still see it are discarded as well.
-//     Nodes of another lineage stay live in the trie they came from and
-//     are never touched. Both paths end in epoch-based pools (epoch.go,
-//     ctriepool.go).
+//     Nodes of another lineage stay live in the trie they came from; a
+//     mutable snapshot keeps a record of the ones it displaces. Both paths
+//     end in epoch-based pools (epoch.go, ctriepool.go).
 //   - A trie whose owner is done with it (a transaction's shadow copy) is
 //     handed back with Discard: every node stamped with the trie's own
 //     generation was created by, and is reachable from, that trie alone,
-//     and goes straight to the freelists.
+//     and goes straight to the freelists, and the record is dropped.
+//   - Or its source takes it over with Adopt, in O(1): the source's root
+//     becomes the snapshot's, and the recorded nodes, now unreachable from
+//     the source too, wait out the older snapshots like any displaced node
+//     of the source's own lineage.
 type Ctrie[K comparable, V any] struct {
 	hash        Hasher[K]
 	readOnly    bool
@@ -45,21 +50,32 @@ type Ctrie[K comparable, V any] struct {
 	// replaces it; it lives here so a snapshot is one allocation, not two.
 	ref rootRef[K, V]
 	// pin is a snapshot's lifetime pin (ctPool.pinLife), held until
-	// Discard; 0 for a trie that is no snapshot.
+	// Discard or Adopt; 0 for a trie that is no snapshot.
 	pin uint64
+	// A mutable snapshot's src is the root main it was cut from, which
+	// Adopt requires its source to hold still, and foreign records the
+	// nodes of other lineages it displaced (nil for any other trie).
+	src     *ctMain[K, V]
+	foreign *ctForeign[K, V]
+}
+
+// ctForeign is a mutable snapshot's record of displaced foreign-lineage
+// nodes. An operation locks mu at its first such displacement and holds it
+// until it ends (Ctrie.done), so concurrent writers to one snapshot are
+// safe. Records are pooled (ctPool.foreigns).
+type ctForeign[K comparable, V any] struct {
+	mu sync.Mutex
+	ctBin[K, V]
 }
 
 // ctGen is a trie generation. Its identity is the pointer; line numbers
-// the lineage it belongs to within its pool (ctPool.newLineage). A snapshot
+// the lineage it belongs to within its pool (ctPool.newLine). A snapshot
 // gives its source a fresh generation of the source's lineage and the copy
 // a lineage of its own, so a trie has built every node whose generation
 // shares its lineage. Generations are never recycled: their identity must
 // not repeat. (No pointer field: a generation costs the tiny allocator and
 // nothing to mark.)
 type ctGen struct{ line uint64 }
-
-// next returns a fresh generation of g's lineage.
-func (g *ctGen) next() *ctGen { return &ctGen{line: g.line} }
 
 // rootRef holds either the live root INode or an in-flight RDCSS
 // descriptor.
@@ -69,14 +85,24 @@ type rootRef[K comparable, V any] struct {
 }
 
 type rdcssDesc[K comparable, V any] struct {
-	old       *rootRef[K, V]
-	expMain   *ctMain[K, V]
-	nv        *rootRef[K, V]
-	committed atomic.Bool
+	old     *rootRef[K, V]
+	expMain *ctMain[K, V]
+	nv      *rootRef[K, V]
+	// outcome is decided once (rdcssCommitted or rdcssAborted), before any
+	// helper swings the root off self, and every helper swings it the way
+	// decided: so the initiator, once the root has left self, reads the
+	// outcome the root took. (A flag set after the swing could still read
+	// false for an RDCSS another goroutine had already committed.)
+	outcome atomic.Int32
 	// self is the rootRef that announces this descriptor; the root points
 	// at it only while the RDCSS is in flight.
 	self rootRef[K, V]
 }
+
+const (
+	rdcssCommitted int32 = 1 + iota
+	rdcssAborted
+)
 
 // ctMain is a tagged union of the main-node kinds (CNode, TNode, LNode)
 // plus the GCAS failed-node marker. Exactly one of cn/tn/ln/failed is set;
@@ -104,7 +130,7 @@ func newCtINode[K comparable, V any](gen *ctGen, m *ctMain[K, V]) *ctINode[K, V]
 // ctBranch is a branch box: either an INode edge (in != nil) or an SNode
 // carrying a key/value pair. Boxes are immutable once published and carry
 // the generation they were created under, which decides how a displaced box
-// is retired (ctHandle.binFor).
+// is retired (Ctrie.binFor).
 type ctBranch[K comparable, V any] struct {
 	in  *ctINode[K, V]
 	gen *ctGen
@@ -151,7 +177,7 @@ func NewCtrieUnversioned[K comparable, V any](hash Hasher[K]) *Ctrie[K, V] {
 // NewCtrieConfigured creates an empty Ctrie with an explicit configuration.
 func NewCtrieConfigured[K comparable, V any](hash Hasher[K], cfg CtrieConfig) *Ctrie[K, V] {
 	pool := newCtPool[K, V]()
-	gen := pool.newLineage()
+	gen := &ctGen{line: pool.newLine()}
 	root := newCtINode(gen, &ctMain[K, V]{cn: &ctCNode[K, V]{gen: gen}})
 	ct := &Ctrie[K, V]{
 		hash:        hash,
@@ -191,32 +217,25 @@ func (ct *Ctrie[K, V]) rdcssComplete(abort bool) {
 			return
 		}
 		desc := r.desc
-		if abort {
-			if ct.root.CompareAndSwap(r, desc.old) {
-				return
-			}
-			continue
+		decided := rdcssAborted
+		if !abort && ct.gcasRead(desc.old.in) == desc.expMain {
+			decided = rdcssCommitted
 		}
-		oldMain := ct.gcasRead(desc.old.in)
-		if oldMain == desc.expMain {
-			if ct.root.CompareAndSwap(r, desc.nv) {
-				desc.committed.Store(true)
-				return
-			}
-			continue
+		desc.outcome.CompareAndSwap(0, decided)
+		next := desc.old
+		if desc.outcome.Load() == rdcssCommitted {
+			next = desc.nv
 		}
-		if ct.root.CompareAndSwap(r, desc.old) {
-			return
-		}
+		ct.root.CompareAndSwap(r, next)
 	}
 }
 
-func (ct *Ctrie[K, V]) rdcssRoot(ov *rootRef[K, V], expMain *ctMain[K, V], nv *ctINode[K, V]) bool {
-	desc := &rdcssDesc[K, V]{old: ov, expMain: expMain, nv: &rootRef[K, V]{in: nv}}
+func (ct *Ctrie[K, V]) rdcssRoot(ov *rootRef[K, V], expMain *ctMain[K, V], nv *rootRef[K, V]) bool {
+	desc := &rdcssDesc[K, V]{old: ov, expMain: expMain, nv: nv}
 	desc.self.desc = desc
 	if ct.root.CompareAndSwap(ov, &desc.self) {
 		ct.rdcssComplete(false)
-		return desc.committed.Load()
+		return desc.outcome.Load() == rdcssCommitted
 	}
 	return false
 }
@@ -299,7 +318,7 @@ func (ct *Ctrie[K, V]) gcasComplete(in *ctINode[K, V], m *ctMain[K, V]) *ctMain[
 // --- displacement -------------------------------------------------------
 
 // Every retire below runs after the displacing GCAS on in won, and files
-// the node by its generation (ctHandle.binFor): displacement removed the
+// the node by its generation (Ctrie.binFor): displacement removed the
 // only structural reference to it in in's trie, so what may still reach it
 // is a reader of that trie — and, when it is of an older generation, the
 // snapshots taken since it was built. A CNode and its main are created
@@ -311,7 +330,7 @@ func (ct *Ctrie[K, V]) retireDisplaced(h *ctHandle[K, V], in *ctINode[K, V], m *
 	if m.cn == nil {
 		return
 	}
-	if b := h.binFor(in.gen, m.cn.gen); b != nil {
+	if b := ct.binFor(h, in.gen, m.cn.gen); b != nil {
 		b.addCNode(m.cn)
 		b.addMain(m)
 	}
@@ -319,7 +338,7 @@ func (ct *Ctrie[K, V]) retireDisplaced(h *ctHandle[K, V], in *ctINode[K, V], m *
 
 // retireBranch retires a displaced branch box.
 func (ct *Ctrie[K, V]) retireBranch(h *ctHandle[K, V], in *ctINode[K, V], x *ctBranch[K, V]) {
-	if b := h.binFor(in.gen, x.gen); b != nil {
+	if b := ct.binFor(h, in.gen, x.gen); b != nil {
 		b.addBranch(x)
 	}
 }
@@ -331,7 +350,7 @@ func (ct *Ctrie[K, V]) retireBranch(h *ctHandle[K, V], in *ctINode[K, V], x *ctB
 func (ct *Ctrie[K, V]) retireEdge(h *ctHandle[K, V], in *ctINode[K, V], x *ctBranch[K, V]) {
 	child := x.in
 	ct.retireBranch(h, in, x)
-	if b := h.binFor(in.gen, child.gen); b != nil {
+	if b := ct.binFor(h, in.gen, child.gen); b != nil {
 		b.addINode(child)
 	}
 }
@@ -552,16 +571,7 @@ func (ct *Ctrie[K, V]) Get(k K) (V, bool) {
 	hc := ct.hc(k)
 	h := ct.pool.get()
 	h.pin()
-	var v V
-	var ok bool
-	for {
-		r := ct.rdcssReadRoot(false)
-		var restart bool
-		v, ok, restart = ct.ilookup(h, r, k, hc, 0, nil, r.gen)
-		if !restart {
-			break
-		}
-	}
+	v, ok := ct.ilookup(ct.rdcssReadRoot(false), k, hc, 0)
 	h.unpin()
 	ct.pool.put(h)
 	return v, ok
@@ -591,8 +601,7 @@ func (ct *Ctrie[K, V]) Put(k K, v V) (V, bool) {
 			break
 		}
 	}
-	h.unpin()
-	ct.pool.put(h)
+	ct.done(h)
 	return old, had
 }
 
@@ -614,18 +623,29 @@ func (ct *Ctrie[K, V]) Remove(k K) (V, bool) {
 			break
 		}
 	}
+	ct.done(h)
+	return old, had
+}
+
+// done ends an operation on ct with handle h, releasing the record it
+// locked, if any.
+func (ct *Ctrie[K, V]) done(h *ctHandle[K, V]) {
+	if h.foreign != nil {
+		h.foreign.mu.Unlock()
+		h.foreign = nil
+	}
 	h.unpin()
 	ct.pool.put(h)
-	return old, had
 }
 
 // Snapshot returns a mutable snapshot, O(1) in the size of the trie. The
 // snapshot and the original evolve independently; writers lazily copy the
 // paths they touch. Proust uses one snapshot per transaction as the shadow
-// copy, and hands it back with Discard. A snapshot that is never discarded
-// is just as correct, but it holds its lifetime pin forever: from then on
-// the nodes its source displaces across generations fill capped bins and
-// overflow to the garbage collector instead of being reused.
+// copy, and either hands it back with Discard or makes it the source's
+// contents with Adopt. A snapshot that is never discarded is just as
+// correct, but it holds its lifetime pin forever: from then on the nodes its
+// source displaces across generations fill capped bins and overflow to the
+// garbage collector instead of being reused.
 func (ct *Ctrie[K, V]) Snapshot() *Ctrie[K, V] {
 	return ct.snapshot(false)
 }
@@ -657,15 +677,23 @@ func (ct *Ctrie[K, V]) snapshot(readOnly bool) *Ctrie[K, V] {
 		rref := ct.rdcssReadRootRef(false)
 		r := rref.in
 		expMain := ct.gcasRead(r)
-		nr := h.newINode(r.gen.next(), expMain)
-		if !ct.rdcssRoot(rref, expMain, nr) {
+		// The source's fresh generation and a mutable snapshot's first share
+		// one allocation: generations hold no pointer, so neither keeps
+		// anything of the other alive.
+		gens := new([2]ctGen)
+		gens[0].line = r.gen.line
+		nr := h.newINode(&gens[0], expMain)
+		if !ct.rdcssRoot(rref, expMain, &rootRef[K, V]{in: nr}) {
 			continue
 		}
 		// r is frozen now with main expMain: its generation is no trie's.
 		if readOnly {
 			snap.ref.in = r
 		} else {
-			snap.ref.in = h.newINode(ct.pool.newLineage(), expMain)
+			gens[1].line = ct.pool.newLine()
+			snap.ref.in = h.newINode(&gens[1], expMain)
+			snap.src = expMain
+			snap.foreign = ct.pool.foreigns.Get().(*ctForeign[K, V])
 			h.bin().addINode(r) // no snapshot holds the root it displaced
 		}
 		snap.root.Store(&snap.ref)
@@ -689,8 +717,9 @@ func (ct *Ctrie[K, V]) snapshot(readOnly bool) *Ctrie[K, V] {
 // hold them, and they skip the grace period. Nodes ct displaced were
 // retired when they were displaced and are not reachable any more, so
 // nothing is freed twice. Older-generation nodes are shared with other
-// tries and are not touched. A read-only snapshot's root generation is the
-// one it shares with its source, so it gives nothing back.
+// tries and are not touched; neither are the ones recorded as displaced
+// from another lineage, which the record drops. A read-only snapshot's root
+// generation is the one it shares with its source, so it gives nothing back.
 func (ct *Ctrie[K, V]) Discard() {
 	r := ct.rdcssReadRoot(false)
 	ct.root.Store(nil)
@@ -699,9 +728,54 @@ func (ct *Ctrie[K, V]) Discard() {
 		h.discard(r)
 		ct.pool.put(h)
 	}
+	if f := ct.foreign; f != nil {
+		f.drop()
+		ct.pool.foreigns.Put(f)
+		ct.foreign, ct.src = nil, nil
+	}
 	if ct.pin != 0 {
 		ct.pool.unpinLife(ct.pin)
 	}
+}
+
+// Adopt makes snap's contents ct's, in O(1): ct takes snap's root, and snap,
+// as after Discard, must not be used again. ct must be no snapshot itself,
+// and snap a mutable snapshot of ct taken while ct held the state it still
+// holds — no write to ct since — or Adopt panics. Like Discard it requires
+// exclusive ownership of snap; readers of ct may run throughout.
+//
+// The nodes snap displaced from other lineages were shared with ct, and
+// once ct's root is swapped no longer reachable from it: only the snapshots
+// taken before can still see them, so they go to a lifetime bin, as if ct
+// had displaced them itself. (Were ct a snapshot, they could still be live
+// in its own source.) ct's displaced root INode goes to the reader bin, and
+// snap's lifetime pin is released.
+func (ct *Ctrie[K, V]) Adopt(snap *Ctrie[K, V]) {
+	if ct.pin != 0 || snap.foreign == nil {
+		panic("conc: Adopt into a snapshot, or of a trie that is no mutable snapshot")
+	}
+	h := ct.pool.get()
+	h.pin()
+	nv := snap.rdcssReadRootRef(false)
+	for {
+		rref := ct.rdcssReadRootRef(false)
+		if ct.gcasRead(rref.in) != snap.src {
+			panic("conc: Adopt of a snapshot whose source has changed since")
+		}
+		if ct.rdcssRoot(rref, snap.src, nv) {
+			h.bin().addINode(rref.in)
+			break
+		}
+	}
+	snap.root.Store(nil)
+	f := snap.foreign
+	h.lifeBin().addAll(&f.ctBin)
+	f.drop()
+	ct.pool.foreigns.Put(f)
+	snap.foreign, snap.src = nil, nil
+	ct.pool.unpinLife(snap.pin)
+	h.unpin()
+	ct.pool.put(h)
 }
 
 // Range calls f over the map until f returns false. On a versioned trie it
@@ -772,7 +846,7 @@ func (ct *Ctrie[K, V]) walk(h *ctHandle[K, V], in *ctINode[K, V], f func(K, V) b
 // current-generation INode's main, and that read is where the lookup
 // linearizes. A writer that later wants to change anything down there must
 // first replace that main (renewChild).
-func (ct *Ctrie[K, V]) ilookup(h *ctHandle[K, V], in *ctINode[K, V], k K, hc uint32, lev uint, parent *ctINode[K, V], startgen *ctGen) (V, bool, bool) {
+func (ct *Ctrie[K, V]) ilookup(in *ctINode[K, V], k K, hc uint32, lev uint) (V, bool) {
 	var zero V
 	m := ct.gcasRead(in)
 	switch {
@@ -780,32 +854,26 @@ func (ct *Ctrie[K, V]) ilookup(h *ctHandle[K, V], in *ctINode[K, V], k K, hc uin
 		cn := m.cn
 		flag, pos := ctFlagPos(hc, lev, cn.bmp)
 		if cn.bmp&flag == 0 {
-			return zero, false, false
+			return zero, false
 		}
 		b := cn.array[pos]
 		if b.in != nil {
-			return ct.ilookup(h, b.in, k, hc, lev+5, in, startgen)
+			return ct.ilookup(b.in, k, hc, lev+5)
 		}
 		if b.hc == hc && b.k == k {
-			return b.v, true, false
+			return b.v, true
 		}
-		return zero, false, false
 	case m.tn != nil:
-		// Help compress when the parent can still change; a GCAS on a frozen
-		// parent never succeeds, so under one the tomb is simply read.
-		if !ct.readOnly && parent.gen == startgen {
-			ct.clean(h, parent, lev-5)
-			return zero, false, true
-		}
+		// A TNode is terminal: the tomb is read, not cleaned. Compression is
+		// left to writers, so a reader only ever helps finish a change some
+		// writer began, never begins one (which Adopt relies on).
 		if m.tn.hc == hc && m.tn.k == k {
-			return m.tn.v, true, false
+			return m.tn.v, true
 		}
-		return zero, false, false
 	case m.ln != nil:
-		v, ok := m.ln.get(k)
-		return v, ok, false
+		return m.ln.get(k)
 	}
-	return zero, false, true
+	return zero, false
 }
 
 func (ct *Ctrie[K, V]) iinsert(h *ctHandle[K, V], in *ctINode[K, V], k K, v V, hc uint32, lev uint, parent *ctINode[K, V], startgen *ctGen) (V, bool, bool) {

@@ -71,12 +71,51 @@ func (b *ctBin[K, V]) addCNode(cn *ctCNode[K, V])  { binAdd(b.life, &b.cnodes, c
 func (b *ctBin[K, V]) addBranch(x *ctBranch[K, V]) { binAdd(b.life, &b.branches, x) }
 func (b *ctBin[K, V]) addINode(in *ctINode[K, V])  { binAdd(b.life, &b.ins, in) }
 
+func (b *ctBin[K, V]) empty() bool {
+	return len(b.mains)+len(b.cnodes)+len(b.branches)+len(b.ins) == 0
+}
+
+// binAddAll is binAdd for every element of xs.
+func binAddAll[T any](life bool, list *[]T, xs []T) {
+	if life {
+		xs = xs[:min(len(xs), max(ctLifeCap-len(*list), 0))]
+	}
+	*list = append(*list, xs...)
+}
+
+// addAll adds every node of src to b; src is left as it was.
+func (b *ctBin[K, V]) addAll(src *ctBin[K, V]) {
+	binAddAll(b.life, &b.mains, src.mains)
+	binAddAll(b.life, &b.cnodes, src.cnodes)
+	binAddAll(b.life, &b.branches, src.branches)
+	binAddAll(b.life, &b.ins, src.ins)
+}
+
+// reset empties b, keeping its capacity.
+func (b *ctBin[K, V]) reset() {
+	b.mains = b.mains[:0]
+	b.cnodes = b.cnodes[:0]
+	b.branches = b.branches[:0]
+	b.ins = b.ins[:0]
+}
+
+// drop empties b of nodes that stay live elsewhere: the capacity it keeps
+// must not keep them from the garbage collector.
+func (b *ctBin[K, V]) drop() {
+	clear(b.mains)
+	clear(b.cnodes)
+	clear(b.branches)
+	clear(b.ins)
+	b.reset()
+}
+
 // ctPool is the per-structure reclamation domain + handle cache. A Ctrie
 // and every snapshot derived from it share one ctPool, because retired
 // nodes may still be traversed by readers of either.
 type ctPool[K comparable, V any] struct {
-	ebr     *ebr
-	handles sync.Pool
+	ebr      *ebr
+	handles  sync.Pool
+	foreigns sync.Pool // *ctForeign, one per live mutable snapshot
 
 	// life is the lifetime epoch and lifePins[e&1] the number of live
 	// snapshots pinned at epoch e. Live pins are only ever at life-1 and
@@ -103,6 +142,7 @@ func newCtPool[K comparable, V any]() *ctPool[K, V] {
 		}
 		return h
 	}
+	p.foreigns.New = func() any { return new(ctForeign[K, V]) }
 	return p
 }
 
@@ -114,10 +154,10 @@ func (p *ctPool[K, V]) put(h *ctHandle[K, V]) {
 	p.handles.Put(h)
 }
 
-// newLineage starts a lineage: the first generation of a new trie or of a
-// mutable snapshot.
-func (p *ctPool[K, V]) newLineage() *ctGen {
-	return &ctGen{line: p.lines.Add(1)}
+// newLine numbers a new lineage: that of a new trie or of a mutable
+// snapshot.
+func (p *ctPool[K, V]) newLine() uint64 {
+	return p.lines.Add(1)
 }
 
 // pinLife pins the lifetime epoch for a new snapshot and returns the pin
@@ -177,6 +217,10 @@ type ctHandle[K comparable, V any] struct {
 	// scratch collects the INode-edge boxes a toCompressed pass displaced,
 	// so clean can retire them only if its GCAS wins (see ctrie.go).
 	scratch []*ctBranch[K, V]
+	// foreign is the record of the mutable snapshot this operation has
+	// displaced foreign-lineage nodes from, locked until the operation ends
+	// (Ctrie.done).
+	foreign *ctForeign[K, V]
 }
 
 func (h *ctHandle[K, V]) pin() {
@@ -280,18 +324,25 @@ func (h *ctHandle[K, V]) lifeBin() *ctBin[K, V] {
 }
 
 // binFor is where a node of generation gen goes once an operation of
-// generation owner has displaced it: the reader bin when gen is owner
+// generation owner on ct has displaced it: the reader bin when gen is owner
 // (created since the trie's latest snapshot, so no snapshot can reach it),
 // the lifetime bin when gen is an older generation of owner's lineage (the
-// trie built it, so only snapshots taken since can still reach it), and
-// nowhere for a node of another lineage, which is still live in the trie
-// it came from.
-func (h *ctHandle[K, V]) binFor(owner, gen *ctGen) *ctBin[K, V] {
+// trie built it, so only snapshots taken since can still reach it). A node
+// of another lineage is still live in the trie it came from: a mutable
+// snapshot adds it to its record (Adopt files the record, Discard drops
+// it), any other trie leaves it to the garbage collector.
+func (ct *Ctrie[K, V]) binFor(h *ctHandle[K, V], owner, gen *ctGen) *ctBin[K, V] {
 	switch {
 	case gen == owner:
 		return h.bin()
 	case gen.line == owner.line:
 		return h.lifeBin()
+	case ct.foreign != nil:
+		if h.foreign == nil {
+			ct.foreign.mu.Lock()
+			h.foreign = ct.foreign
+		}
+		return &h.foreign.ctBin
 	}
 	return nil
 }
@@ -328,28 +379,18 @@ func (h *ctHandle[K, V]) drainBin(b *ctBin[K, V]) {
 	for _, in := range b.ins {
 		h.recycleINodeNow(in)
 	}
-	b.mains = b.mains[:0]
-	b.cnodes = b.cnodes[:0]
-	b.branches = b.branches[:0]
-	b.ins = b.ins[:0]
+	b.reset()
 }
 
 // promote hands a lifetime cohort whose snapshots are all gone to the
 // current reader bin: a reader of the trie that displaced it may still be
 // walking it.
 func (h *ctHandle[K, V]) promote(lb *ctBin[K, V]) {
-	if len(lb.mains)+len(lb.cnodes)+len(lb.branches)+len(lb.ins) == 0 {
+	if lb.empty() {
 		return
 	}
-	b := h.bin()
-	b.mains = append(b.mains, lb.mains...)
-	b.cnodes = append(b.cnodes, lb.cnodes...)
-	b.branches = append(b.branches, lb.branches...)
-	b.ins = append(b.ins, lb.ins...)
-	lb.mains = lb.mains[:0]
-	lb.cnodes = lb.cnodes[:0]
-	lb.branches = lb.branches[:0]
-	lb.ins = lb.ins[:0]
+	h.bin().addAll(lb)
+	lb.reset()
 }
 
 // --- immediate recycling (never-published or fully-aged nodes) ----------

@@ -250,6 +250,29 @@ func TestCOWHeapSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// TestCOWHeapAdopt: the heap takes over a snapshot's contents, and refuses a
+// snapshot taken before the heap last moved.
+func TestCOWHeapAdopt(t *testing.T) {
+	h := NewCOWHeap(intLess)
+	h.Insert(2)
+	h.Insert(4)
+	snap, stale := h.Snapshot(), h.Snapshot()
+	snap.Insert(3)
+	snap.RemoveMin()
+	h.Adopt(snap)
+	if v, _ := h.Min(); v != 3 || h.Len() != 2 || h.Contains(2, intEq) {
+		t.Fatalf("after Adopt: Min = %d, Len = %d", v, h.Len())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Adopt accepted a snapshot whose source had moved")
+			}
+		}()
+		h.Adopt(stale)
+	}()
+}
+
 func TestCOWHeapVsSortedOracle(t *testing.T) {
 	f := func(vals []int16) bool {
 		h := NewCOWHeap(intLess)

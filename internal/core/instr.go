@@ -17,8 +17,9 @@ type Sink interface {
 	// Aborted attempts of transactions that later commit are reported per
 	// attempt, mirroring stm.Stats abort accounting.
 	OpOutcome(structure, op string, committed bool, n uint64)
-	// ReplayDepth reports the replay-log depth (queued base-structure
-	// operations) of a lazy transaction at the moment its log is applied
-	// inside the commit critical section.
+	// ReplayDepth reports the log depth (queued operations) of a committing
+	// lazy transaction from inside the commit critical section: what a memo
+	// log replays onto the base, or what a snapshot log's adopted shadow
+	// carries.
 	ReplayDepth(structure string, depth int)
 }

@@ -13,7 +13,7 @@ type mapOp[K comparable, V any] struct {
 	put bool
 }
 
-// applyMapOp replays one record onto a trie (shadow or shared base).
+// applyMapOp applies one record to a transaction's shadow trie.
 func applyMapOp[K comparable, V any](ct *conc.Ctrie[K, V], op mapOp[K, V]) {
 	if op.put {
 		ct.Put(op.key, op.val)
@@ -26,8 +26,9 @@ func applyMapOp[K comparable, V any](ct *conc.Ctrie[K, V], op mapOp[K, V]) {
 // (the paper's LazyTrieMap, Figure 2b): the base structure is a concurrent
 // hash trie with constant-time snapshots; each transaction's first mutation
 // takes a snapshot, subsequent operations run against it, and on commit the
-// queued operations are replayed onto the shared trie inside the commit
-// critical section.
+// shared trie adopts the snapshot inside the commit critical section — in
+// O(1), rebased first onto a fresh snapshot when another commit landed in
+// between (SnapshotLog).
 type LazySnapshotMap[K comparable, V any] struct {
 	al   *AbstractLock[K]
 	log  *SnapshotLog[*conc.Ctrie[K, V], mapOp[K, V]]
@@ -42,7 +43,7 @@ func NewLazySnapshotMap[K comparable, V any](s *stm.STM, lap LockAllocatorPolicy
 	base := conc.NewCtrie[K, V](hash)
 	return &LazySnapshotMap[K, V]{
 		al:   NewAbstractLock(lap),
-		log:  NewSnapshotLog(base, (*conc.Ctrie[K, V]).Snapshot, applyMapOp[K, V]),
+		log:  NewSnapshotLog(base, (*conc.Ctrie[K, V]).Snapshot, applyMapOp[K, V], (*conc.Ctrie[K, V]).Adopt),
 		size: stm.NewRef(s, 0),
 		hash: hash,
 	}

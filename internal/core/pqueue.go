@@ -142,7 +142,7 @@ func (q *PQueue[V]) Size(tx *stm.Txn) int {
 }
 
 // pqBase is the contract shared by conc.COWHeap and conc.HeapSnapshot,
-// letting the snapshot replay log treat them uniformly.
+// letting the snapshot log serve reads from either.
 type pqBase[V any] interface {
 	Insert(V)
 	Min() (V, bool)
@@ -168,7 +168,8 @@ func applyPQOp[V any](b pqBase[V], op pqOp[V]) {
 
 // LazyPQueue is the lazy Proustian priority queue (the paper's
 // LazyPriorityQueue): a copy-on-write heap provides O(1) snapshots, pending
-// operations run against the transaction's snapshot and replay at commit.
+// operations run against the transaction's snapshot, and the heap adopts the
+// snapshot at commit.
 // No inverses are needed — exactly the case the paper highlights, since
 // priority-queue operations lack efficient inverses in general.
 type LazyPQueue[V any] struct {
@@ -185,9 +186,11 @@ var _ TxPQueue[int] = (*LazyPQueue[int])(nil)
 // copy-on-write heap.
 func NewLazyPQueue[V any](s *stm.STM, lap LockAllocatorPolicy[PQState], less conc.Less[V], eq func(a, b V) bool) *LazyPQueue[V] {
 	heap := conc.NewCOWHeap(less)
+	snapshot := func(pqBase[V]) pqBase[V] { return heap.Snapshot() }
+	adopt := func(_, sh pqBase[V]) { heap.Adopt(sh.(*conc.HeapSnapshot[V])) }
 	return &LazyPQueue[V]{
 		al:   NewAbstractLock(lap),
-		log:  NewSnapshotLog[pqBase[V]](heap, func(pqBase[V]) pqBase[V] { return heap.Snapshot() }, applyPQOp[V]),
+		log:  NewSnapshotLog[pqBase[V]](heap, snapshot, applyPQOp[V], adopt),
 		less: less,
 		eq:   eq,
 		size: stm.NewRef(s, 0),

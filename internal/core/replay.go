@@ -11,65 +11,64 @@ import (
 // Section 4, "Snapshots"): the first time a transaction mutates the wrapped
 // object, a fast snapshot of the base structure is taken; all further
 // operations of that transaction run against the snapshot (producing return
-// values), and are queued as typed records. If the transaction commits, the
-// queued records are replayed onto the shared base inside the commit
-// critical section — "behind the STM's native locking mechanisms"; if it
-// aborts, the log is simply dropped.
+// values), and are queued as typed records. If the transaction commits, its
+// shadow — the base plus exactly its own operations — becomes the base
+// inside the commit critical section, "behind the STM's native locking
+// mechanisms", in O(1) (Adopt); if it aborts, the shadow and the log are
+// simply dropped.
 //
 // D is the (interface or pointer) type shared by the base structure and its
 // snapshots, e.g. *conc.Ctrie[K,V]; O is the wrapper's operation record
-// (mapOp, pqOp, ...), applied by the static apply function given at
-// construction. Records replace the `func(D)` closures the log used to
+// (mapOp, pqOp, ...), applied to a shadow by the static apply function given
+// at construction. Records replace the `func(D)` closures the log used to
 // queue: a closure per mutation was one heap allocation per operation, and
-// an opaque log cannot be replayed incrementally.
+// an opaque log cannot be applied incrementally.
 //
 // The wrapper protocol per operation is
 //
 //	sh := log.Shadow(tx)        // private shadow, synced to current base
 //	ret := <apply op to sh>     // typed result, no boxing
-//	log.Append(tx, rec)         // queue the record for commit replay
+//	log.Append(tx, rec)         // queue the record
 //
 // and reads use ReadView, which serves the unmodified base until the
 // transaction's first mutation (the readOnly optimization of the paper's
 // Figure 2b).
 //
-// # Incremental shadows
+// # Incremental shadows and the commit
 //
-// The original implementation re-derived the shadow on *every* operation:
-// fresh snapshot, then replay of the whole pending log — O(n²) base
-// operations for an n-op transaction. The shadow is now cached with an
-// applied-record watermark plus a base generation: gen counts committed
-// replay batches applied to the base, and a cached shadow remembers the
-// generation its snapshot captured. An operation re-derives the shadow only
-// when the generation moved (some transaction committed a replay since) and
-// otherwise just applies its pending suffix — O(n) total per transaction.
+// The shadow is cached with an applied-record watermark plus a base
+// generation: gen counts adoptions, and a cached shadow remembers the
+// generation its snapshot captured. An operation re-derives the shadow —
+// fresh snapshot, then the whole pending log — only when the generation
+// moved, and otherwise just applies its pending suffix: O(n) per n-op
+// transaction. The commit does the same under cut: if the generation moved
+// since the snapshot (a commuting transaction committed in between), the
+// shadow is rebased onto a fresh snapshot of the current base before it is
+// adopted, so both effects survive; Adopt requires it, since it only
+// accepts a snapshot of the base as the base still is.
 //
 // Correctness (the Theorem 5.3 argument, DESIGN.md §10): when the
-// generation is unchanged, no replay batch has completed since the
-// snapshot, so snapshot+pending and cached-shadow+suffix denote the same
-// abstract state — the reuse is exact, not approximate. When a replay is
-// concurrently in flight (generation observed before its bump), the cached
-// shadow reflects the pre-replay base; that is the same state a leading
-// conflict-abstraction read has already announced, so a non-commuting
-// committer invalidates this transaction at validation via the
-// leading/trailing reads, and a commuting one is safe to linearize after.
-// The generation read that matters — deciding a fresh snapshot is current —
-// happens under the cut lock's write side, where no replay is in flight.
+// generation is unchanged, no adoption has completed since the snapshot, so
+// snapshot+pending and cached-shadow+suffix denote the same abstract state —
+// the reuse is exact, not approximate. When an adoption is concurrently in
+// flight (generation observed before its bump), the cached shadow reflects
+// the pre-commit base; that is the same state a leading conflict-abstraction
+// read has already announced, so a non-commuting committer invalidates this
+// transaction at validation via the leading/trailing reads, and a commuting
+// one is safe to linearize after — the rebase at commit carries its effect.
+// The generation reads that matter — deciding a fresh snapshot or a shadow
+// to adopt is current — happen under cut, where no adoption is in flight.
 type SnapshotLog[D any, O any] struct {
 	base     D
 	snapshot func(D) D
 	apply    func(D, O)
-	// cut excludes snapshot-taking from in-flight replays: a replay holds
-	// the read side (replays of non-conflicting transactions may overlap —
-	// their base operations commute), while taking a snapshot holds the
-	// write side, so a shadow copy can never capture a half-applied replay
-	// batch. Without this a transaction could snapshot the base between
-	// two base operations of another transaction's commit replay and leak
-	// a non-atomic cut.
-	cut sync.RWMutex
-	// gen counts replay batches applied to the base; bumped under the read
-	// side of cut by each committing replay, decisively read under the
-	// write side when a fresh snapshot is taken.
+	adopt    func(base, shadow D)
+	// cut serializes taking a snapshot of the base with committing (adopting
+	// a shadow into) it, so a shadow is always cut from, and adopted into,
+	// a base whose generation is known.
+	cut sync.Mutex
+	// gen counts adoptions into the base; bumped under cut by each commit,
+	// decisively read under cut when a snapshot is taken or adopted.
 	gen   atomic.Uint64
 	local *stm.Pooled[snapLogState[D, O]]
 
@@ -77,7 +76,7 @@ type SnapshotLog[D any, O any] struct {
 	sink Sink // nil when uninstrumented
 }
 
-// Instrument attaches a Sink: each committing transaction reports its replay
+// Instrument attaches a Sink: each committing transaction reports its log
 // depth (pending operation count) from inside the commit critical section.
 func (l *SnapshotLog[D, O]) Instrument(name string, sink Sink) {
 	l.name, l.sink = name, sink
@@ -99,23 +98,16 @@ type snapLogState[D any, O any] struct {
 	onAbort        func()
 }
 
-// NewSnapshotLog creates a replay log over base; snapshot must return a fast
-// snapshot of base that the transaction may mutate privately, and apply must
-// apply one operation record to a snapshot or to the base.
-func NewSnapshotLog[D any, O any](base D, snapshot func(D) D, apply func(D, O)) *SnapshotLog[D, O] {
-	l := &SnapshotLog[D, O]{base: base, snapshot: snapshot, apply: apply}
+// NewSnapshotLog creates a snapshot log over base: snapshot must return a
+// fast snapshot of base that the transaction may mutate privately, apply
+// must apply one operation record to such a snapshot, and adopt must make a
+// snapshot of base, taken with no commit since, the new base in place.
+func NewSnapshotLog[D any, O any](base D, snapshot func(D) D, apply func(D, O), adopt func(base, shadow D)) *SnapshotLog[D, O] {
+	l := &SnapshotLog[D, O]{base: base, snapshot: snapshot, apply: apply, adopt: adopt}
 	l.local = stm.NewPooled(func(tx *stm.Txn, st *snapLogState[D, O]) {
 		if st.onCommitLocked == nil {
 			st.onCommitLocked = func() {
-				if l.sink != nil {
-					l.sink.ReplayDepth(l.name, len(st.pending))
-				}
-				l.cut.RLock()
-				l.gen.Add(1)
-				for i := range st.pending {
-					l.apply(l.base, st.pending[i])
-				}
-				l.cut.RUnlock()
+				l.commit(st)
 				l.release(st)
 			}
 			st.onAbort = func() { l.release(st) }
@@ -124,6 +116,30 @@ func NewSnapshotLog[D any, O any](base D, snapshot func(D) D, apply func(D, O)) 
 		tx.OnAbort(st.onAbort)
 	})
 	return l
+}
+
+// commit makes the transaction's shadow the base: rebased first if a commit
+// moved the base since its snapshot, then adopted. The shadow is the base's
+// from then on, so it is not discarded. A transaction that queued nothing
+// leaves the base alone.
+func (l *SnapshotLog[D, O]) commit(st *snapLogState[D, O]) {
+	if l.sink != nil {
+		l.sink.ReplayDepth(l.name, len(st.pending))
+	}
+	if len(st.pending) == 0 {
+		return
+	}
+	l.cut.Lock()
+	if l.stale(st) {
+		l.resnapshot(st)
+	}
+	l.applyPending(st)
+	l.adopt(l.base, st.shadow)
+	l.gen.Add(1)
+	l.cut.Unlock()
+	var zero D
+	st.shadow = zero
+	st.hasShadow = false
 }
 
 // release resets a state for pool residency: records dropped (see truncate:
@@ -140,7 +156,7 @@ func (l *SnapshotLog[D, O]) release(st *snapLogState[D, O]) {
 // dropShadow ends the life of the transaction's shadow, if it has one. A
 // shadow is private to its transaction from the snapshot to this call, so a
 // snapshot type that can reuse a private copy's memory (conc.Ctrie) is told
-// here, on commit, on abort and when a stale shadow is replaced.
+// here, on abort and when a stale shadow is replaced.
 func (l *SnapshotLog[D, O]) dropShadow(st *snapLogState[D, O]) {
 	if !st.hasShadow {
 		return
@@ -153,23 +169,40 @@ func (l *SnapshotLog[D, O]) dropShadow(st *snapLogState[D, O]) {
 	st.hasShadow = false
 }
 
+// stale reports whether st has no shadow of the current base.
+func (l *SnapshotLog[D, O]) stale(st *snapLogState[D, O]) bool {
+	return !st.hasShadow || st.baseGen != l.gen.Load()
+}
+
+// resnapshot replaces st's shadow by a fresh snapshot of the base, with no
+// record applied yet. The caller holds cut.
+func (l *SnapshotLog[D, O]) resnapshot(st *snapLogState[D, O]) {
+	l.dropShadow(st)
+	st.shadow = l.snapshot(l.base)
+	st.baseGen = l.gen.Load()
+	st.applied = 0
+	st.hasShadow = true
+}
+
+// applyPending advances st's shadow by the pending suffix past the
+// watermark.
+func (l *SnapshotLog[D, O]) applyPending(st *snapLogState[D, O]) {
+	for ; st.applied < len(st.pending); st.applied++ {
+		l.apply(st.shadow, st.pending[st.applied])
+	}
+}
+
 // sync brings st.shadow up to date: re-derived from a fresh snapshot when
 // the base generation moved (or no shadow exists yet), then advanced by the
 // pending suffix past the watermark.
 func (l *SnapshotLog[D, O]) sync(st *snapLogState[D, O]) {
-	if !st.hasShadow || st.baseGen != l.gen.Load() {
-		l.dropShadow(st)
+	if l.stale(st) {
+		l.dropShadow(st) // outside cut: Discard walks the shadow's own nodes
 		l.cut.Lock()
-		g := l.gen.Load() // stable: every replay holds the read side
-		st.shadow = l.snapshot(l.base)
+		l.resnapshot(st)
 		l.cut.Unlock()
-		st.baseGen = g
-		st.applied = 0
-		st.hasShadow = true
 	}
-	for ; st.applied < len(st.pending); st.applied++ {
-		l.apply(st.shadow, st.pending[st.applied])
-	}
+	l.applyPending(st)
 }
 
 // Shadow returns the transaction's private shadow, synced to the current
@@ -181,9 +214,9 @@ func (l *SnapshotLog[D, O]) Shadow(tx *stm.Txn) D {
 	return st.shadow
 }
 
-// Append queues one operation record for commit replay. The caller must
-// already have applied the operation to the Shadow it obtained for this
-// operation, so the watermark advances with the append.
+// Append queues one operation record. The caller must already have applied
+// the operation to the Shadow it obtained for this operation, so the
+// watermark advances with the append.
 func (l *SnapshotLog[D, O]) Append(tx *stm.Txn, rec O) {
 	st := l.local.Get(tx)
 	st.pending = append(st.pending, rec)
@@ -193,7 +226,7 @@ func (l *SnapshotLog[D, O]) Append(tx *stm.Txn, rec O) {
 // ReadView returns the structure as this transaction observes it: its
 // synced shadow once it has pending operations, and the unmodified shared
 // base otherwise — the readOnly optimization of the paper's Figure 2b,
-// which avoids allocating a snapshot until a replay is actually necessary.
+// which avoids allocating a snapshot until the transaction mutates.
 func (l *SnapshotLog[D, O]) ReadView(tx *stm.Txn) D {
 	if st, ok := l.local.Peek(tx); ok && len(st.pending) > 0 {
 		l.sync(st)

@@ -130,7 +130,7 @@ func NewCoreSink(r *Registry) *CoreSink {
 			"ADT operations by structure, operation and transaction outcome.",
 			"structure", "op", "outcome"),
 		depths: r.Histogram("proust_adt_replay_depth",
-			"Lazy-log replay depth (operations replayed per committing transaction).",
+			"Lazy-log depth (operations logged per committing transaction).",
 			UnitCount, "structure"),
 	}
 }
