@@ -7,7 +7,6 @@
 //	proust-bench -experiment figure4memo      # memoizing shadow-copy row
 //	proust-bench -experiment trends           # summary of claims (a)-(d)
 //	proust-bench -experiment quick            # reduced grid for smoke runs
-//	proust-bench -experiment backends         # per-STM-backend throughput sweep
 //	proust-bench -list-backends               # enumerate registered STM backends
 //	proust-bench -policy tl2                  # run every system on one backend
 //	proust-bench -ops 1000000 -warmups 10 -reps 10   # the paper's protocol
@@ -109,7 +108,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("proust-bench", flag.ContinueOnError)
 	var (
-		experiment = fs.String("experiment", "quick", "figure4 | figure4memo | trends | quick | contention | backends | read-heavy | serve")
+		experiment = fs.String("experiment", "quick", "figure4 | figure4memo | trends | quick | contention")
 		ops        = fs.Int("ops", 0, "operations per configuration (0 = experiment default)")
 		warmups    = fs.Int("warmups", -1, "warm-up runs per configuration (-1 = experiment default)")
 		reps       = fs.Int("reps", -1, "timed repetitions per configuration (-1 = experiment default)")
@@ -118,17 +117,7 @@ func run(args []string) error {
 		systems    = fs.String("systems", "", "comma-separated system subset (default: all)")
 		policy     = fs.String("policy", "", "STM backend name; runs every system on that backend (see -list-backends)")
 		listBk     = fs.Bool("list-backends", false, "list registered STM backends and exit")
-		jsonPath   = fs.String("json", "", "write per-backend results (ops/sec, abort causes, histograms) as JSON to this file ('-' = stdout)")
 		csvPath    = fs.String("csv", "", "also write results as CSV to this file")
-		readOps    = fs.Int("read-txn-ops", 0, "read-heavy experiment: ops per read-only transaction (0 = default scan length)")
-
-		serveAddr   = fs.String("addr", "", "serve experiment: address of an already-running proust-serve (empty = spin up an in-process server)")
-		conns       = fs.String("conns", "", "serve experiment: client connection count (default 4)")
-		pipelineStr = fs.String("pipeline", "", "serve experiment: comma-separated closed-loop pipeline depths (default 1,8,32)")
-		arrivalStr  = fs.String("arrival-rate", "", "serve experiment: comma-separated open-loop arrival rates in batches/sec (default: closed-loop only)")
-		roMix       = fs.Float64("ro-mix", -1, "serve experiment: fraction of batches that are read-only (default 0.5)")
-		serveMaps   = fs.String("maps", "", "serve experiment: namespace map implementation, predication | boosted (default predication)")
-		serveDur    = fs.Duration("duration", 0, "serve experiment: open-loop run duration per arrival rate (default 2s)")
 
 		chaos     = fs.Bool("chaos", false, "wrap every system's backend in the fault-injecting chaos layer (soak mode)")
 		chaosSeed = fs.Uint64("chaos-seed", 1, "deterministic seed for -chaos fault draws")
@@ -225,17 +214,6 @@ func run(args []string) error {
 			f.Close()
 			fmt.Printf("# wrote Go runtime trace to %s (view with: go tool trace %s)\n", *rtracePath, *rtracePath)
 		}()
-	}
-
-	if *experiment == "backends" {
-		return runBackends(*policy, *threads, *ops, *warmups, *reps, *keyRange, *jsonPath)
-	}
-	if *experiment == "read-heavy" {
-		return runReadHeavy(*threads, *ops, *warmups, *reps, *keyRange, *readOps, *jsonPath)
-	}
-	if *experiment == "serve" {
-		return runServe(*serveAddr, *policy, *serveMaps, *conns, *pipelineStr, *arrivalStr,
-			*roMix, *ops, *serveDur, *jsonPath, *csvPath)
 	}
 
 	cfg := bench.DefaultSweep(os.Stdout)
@@ -335,158 +313,6 @@ func run(args []string) error {
 		defer f.Close()
 		bench.WriteCSV(f, results)
 		fmt.Printf("\n# wrote %d results to %s\n", len(results), *csvPath)
-	}
-	return nil
-}
-
-// runBackends executes the per-STM-backend sweep (flat-ref workload over the
-// backend registry) and optionally exports full instrumentation — abort-cause
-// breakdown, validation-time and lock-hold histograms, tracer summary — as
-// JSON.
-func runBackends(policy, threads string, ops, warmups, reps, keyRange int, jsonPath string) error {
-	cfg := bench.DefaultBackendBench()
-	if ops > 0 {
-		cfg.TotalOps = ops
-	}
-	if warmups >= 0 {
-		cfg.Warmups = warmups
-	}
-	if reps > 0 {
-		cfg.Reps = reps
-	}
-	if keyRange > 0 {
-		cfg.KeyRange = keyRange
-	}
-	if threads != "" {
-		var ts []int
-		for _, part := range strings.Split(threads, ",") {
-			var t int
-			if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &t); err != nil || t < 1 {
-				return fmt.Errorf("bad -threads entry %q", part)
-			}
-			ts = append(ts, t)
-		}
-		cfg.Threads = ts
-	}
-
-	fmt.Printf("# proust-bench: experiment=backends GOMAXPROCS=%d ops=%d warmups=%d reps=%d keyRange=%d opsPerTxn=%d writeFrac=%.2f\n\n",
-		runtime.GOMAXPROCS(0), cfg.TotalOps, cfg.Warmups, cfg.Reps, cfg.KeyRange, cfg.OpsPerTxn, cfg.WriteFraction)
-
-	var results []bench.BackendResult
-	if policy != "" {
-		// Restrict the sweep to the requested backend.
-		for _, t := range cfg.Threads {
-			for i := 0; i < cfg.Warmups; i++ {
-				if _, err := bench.RunBackendBench(policy, t, cfg); err != nil {
-					return err
-				}
-			}
-			var best bench.BackendResult
-			for i := 0; i < cfg.Reps; i++ {
-				res, err := bench.RunBackendBench(policy, t, cfg)
-				if err != nil {
-					return err
-				}
-				if res.OpsPerSec > best.OpsPerSec {
-					best = res
-				}
-			}
-			results = append(results, best)
-			fmt.Printf("%-8s t=%d  %14.0f ops/sec  abort=%.2f%%\n",
-				best.Backend, best.Threads, best.OpsPerSec, best.AbortRate*100)
-		}
-	} else {
-		var err error
-		results, err = bench.SweepBackends(cfg, os.Stdout)
-		if err != nil {
-			return err
-		}
-	}
-
-	if jsonPath != "" {
-		payload := struct {
-			Config  bench.BackendBenchConfig `json:"config"`
-			Results []bench.BackendResult    `json:"results"`
-		}{cfg, results}
-		data, err := json.MarshalIndent(payload, "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		if jsonPath == "-" {
-			os.Stdout.Write(data)
-		} else {
-			if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("\n# wrote %d results to %s\n", len(results), jsonPath)
-		}
-	}
-	return nil
-}
-
-// runReadHeavy executes the read-heavy experiment: the flat-ref workload at
-// the 95/5 and 99/1 read-only-transaction mixes across every non-fault
-// backend, with read-only transactions declared via stm.WithReadOnly so the
-// mvcc backend serves them from snapshot vectors. JSON output (the shape of
-// bench/history/BENCH_mvcc.json) carries the full per-run instrumentation.
-func runReadHeavy(threads string, ops, warmups, reps, keyRange, readTxnOps int, jsonPath string) error {
-	cfg := bench.DefaultBackendBench()
-	cfg.ReadTxnOps = bench.DefaultReadTxnOps
-	if readTxnOps > 0 {
-		cfg.ReadTxnOps = readTxnOps
-	}
-	if ops > 0 {
-		cfg.TotalOps = ops
-	}
-	if warmups >= 0 {
-		cfg.Warmups = warmups
-	}
-	if reps > 0 {
-		cfg.Reps = reps
-	}
-	if keyRange > 0 {
-		cfg.KeyRange = keyRange
-	}
-	if threads != "" {
-		var ts []int
-		for _, part := range strings.Split(threads, ",") {
-			var t int
-			if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &t); err != nil || t < 1 {
-				return fmt.Errorf("bad -threads entry %q", part)
-			}
-			ts = append(ts, t)
-		}
-		cfg.Threads = ts
-	}
-
-	fmt.Printf("# proust-bench: experiment=read-heavy GOMAXPROCS=%d ops=%d warmups=%d reps=%d keyRange=%d opsPerTxn=%d readTxnOps=%d mixes=%v\n",
-		runtime.GOMAXPROCS(0), cfg.TotalOps, cfg.Warmups, cfg.Reps, cfg.KeyRange, cfg.OpsPerTxn, cfg.ReadTxnOps, bench.ReadHeavyMixes)
-
-	results, err := bench.SweepReadHeavy(cfg, bench.ReadHeavyMixes, os.Stdout)
-	if err != nil {
-		return err
-	}
-
-	if jsonPath != "" {
-		payload := struct {
-			Config  bench.BackendBenchConfig `json:"config"`
-			Mixes   []float64                `json:"mixes"`
-			Results []bench.ReadHeavyResult  `json:"results"`
-		}{cfg, bench.ReadHeavyMixes, results}
-		data, err := json.MarshalIndent(payload, "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		if jsonPath == "-" {
-			os.Stdout.Write(data)
-		} else {
-			if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("\n# wrote %d results to %s\n", len(results), jsonPath)
-		}
 	}
 	return nil
 }

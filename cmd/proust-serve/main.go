@@ -6,7 +6,9 @@
 // Typical use:
 //
 //	proust-serve -addr :7654 -backend mvcc -metrics-addr :9100
-//	proust-bench -experiment serve -addr 127.0.0.1:7654 -pipeline 1,32
+//
+// server.Dial is the Go client; bash benchmark/run.sh --workload wire-point
+// measures the same server in process.
 package main
 
 import (

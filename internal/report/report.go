@@ -435,7 +435,7 @@ func (a *Analysis) hints() {
 				"%s: the GC watermark lags the commit clock by %d ticks "+
 					"(%d version nodes live) — a long-running WithReadOnly "+
 					"snapshot is pinning history; split long scans into shorter "+
-					"snapshots or raise WithVersionCap to absorb the backlog",
+					"snapshots",
 				backend, m.WatermarkLag, m.VersionsLive))
 		}
 	}

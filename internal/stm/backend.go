@@ -2,9 +2,8 @@ package stm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 )
 
 // Backend is a pluggable conflict-detection engine: one point of the STM
@@ -15,8 +14,8 @@ import (
 // lives behind this interface.
 //
 // The interface is sealed: the hot-path methods are unexported, so backends
-// are implemented inside this package and selected by name through the
-// registry (RegisterBackend / Backends / WithBackend). The contract a new
+// are implemented inside this package and selected by name (Backends /
+// WithBackend). The contract a new
 // backend must satisfy is documented in DESIGN.md ("Writing a new backend"):
 // in short, reads must be opaque (no transaction, even a doomed one, observes
 // an inconsistent snapshot), commit must apply OnCommitLocked hooks while the
@@ -54,10 +53,10 @@ type Backend interface {
 	abort(tx *Txn)
 }
 
-// BackendFactory describes a registered backend: its name, classification,
-// a one-line description for listings, and a constructor producing a fresh
-// instance for one STM. Backends may hold per-STM state (e.g. NOrec's global
-// sequence lock), so instances are never shared between STMs.
+// BackendFactory describes a backend: its name, classification, a one-line
+// description for listings, and a constructor producing a fresh instance for
+// one STM. Backends may hold per-STM state (e.g. NOrec's global sequence
+// lock), so instances are never shared between STMs.
 type BackendFactory struct {
 	Name   string
 	Policy DetectionPolicy
@@ -65,76 +64,68 @@ type BackendFactory struct {
 	New    func() Backend
 }
 
-var (
-	backendMu       sync.RWMutex
-	backendRegistry = make(map[string]BackendFactory)
-	backendOrder    []string
-)
-
-// RegisterBackend adds a backend factory to the registry. It panics on a
-// duplicate or empty name; registration normally happens in package init.
-func RegisterBackend(f BackendFactory) {
-	if f.Name == "" || f.New == nil {
-		panic("stm: RegisterBackend requires a name and a constructor")
-	}
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	if _, dup := backendRegistry[f.Name]; dup {
-		panic(fmt.Sprintf("stm: backend %q registered twice", f.Name))
-	}
-	backendRegistry[f.Name] = f
-	backendOrder = append(backendOrder, f.Name)
+// backends is the fixed set of backends, sorted by name. Each implements a
+// distinct DetectionPolicy, so a policy names at most one backend.
+var backends = []BackendFactory{
+	{
+		Name:   "ccstm",
+		Policy: MixedEagerWWLazyRW,
+		Doc:    "CCSTM-style: encounter-time write locks with undo, invisible readers validated at commit",
+		New:    func() Backend { return ccstmBackend{} },
+	},
+	{
+		Name:   "eager",
+		Policy: EagerEager,
+		Doc:    "visible readers: encounter-time write locks plus reader registration, all conflicts detected eagerly",
+		New:    func() Backend { return eagerBackend{} },
+	},
+	{
+		Name:   "mvcc",
+		Policy: MultiVersion,
+		Doc:    "multi-version TL2: bounded per-ref version chains; WithReadOnly txns read a snapshot with no validation and no aborts",
+		New:    newMVCCBackend,
+	},
+	{
+		Name:   "norec",
+		Policy: NOrec,
+		Doc:    "NOrec: no per-ref metadata, one global sequence lock, value-based validation",
+		New:    func() Backend { return &norecBackend{} },
+	},
+	{
+		Name:   "tl2",
+		Policy: LazyLazy,
+		Doc:    "TL2-style: redo log, commit-time locking in global ref order, lazy w/w and r/w detection",
+		New:    func() Backend { return tl2Backend{} },
+	},
 }
 
-// Backends returns all registered backend factories sorted by name.
-// Registration order is a package-init artifact (file-name order of the init
-// functions), so enumeration-driven harnesses — -list-backends, the bench
-// matrix, registry-sweeping tests — would otherwise reorder whenever a file
-// is renamed or a backend added; sorting makes their output deterministic.
-// (Policy resolution deliberately stays on registration order; see
-// backendForPolicy.)
-func Backends() []BackendFactory {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	names := make([]string, 0, len(backendOrder))
-	names = append(names, backendOrder...)
-	sort.Strings(names)
-	out := make([]BackendFactory, 0, len(names))
-	for _, name := range names {
-		out = append(out, backendRegistry[name])
-	}
-	return out
-}
+// Backends returns every backend factory, sorted by name.
+func Backends() []BackendFactory { return slices.Clone(backends) }
 
-// BackendNames returns the sorted names of all registered backends.
+// BackendNames returns the sorted backend names.
 func BackendNames() []string {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	out := make([]string, 0, len(backendOrder))
-	out = append(out, backendOrder...)
-	sort.Strings(out)
+	out := make([]string, len(backends))
+	for i, f := range backends {
+		out[i] = f.Name
+	}
 	return out
 }
 
-// BackendByName returns the factory registered under name.
+// BackendByName returns the factory of the backend called name.
 func BackendByName(name string) (BackendFactory, bool) {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	f, ok := backendRegistry[name]
-	return f, ok
+	for _, f := range backends {
+		if f.Name == name {
+			return f, true
+		}
+	}
+	return BackendFactory{}, false
 }
 
-// backendForPolicy maps a Figure 1 classification to the registered backend
-// implementing it (the WithPolicy compatibility path). This walks
-// registration order, not sorted order: each built-in policy has exactly one
-// implementation, and keeping the original order means
-// a hypothetical second implementation cannot silently steal a policy from
-// the canonical backend by sorting earlier.
+// backendForPolicy maps a Figure 1 classification to the backend
+// implementing it (the WithPolicy compatibility path).
 func backendForPolicy(p DetectionPolicy) (BackendFactory, bool) {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	for _, name := range backendOrder {
-		if f := backendRegistry[name]; f.Policy == p {
+	for _, f := range backends {
+		if f.Policy == p {
 			return f, true
 		}
 	}

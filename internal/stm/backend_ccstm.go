@@ -1,14 +1,5 @@
 package stm
 
-func init() {
-	RegisterBackend(BackendFactory{
-		Name:   "ccstm",
-		Policy: MixedEagerWWLazyRW,
-		Doc:    "CCSTM-style: encounter-time write locks with undo, invisible readers validated at commit",
-		New:    func() Backend { return ccstmBackend{} },
-	})
-}
-
 // ccstmBackend implements the MixedEagerWWLazyRW policy: write locks are
 // acquired at encounter time with an undo log (eager w/w detection), readers
 // stay invisible and the read set is validated at commit (lazy r/w

@@ -2,15 +2,6 @@ package stm
 
 import "time"
 
-func init() {
-	RegisterBackend(BackendFactory{
-		Name:   "eager",
-		Policy: EagerEager,
-		Doc:    "visible readers: encounter-time write locks plus reader registration, all conflicts detected eagerly",
-		New:    func() Backend { return eagerBackend{} },
-	})
-}
-
 // eagerBackend implements the EagerEager policy: write locks are acquired at
 // encounter time, and every read registers the transaction as a visible
 // reader, so a writer detects and arbitrates read-write conflicts the moment

@@ -38,7 +38,7 @@ import (
 // own commit clock, and the writer-side trim keeps each chain down to the
 // first node with ver ≤ W (everything strictly older is provably invisible to
 // every active and future reader — see trimHistory). The version budget
-// (WithVersionCap, default DefaultVersionCap) is soft: when a chain exceeds
+// (DefaultVersionCap) is soft: when a chain exceeds
 // it but W forbids cutting at the cap, the writer rescans the watermark
 // eagerly, counts the overflow (MVCCCapOverflows) and retains the tail — a
 // version some in-flight snapshot still needs is never reclaimed, which is
@@ -46,7 +46,9 @@ import (
 // fast path (there is no snapshot-too-old).
 
 // DefaultVersionCap is the per-reference version-history budget of the mvcc
-// backend when WithVersionCap is not given.
+// backend: the number of displaced versions a reference retains for snapshot
+// readers before the writer-side trim reclaims aggressively. The budget is
+// soft against active readers (see trimHistory and MVCCCapOverflows).
 const DefaultVersionCap = 8
 
 // mvccVerNode is one displaced version on a reference's history chain.
@@ -145,15 +147,6 @@ func newMVCCBackend() Backend {
 	return &mvccBackend{
 		pool: conc.NewEpochPool(256, mvccResetNode),
 	}
-}
-
-func init() {
-	RegisterBackend(BackendFactory{
-		Name:   "mvcc",
-		Policy: MultiVersion,
-		Doc:    "multi-version TL2: bounded per-ref version chains; WithReadOnly txns read a snapshot with no validation and no aborts",
-		New:    newMVCCBackend,
-	})
 }
 
 var _ Backend = (*mvccBackend)(nil)

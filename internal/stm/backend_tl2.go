@@ -2,15 +2,6 @@ package stm
 
 import "slices"
 
-func init() {
-	RegisterBackend(BackendFactory{
-		Name:   "tl2",
-		Policy: LazyLazy,
-		Doc:    "TL2-style: redo log, commit-time locking in global ref order, lazy w/w and r/w detection",
-		New:    func() Backend { return tl2Backend{} },
-	})
-}
-
 // tl2Backend implements the LazyLazy policy: writes are buffered in the redo
 // log and locked only at commit time, in global reference order; read-write
 // conflicts are found by commit-time read-set validation (the TL2 family).

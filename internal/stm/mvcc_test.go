@@ -162,7 +162,8 @@ func TestMVCCSnapshotPairConsistency(t *testing.T) {
 // sees its begin-time value even after later commits have displaced it into
 // the history chain — the version walk, not the current value, serves it.
 func TestMVCCSnapshotStability(t *testing.T) {
-	s := New(WithBackend("mvcc"), WithVersionCap(4))
+	s := New(WithBackend("mvcc"))
+	s.versionCap = 4
 	r := NewRef(s, 0)
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -276,7 +277,8 @@ func TestMVCCChaosSoakZeroReadOnlyAborts(t *testing.T) {
 // the next writer retires the whole backlog.
 func TestMVCCWatermarkGCShrink(t *testing.T) {
 	const cap = 4
-	s := newSharded(1, WithBackend("mvcc"), WithVersionCap(cap))
+	s := newSharded(1, WithBackend("mvcc"))
+	s.versionCap = cap
 	r := NewRef(s, 0)
 	started := make(chan struct{})
 	release := make(chan struct{})

@@ -5,15 +5,6 @@ import (
 	"time"
 )
 
-func init() {
-	RegisterBackend(BackendFactory{
-		Name:   "norec",
-		Policy: NOrec,
-		Doc:    "NOrec: no per-ref metadata, one global sequence lock, value-based validation",
-		New:    func() Backend { return &norecBackend{} },
-	})
-}
-
 // norecBackend implements Dalessandro, Spear and Scott's NOrec ("No
 // Ownership Records", PPoPP 2010), one of the STMs in the paper's Figure 1
 // classification (lazy w/w, lazy r/w) and the subject of its future-work

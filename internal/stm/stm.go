@@ -46,7 +46,7 @@ import (
 
 // DetectionPolicy classifies when an STM backend detects read-write and
 // write-write conflicts. It reproduces the STM strategy table of Figure 1;
-// each registered Backend maps to exactly one policy.
+// each Backend maps to exactly one policy.
 type DetectionPolicy int
 
 const (
@@ -157,7 +157,7 @@ type STM struct {
 	shardMask uint64
 
 	// versionCap bounds the per-reference version history of the mvcc
-	// backend (WithVersionCap, default 8). Other backends ignore it.
+	// backend (DefaultVersionCap; tests lower it). Other backends ignore it.
 	versionCap int
 
 	refIDs   atomic.Uint64 // unique reference ids (commit-time lock order)
@@ -233,39 +233,23 @@ func (o maxTriesOption) apply(s *STM) { s.maxTries = int(o) }
 // returns ErrMaxAttempts when exceeded. Zero (the default) means unbounded.
 func WithMaxAttempts(n int) Option { return maxTriesOption(n) }
 
-type versionCapOption int
-
-func (o versionCapOption) apply(s *STM) { s.versionCap = int(o) }
-
-// WithVersionCap sets the per-reference version-history budget of the mvcc
-// backend (default 8, minimum 1): the number of displaced versions a
-// reference retains for snapshot readers before the writer-side trim starts
-// reclaiming aggressively. The budget is soft against active readers — a
-// version some in-flight snapshot still needs is never reclaimed (that would
-// strand the reader); the overflow is counted instead (see Stats
-// MVCCCapOverflows) and the history shrinks back once the reader exits.
-// Other backends ignore this option.
-func WithVersionCap(n int) Option { return versionCapOption(n) }
-
 // New creates an STM instance. The default backend is "ccstm"
 // (MixedEagerWWLazyRW), matching the paper's evaluation.
 func New(opts ...Option) *STM {
 	s := &STM{
-		cm:    Backoff{},
-		epoch: time.Now(),
+		cm:         Backoff{},
+		epoch:      time.Now(),
+		versionCap: DefaultVersionCap,
 	}
 	s.epochNS = s.epoch.UnixNano()
 	for _, o := range opts {
 		o.apply(s)
 	}
-	if s.versionCap <= 0 {
-		s.versionCap = DefaultVersionCap
-	}
 	s.setShards(AutoShardCount())
 	if s.backend == nil {
 		f, ok := BackendByName(DefaultBackend)
 		if !ok {
-			panic("stm: default backend not registered")
+			panic("stm: no default backend")
 		}
 		s.backend = f.New()
 	}
