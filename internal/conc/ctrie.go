@@ -40,15 +40,15 @@ import (
 //     becomes the snapshot's, and the recorded nodes, now unreachable from
 //     the source too, wait out the older snapshots like any displaced node
 //     of the source's own lineage.
+//   - A snapshot cycle allocates nothing fixed: generations are values, and
+//     the root objects (rootRef: a root or an RDCSS descriptor) and
+//     snapshot headers are pooled and retired like nodes.
 type Ctrie[K comparable, V any] struct {
 	hash        Hasher[K]
 	readOnly    bool
 	unversioned bool
 	pool        *ctPool[K, V]
 	root        atomic.Pointer[rootRef[K, V]]
-	// ref is what root points at until the first snapshot of this trie
-	// replaces it; it lives here so a snapshot is one allocation, not two.
-	ref rootRef[K, V]
 	// pin is a snapshot's lifetime pin (ctPool.pinLife), held until
 	// Discard or Adopt; 0 for a trie that is no snapshot.
 	pin uint64
@@ -68,35 +68,34 @@ type ctForeign[K comparable, V any] struct {
 	ctBin[K, V]
 }
 
-// ctGen is a trie generation. Its identity is the pointer; line numbers
-// the lineage it belongs to within its pool (ctPool.newLine). A snapshot
-// gives its source a fresh generation of the source's lineage and the copy
-// a lineage of its own, so a trie has built every node whose generation
-// shares its lineage. Generations are never recycled: their identity must
-// not repeat. (No pointer field: a generation costs the tiny allocator and
-// nothing to mark.)
-type ctGen struct{ line uint64 }
+// ctGen is a trie generation, a value: seq numbers it within its pool and
+// is never handed out twice (a 64-bit counter that two snapshots per
+// nanosecond would take centuries to wrap), and line is the lineage it
+// belongs to, numbered by that lineage's first generation. A snapshot gives
+// its source a fresh generation of the source's lineage and the copy a
+// lineage of its own, so a trie has built every node whose generation
+// shares its lineage. Being a value, a generation costs no allocation and
+// nothing for the collector to mark; it widens each node's tag from 8 bytes
+// to 16, which with int keys and values only the INode (16 → 24 bytes)
+// pays in its size class.
+type ctGen struct{ line, seq uint64 }
 
-// rootRef holds either the live root INode or an in-flight RDCSS
-// descriptor.
+// rootRef is what Ctrie.root points at: the live root INode (in != nil),
+// or, with in nil, an in-flight RDCSS descriptor swinging the root from old
+// to nv provided old.in's main is still expMain. Both kinds come from the
+// handle's pool and go back through its reader bins (rdcssRoot, Discard),
+// so every load of root happens under a pin.
 type rootRef[K comparable, V any] struct {
-	in   *ctINode[K, V]
-	desc *rdcssDesc[K, V]
-}
-
-type rdcssDesc[K comparable, V any] struct {
-	old     *rootRef[K, V]
+	in      *ctINode[K, V]
+	old, nv *rootRef[K, V]
 	expMain *ctMain[K, V]
-	nv      *rootRef[K, V]
 	// outcome is decided once (rdcssCommitted or rdcssAborted), before any
-	// helper swings the root off self, and every helper swings it the way
-	// decided: so the initiator, once the root has left self, reads the
-	// outcome the root took. (A flag set after the swing could still read
-	// false for an RDCSS another goroutine had already committed.)
+	// helper swings the root off the descriptor, and every helper swings it
+	// the way decided: so the initiator, once the root has left the
+	// descriptor, reads the outcome the root took. (A flag set after the
+	// swing could still read false for an RDCSS another goroutine had
+	// already committed.)
 	outcome atomic.Int32
-	// self is the rootRef that announces this descriptor; the root points
-	// at it only while the RDCSS is in flight.
-	self rootRef[K, V]
 }
 
 const (
@@ -117,11 +116,11 @@ type ctMain[K comparable, V any] struct {
 }
 
 type ctINode[K comparable, V any] struct {
-	gen  *ctGen
+	gen  ctGen
 	main atomic.Pointer[ctMain[K, V]]
 }
 
-func newCtINode[K comparable, V any](gen *ctGen, m *ctMain[K, V]) *ctINode[K, V] {
+func newCtINode[K comparable, V any](gen ctGen, m *ctMain[K, V]) *ctINode[K, V] {
 	in := &ctINode[K, V]{gen: gen}
 	in.main.Store(m)
 	return in
@@ -133,7 +132,7 @@ func newCtINode[K comparable, V any](gen *ctGen, m *ctMain[K, V]) *ctINode[K, V]
 // is retired (Ctrie.binFor).
 type ctBranch[K comparable, V any] struct {
 	in  *ctINode[K, V]
-	gen *ctGen
+	gen ctGen
 	hc  uint32
 	k   K
 	v   V
@@ -148,7 +147,7 @@ type ctLNode[K comparable, V any] struct {
 type ctCNode[K comparable, V any] struct {
 	bmp   uint32
 	array []*ctBranch[K, V]
-	gen   *ctGen
+	gen   ctGen
 }
 
 // CtrieConfig selects the Ctrie variants described in DESIGN.md §13.
@@ -177,15 +176,10 @@ func NewCtrieUnversioned[K comparable, V any](hash Hasher[K]) *Ctrie[K, V] {
 // NewCtrieConfigured creates an empty Ctrie with an explicit configuration.
 func NewCtrieConfigured[K comparable, V any](hash Hasher[K], cfg CtrieConfig) *Ctrie[K, V] {
 	pool := newCtPool[K, V]()
-	gen := &ctGen{line: pool.newLine()}
+	gen := pool.newLine()
 	root := newCtINode(gen, &ctMain[K, V]{cn: &ctCNode[K, V]{gen: gen}})
-	ct := &Ctrie[K, V]{
-		hash:        hash,
-		unversioned: cfg.Unversioned,
-		pool:        pool,
-		ref:         rootRef[K, V]{in: root},
-	}
-	ct.root.Store(&ct.ref)
+	ct := &Ctrie[K, V]{hash: hash, unversioned: cfg.Unversioned, pool: pool}
+	ct.root.Store(&rootRef[K, V]{in: root})
 	return ct
 }
 
@@ -212,32 +206,48 @@ func (ct *Ctrie[K, V]) rdcssReadRoot(abort bool) *ctINode[K, V] {
 
 func (ct *Ctrie[K, V]) rdcssComplete(abort bool) {
 	for {
-		r := ct.root.Load()
-		if r.in != nil {
+		d := ct.root.Load()
+		if d.in != nil {
 			return
 		}
-		desc := r.desc
 		decided := rdcssAborted
-		if !abort && ct.gcasRead(desc.old.in) == desc.expMain {
+		if !abort && ct.gcasRead(d.old.in) == d.expMain {
 			decided = rdcssCommitted
 		}
-		desc.outcome.CompareAndSwap(0, decided)
-		next := desc.old
-		if desc.outcome.Load() == rdcssCommitted {
-			next = desc.nv
+		d.outcome.CompareAndSwap(0, decided)
+		next := d.old
+		if d.outcome.Load() == rdcssCommitted {
+			next = d.nv
 		}
-		ct.root.CompareAndSwap(r, next)
+		ct.root.CompareAndSwap(d, next)
 	}
 }
 
-func (ct *Ctrie[K, V]) rdcssRoot(ov *rootRef[K, V], expMain *ctMain[K, V], nv *rootRef[K, V]) bool {
-	desc := &rdcssDesc[K, V]{old: ov, expMain: expMain, nv: nv}
-	desc.self.desc = desc
-	if ct.root.CompareAndSwap(ov, &desc.self) {
-		ct.rdcssComplete(false)
-		return desc.outcome.Load() == rdcssCommitted
+// rdcssRoot swings ct's root from ov to nv if ov.in's main is still
+// expMain, and reports whether it did; the caller is pinned and keeps nv
+// when it did not. The descriptor comes from h's pool.
+func (ct *Ctrie[K, V]) rdcssRoot(h *ctHandle[K, V], ov *rootRef[K, V], expMain *ctMain[K, V], nv *rootRef[K, V]) bool {
+	d := h.newRoot()
+	d.old, d.expMain, d.nv = ov, expMain, nv
+	if !ct.root.CompareAndSwap(ov, d) {
+		h.recycleRootNow(d) // never published
+		return false
 	}
-	return false
+	return ct.rdcssSettle(h, d)
+}
+
+// rdcssSettle completes the published descriptor d and retires it, and the
+// root it displaced if it committed, to h's reader bin: the root has left d
+// for good, and only pinned readers and helpers can still hold either.
+func (ct *Ctrie[K, V]) rdcssSettle(h *ctHandle[K, V], d *rootRef[K, V]) bool {
+	ct.rdcssComplete(false)
+	ok := d.outcome.Load() == rdcssCommitted
+	b := h.bin()
+	b.addRoot(d)
+	if ok {
+		b.addRoot(d.old)
+	}
+	return ok
 }
 
 // --- GCAS on interior nodes --------------------------------------------
@@ -375,7 +385,7 @@ func ctFlagPos(hc uint32, lev uint, bmp uint32) (flag uint32, pos int) {
 }
 
 // cowInserted builds a copy of cn with branch b inserted at pos.
-func (ct *Ctrie[K, V]) cowInserted(h *ctHandle[K, V], cn *ctCNode[K, V], pos int, flag uint32, b *ctBranch[K, V], gen *ctGen) *ctCNode[K, V] {
+func (ct *Ctrie[K, V]) cowInserted(h *ctHandle[K, V], cn *ctCNode[K, V], pos int, flag uint32, b *ctBranch[K, V], gen ctGen) *ctCNode[K, V] {
 	ncn := h.newCNode(len(cn.array)+1, cn.bmp|flag, gen)
 	copy(ncn.array, cn.array[:pos])
 	ncn.array[pos] = b
@@ -384,7 +394,7 @@ func (ct *Ctrie[K, V]) cowInserted(h *ctHandle[K, V], cn *ctCNode[K, V], pos int
 }
 
 // cowUpdated builds a copy of cn with slot pos replaced by b.
-func (ct *Ctrie[K, V]) cowUpdated(h *ctHandle[K, V], cn *ctCNode[K, V], pos int, b *ctBranch[K, V], gen *ctGen) *ctCNode[K, V] {
+func (ct *Ctrie[K, V]) cowUpdated(h *ctHandle[K, V], cn *ctCNode[K, V], pos int, b *ctBranch[K, V], gen ctGen) *ctCNode[K, V] {
 	ncn := h.newCNode(len(cn.array), cn.bmp, gen)
 	copy(ncn.array, cn.array)
 	ncn.array[pos] = b
@@ -392,7 +402,7 @@ func (ct *Ctrie[K, V]) cowUpdated(h *ctHandle[K, V], cn *ctCNode[K, V], pos int,
 }
 
 // cowRemoved builds a copy of cn with slot pos removed.
-func (ct *Ctrie[K, V]) cowRemoved(h *ctHandle[K, V], cn *ctCNode[K, V], pos int, flag uint32, gen *ctGen) *ctCNode[K, V] {
+func (ct *Ctrie[K, V]) cowRemoved(h *ctHandle[K, V], cn *ctCNode[K, V], pos int, flag uint32, gen ctGen) *ctCNode[K, V] {
 	ncn := h.newCNode(len(cn.array)-1, cn.bmp&^flag, gen)
 	copy(ncn.array, cn.array[:pos])
 	copy(ncn.array[pos:], cn.array[pos+1:])
@@ -407,7 +417,7 @@ func (ct *Ctrie[K, V]) cowRemoved(h *ctHandle[K, V], cn *ctCNode[K, V], pos int,
 // them too. The displaced edge box and INode go the way of every displaced
 // node (retireEdge); their main lives on in the copy. A copy that loses its
 // GCAS leaves its INode and box to the garbage collector.
-func (ct *Ctrie[K, V]) renewChild(h *ctHandle[K, V], in *ctINode[K, V], m *ctMain[K, V], pos int, startgen *ctGen) *ctINode[K, V] {
+func (ct *Ctrie[K, V]) renewChild(h *ctHandle[K, V], in *ctINode[K, V], m *ctMain[K, V], pos int, startgen ctGen) *ctINode[K, V] {
 	old := m.cn.array[pos]
 	nin := h.newINode(startgen, ct.gcasRead(old.in))
 	nm := h.newMain()
@@ -443,7 +453,7 @@ func (ct *Ctrie[K, V]) toContracted(h *ctHandle[K, V], cn *ctCNode[K, V], lev ui
 // child state after the GCAS would instead race with children that became
 // tombed after the copy was taken — those are still reachable through the
 // new CNode and must not be retired.
-func (ct *Ctrie[K, V]) toCompressed(h *ctHandle[K, V], cn *ctCNode[K, V], lev uint, gen *ctGen) *ctMain[K, V] {
+func (ct *Ctrie[K, V]) toCompressed(h *ctHandle[K, V], cn *ctCNode[K, V], lev uint, gen ctGen) *ctMain[K, V] {
 	h.scratch = h.scratch[:0]
 	ncn := h.newCNode(len(cn.array), cn.bmp, gen)
 	for i, b := range cn.array {
@@ -487,7 +497,7 @@ func (ct *Ctrie[K, V]) retireTombedEdges(h *ctHandle[K, V], in *ctINode[K, V]) {
 }
 
 // ctDual builds the subtree holding two colliding SNode boxes.
-func (ct *Ctrie[K, V]) ctDual(h *ctHandle[K, V], x *ctBranch[K, V], y *ctBranch[K, V], lev uint, gen *ctGen) *ctMain[K, V] {
+func (ct *Ctrie[K, V]) ctDual(h *ctHandle[K, V], x *ctBranch[K, V], y *ctBranch[K, V], lev uint, gen ctGen) *ctMain[K, V] {
 	if lev < 35 {
 		xidx := (x.hc >> lev) & 0x1f
 		yidx := (y.hc >> lev) & 0x1f
@@ -671,32 +681,30 @@ func (ct *Ctrie[K, V]) snapshot(readOnly bool) *Ctrie[K, V] {
 	}
 	h := ct.pool.get()
 	h.pin()
-	snap := &Ctrie[K, V]{hash: ct.hash, readOnly: readOnly, pool: ct.pool}
+	snap := h.newHeader()
+	snap.hash, snap.readOnly, snap.pool = ct.hash, readOnly, ct.pool
 	snap.pin = ct.pool.pinLife(ct.pin)
+	nv := h.newRoot()
 	for {
 		rref := ct.rdcssReadRootRef(false)
 		r := rref.in
 		expMain := ct.gcasRead(r)
-		// The source's fresh generation and a mutable snapshot's first share
-		// one allocation: generations hold no pointer, so neither keeps
-		// anything of the other alive.
-		gens := new([2]ctGen)
-		gens[0].line = r.gen.line
-		nr := h.newINode(&gens[0], expMain)
-		if !ct.rdcssRoot(rref, expMain, &rootRef[K, V]{in: nr}) {
+		nv.in = h.newINode(ct.pool.newGen(r.gen.line), expMain)
+		if !ct.rdcssRoot(h, rref, expMain, nv) {
+			h.recycleINodeNow(nv.in) // a helper swings the root to nv only on commit
 			continue
 		}
 		// r is frozen now with main expMain: its generation is no trie's.
+		sr := h.newRoot()
 		if readOnly {
-			snap.ref.in = r
+			sr.in = r
 		} else {
-			gens[1].line = ct.pool.newLine()
-			snap.ref.in = h.newINode(&gens[1], expMain)
+			sr.in = h.newINode(ct.pool.newLine(), expMain)
 			snap.src = expMain
 			snap.foreign = ct.pool.foreigns.Get().(*ctForeign[K, V])
 			h.bin().addINode(r) // no snapshot holds the root it displaced
 		}
-		snap.root.Store(&snap.ref)
+		snap.root.Store(sr)
 		h.unpin()
 		ct.pool.put(h)
 		return snap
@@ -706,9 +714,9 @@ func (ct *Ctrie[K, V]) snapshot(readOnly bool) *Ctrie[K, V] {
 // Discard hands the trie's private nodes back to the allocator and, for a
 // snapshot, releases its hold on the nodes it shares with its source. The
 // caller promises that it owns ct exclusively — no other goroutine is
-// inside an operation on ct, and nobody will use ct again; using it
-// afterwards panics. Snapshots taken of ct earlier are unaffected and stay
-// usable.
+// inside an operation on ct, and nobody will use ct again: ct's header and
+// root object go back to the pool, and a later use reaches whatever they
+// became. Snapshots taken of ct earlier are unaffected and stay usable.
 //
 // Only nodes stamped with ct's own (root) generation are walked. That
 // generation was created for ct alone — a snapshot gives both sides fresh
@@ -719,14 +727,19 @@ func (ct *Ctrie[K, V]) snapshot(readOnly bool) *Ctrie[K, V] {
 // nothing is freed twice. Older-generation nodes are shared with other
 // tries and are not touched; neither are the ones recorded as displaced
 // from another lineage, which the record drops. A read-only snapshot's root
-// generation is the one it shares with its source, so it gives nothing back.
+// is the root INode its source displaced, which only readers of the source
+// pinned since may still hold: it waits out a reader grace period, and
+// nothing below it is given back.
 func (ct *Ctrie[K, V]) Discard() {
-	r := ct.rdcssReadRoot(false)
+	h := ct.pool.get()
+	h.pin()
+	r := ct.rdcssReadRootRef(false)
 	ct.root.Store(nil)
-	if !ct.readOnly {
-		h := ct.pool.get()
-		h.discard(r)
-		ct.pool.put(h)
+	b := h.bin()
+	if ct.readOnly {
+		b.addINode(r.in)
+	} else {
+		h.discard(r.in)
 	}
 	if f := ct.foreign; f != nil {
 		f.drop()
@@ -736,6 +749,10 @@ func (ct *Ctrie[K, V]) Discard() {
 	if ct.pin != 0 {
 		ct.pool.unpinLife(ct.pin)
 	}
+	b.addRoot(r)
+	b.addHeader(ct)
+	h.unpin()
+	ct.pool.put(h)
 }
 
 // Adopt makes snap's contents ct's, in O(1): ct takes snap's root, and snap,
@@ -748,8 +765,9 @@ func (ct *Ctrie[K, V]) Discard() {
 // once ct's root is swapped no longer reachable from it: only the snapshots
 // taken before can still see them, so they go to a lifetime bin, as if ct
 // had displaced them itself. (Were ct a snapshot, they could still be live
-// in its own source.) ct's displaced root INode goes to the reader bin, and
-// snap's lifetime pin is released.
+// in its own source.) snap's root object becomes ct's; ct's displaced root
+// INode and root object, the descriptor and snap's header go to the reader
+// bin; snap's lifetime pin is released.
 func (ct *Ctrie[K, V]) Adopt(snap *Ctrie[K, V]) {
 	if ct.pin != 0 || snap.foreign == nil {
 		panic("conc: Adopt into a snapshot, or of a trie that is no mutable snapshot")
@@ -762,7 +780,7 @@ func (ct *Ctrie[K, V]) Adopt(snap *Ctrie[K, V]) {
 		if ct.gcasRead(rref.in) != snap.src {
 			panic("conc: Adopt of a snapshot whose source has changed since")
 		}
-		if ct.rdcssRoot(rref, snap.src, nv) {
+		if ct.rdcssRoot(h, rref, snap.src, nv) {
 			h.bin().addINode(rref.in)
 			break
 		}
@@ -774,6 +792,7 @@ func (ct *Ctrie[K, V]) Adopt(snap *Ctrie[K, V]) {
 	ct.pool.foreigns.Put(f)
 	snap.foreign, snap.src = nil, nil
 	ct.pool.unpinLife(snap.pin)
+	h.bin().addHeader(snap)
 	h.unpin()
 	ct.pool.put(h)
 }
@@ -876,7 +895,7 @@ func (ct *Ctrie[K, V]) ilookup(in *ctINode[K, V], k K, hc uint32, lev uint) (V, 
 	return zero, false
 }
 
-func (ct *Ctrie[K, V]) iinsert(h *ctHandle[K, V], in *ctINode[K, V], k K, v V, hc uint32, lev uint, parent *ctINode[K, V], startgen *ctGen) (V, bool, bool) {
+func (ct *Ctrie[K, V]) iinsert(h *ctHandle[K, V], in *ctINode[K, V], k K, v V, hc uint32, lev uint, parent *ctINode[K, V], startgen ctGen) (V, bool, bool) {
 	var zero V
 	m := ct.gcasRead(in)
 	switch {
@@ -939,7 +958,7 @@ func (ct *Ctrie[K, V]) iinsert(h *ctHandle[K, V], in *ctINode[K, V], k K, v V, h
 	return zero, false, true
 }
 
-func (ct *Ctrie[K, V]) iremove(h *ctHandle[K, V], in *ctINode[K, V], k K, hc uint32, lev uint, parent *ctINode[K, V], startgen *ctGen) (V, bool, bool) {
+func (ct *Ctrie[K, V]) iremove(h *ctHandle[K, V], in *ctINode[K, V], k K, hc uint32, lev uint, parent *ctINode[K, V], startgen ctGen) (V, bool, bool) {
 	var zero V
 	m := ct.gcasRead(in)
 	switch {
@@ -1000,7 +1019,7 @@ func (ct *Ctrie[K, V]) iremove(h *ctHandle[K, V], in *ctINode[K, V], k K, hc uin
 }
 
 // cleanParent unlinks a tombed INode from its parent CNode.
-func (ct *Ctrie[K, V]) cleanParent(h *ctHandle[K, V], parent, in *ctINode[K, V], hc uint32, plev uint, startgen *ctGen) {
+func (ct *Ctrie[K, V]) cleanParent(h *ctHandle[K, V], parent, in *ctINode[K, V], hc uint32, plev uint, startgen ctGen) {
 	for {
 		pm := ct.gcasRead(parent)
 		if pm == nil || pm.cn == nil {

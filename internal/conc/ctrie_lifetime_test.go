@@ -21,14 +21,14 @@ import (
 
 // poisonPool switches ct's pool (shared by every snapshot of ct) to poison
 // mode and returns the sentinel generation.
-func poisonPool(ct *Ctrie[int, int]) *ctGen {
-	ct.pool.poison = &ctGen{}
+func poisonPool(ct *Ctrie[int, int]) ctGen {
+	ct.pool.poison = ctGen{line: ^uint64(0), seq: ^uint64(0)}
 	return ct.pool.poison
 }
 
 // poisonIn walks ct under a pin and describes the first reachable node that
 // carries the poison generation g, or returns "".
-func poisonIn(ct *Ctrie[int, int], g *ctGen) string {
+func poisonIn(ct *Ctrie[int, int], g ctGen) string {
 	h := ct.pool.get()
 	h.pin()
 	defer func() {

@@ -9,11 +9,12 @@ import (
 // facility in epoch.go. Every public Ctrie operation borrows a ctHandle
 // from the structure's ctPool: the handle carries the participant's epoch
 // slot, three rotating retire bins (one per epoch residue class), and
-// typed freelists that node allocation is served from. Displaced nodes are
-// retired into the bin tagged with the current epoch; once the global
-// epoch has advanced ebrGrace times past a bin's tag, its contents move to
-// the freelists and are handed out again. Nodes that were never published
-// (a losing GCAS copy) skip the grace period entirely via recycle*Now.
+// typed freelists that node allocation is served from — root objects and
+// snapshot headers included. Displaced nodes are retired into the bin
+// tagged with the current epoch; once the global epoch has advanced
+// ebrGrace times past a bin's tag, its contents move to the freelists and
+// are handed out again. Nodes that were never published (a losing GCAS
+// copy) skip the grace period entirely via recycle*Now.
 //
 // A displaced node that snapshots may still share first waits out their
 // lifetimes (DESIGN.md §13): the pool keeps a second epoch, the lifetime
@@ -38,6 +39,11 @@ const (
 	ctBranchCap = 4096
 	ctCNodeCap  = 64 // per array length class
 	ctINodeCap  = 256
+	// An operation retires at most two root objects and one snapshot
+	// header, and a handle that advances the epoch alone drains one bin
+	// every ctAdvanceEvery pins: the caps hold one such bin's worth.
+	ctRootCap   = 2 * ctAdvanceEvery
+	ctHeaderCap = ctAdvanceEvery
 
 	// ctLifeCap caps each list of a lifetime bin. A lifetime cohort on the
 	// Figure-4 path holds 8–10 nodes of a kind on average and outgrows the
@@ -56,6 +62,10 @@ type ctBin[K comparable, V any] struct {
 	cnodes   []*ctCNode[K, V]
 	branches []*ctBranch[K, V]
 	ins      []*ctINode[K, V]
+	// Root objects and snapshot headers only ever wait out readers: they
+	// are filed into reader bins alone.
+	roots   []*rootRef[K, V]
+	headers []*Ctrie[K, V]
 }
 
 // binAdd appends x to a list of a bin, unless the bin is a full lifetime
@@ -70,6 +80,8 @@ func (b *ctBin[K, V]) addMain(m *ctMain[K, V])     { binAdd(b.life, &b.mains, m)
 func (b *ctBin[K, V]) addCNode(cn *ctCNode[K, V])  { binAdd(b.life, &b.cnodes, cn) }
 func (b *ctBin[K, V]) addBranch(x *ctBranch[K, V]) { binAdd(b.life, &b.branches, x) }
 func (b *ctBin[K, V]) addINode(in *ctINode[K, V])  { binAdd(b.life, &b.ins, in) }
+func (b *ctBin[K, V]) addRoot(r *rootRef[K, V])    { binAdd(b.life, &b.roots, r) }
+func (b *ctBin[K, V]) addHeader(ct *Ctrie[K, V])   { binAdd(b.life, &b.headers, ct) }
 
 func (b *ctBin[K, V]) empty() bool {
 	return len(b.mains)+len(b.cnodes)+len(b.branches)+len(b.ins) == 0
@@ -97,6 +109,8 @@ func (b *ctBin[K, V]) reset() {
 	b.cnodes = b.cnodes[:0]
 	b.branches = b.branches[:0]
 	b.ins = b.ins[:0]
+	b.roots = b.roots[:0]
+	b.headers = b.headers[:0]
 }
 
 // drop empties b of nodes that stay live elsewhere: the capacity it keeps
@@ -124,12 +138,13 @@ type ctPool[K comparable, V any] struct {
 	// slot every advance must scan.
 	life     atomic.Uint64
 	lifePins [2]atomic.Int64
-	lines    atomic.Uint64 // lineages numbered so far
+	gens     atomic.Uint64 // generations numbered so far
 
-	// poison is nil except in tests: then every node entering a freelist is
-	// stamped with it and dropped instead of reused, so a trie that can
-	// still reach such a node reads garbage and its checks fail loudly.
-	poison *ctGen
+	// poison is the zero generation except in tests: then every node, root
+	// object and header entering a freelist is stamped with it and dropped
+	// instead of reused, so a trie that can still reach one reads garbage
+	// and its checks fail loudly.
+	poison ctGen
 }
 
 func newCtPool[K comparable, V any]() *ctPool[K, V] {
@@ -154,10 +169,16 @@ func (p *ctPool[K, V]) put(h *ctHandle[K, V]) {
 	p.handles.Put(h)
 }
 
-// newLine numbers a new lineage: that of a new trie or of a mutable
-// snapshot.
-func (p *ctPool[K, V]) newLine() uint64 {
-	return p.lines.Add(1)
+// newLine returns the first generation of a new lineage: that of a new
+// trie or of a mutable snapshot.
+func (p *ctPool[K, V]) newLine() ctGen {
+	seq := p.gens.Add(1)
+	return ctGen{line: seq, seq: seq}
+}
+
+// newGen returns a fresh generation of lineage line.
+func (p *ctPool[K, V]) newGen(line uint64) ctGen {
+	return ctGen{line: line, seq: p.gens.Add(1)}
 }
 
 // pinLife pins the lifetime epoch for a new snapshot and returns the pin
@@ -213,6 +234,8 @@ type ctHandle[K comparable, V any] struct {
 	branches []*ctBranch[K, V]
 	cnodes   [33][]*ctCNode[K, V]
 	ins      []*ctINode[K, V]
+	roots    []*rootRef[K, V]
+	headers  []*Ctrie[K, V]
 
 	// scratch collects the INode-edge boxes a toCompressed pass displaced,
 	// so clean can retire them only if its GCAS wins (see ctrie.go).
@@ -251,7 +274,7 @@ func (h *ctHandle[K, V]) newMain() *ctMain[K, V] {
 // newCNode returns a CNode whose array has length n, recycled if possible.
 // Recycled slots may hold stale pointers (bounded by the freelist caps);
 // every CNode constructor overwrites every slot before publication.
-func (h *ctHandle[K, V]) newCNode(n int, bmp uint32, gen *ctGen) *ctCNode[K, V] {
+func (h *ctHandle[K, V]) newCNode(n int, bmp uint32, gen ctGen) *ctCNode[K, V] {
 	if ln := len(h.cnodes[n]); ln > 0 {
 		cn := h.cnodes[n][ln-1]
 		h.cnodes[n] = h.cnodes[n][:ln-1]
@@ -261,7 +284,7 @@ func (h *ctHandle[K, V]) newCNode(n int, bmp uint32, gen *ctGen) *ctCNode[K, V] 
 	return &ctCNode[K, V]{bmp: bmp, gen: gen, array: make([]*ctBranch[K, V], n)}
 }
 
-func (h *ctHandle[K, V]) newINode(gen *ctGen, m *ctMain[K, V]) *ctINode[K, V] {
+func (h *ctHandle[K, V]) newINode(gen ctGen, m *ctMain[K, V]) *ctINode[K, V] {
 	if n := len(h.ins); n > 0 {
 		in := h.ins[n-1]
 		h.ins = h.ins[:n-1]
@@ -270,6 +293,26 @@ func (h *ctHandle[K, V]) newINode(gen *ctGen, m *ctMain[K, V]) *ctINode[K, V] {
 		return in
 	}
 	return newCtINode(gen, m)
+}
+
+// newRoot returns an empty root object: a root or a descriptor to be.
+func (h *ctHandle[K, V]) newRoot() *rootRef[K, V] {
+	if n := len(h.roots); n > 0 {
+		r := h.roots[n-1]
+		h.roots = h.roots[:n-1]
+		return r
+	}
+	return &rootRef[K, V]{}
+}
+
+// newHeader returns an empty trie header for a snapshot.
+func (h *ctHandle[K, V]) newHeader() *Ctrie[K, V] {
+	if n := len(h.headers); n > 0 {
+		ct := h.headers[n-1]
+		h.headers = h.headers[:n-1]
+		return ct
+	}
+	return &Ctrie[K, V]{}
 }
 
 func (h *ctHandle[K, V]) newBranch() *ctBranch[K, V] {
@@ -281,13 +324,13 @@ func (h *ctHandle[K, V]) newBranch() *ctBranch[K, V] {
 	return &ctBranch[K, V]{}
 }
 
-func (h *ctHandle[K, V]) newSNode(hc uint32, k K, v V, gen *ctGen) *ctBranch[K, V] {
+func (h *ctHandle[K, V]) newSNode(hc uint32, k K, v V, gen ctGen) *ctBranch[K, V] {
 	b := h.newBranch()
 	b.hc, b.k, b.v, b.gen = hc, k, v, gen
 	return b
 }
 
-func (h *ctHandle[K, V]) newINodeBranch(in *ctINode[K, V], gen *ctGen) *ctBranch[K, V] {
+func (h *ctHandle[K, V]) newINodeBranch(in *ctINode[K, V], gen ctGen) *ctBranch[K, V] {
 	b := h.newBranch()
 	b.in, b.gen = in, gen
 	return b
@@ -331,7 +374,7 @@ func (h *ctHandle[K, V]) lifeBin() *ctBin[K, V] {
 // of another lineage is still live in the trie it came from: a mutable
 // snapshot adds it to its record (Adopt files the record, Discard drops
 // it), any other trie leaves it to the garbage collector.
-func (ct *Ctrie[K, V]) binFor(h *ctHandle[K, V], owner, gen *ctGen) *ctBin[K, V] {
+func (ct *Ctrie[K, V]) binFor(h *ctHandle[K, V], owner, gen ctGen) *ctBin[K, V] {
 	switch {
 	case gen == owner:
 		return h.bin()
@@ -379,6 +422,12 @@ func (h *ctHandle[K, V]) drainBin(b *ctBin[K, V]) {
 	for _, in := range b.ins {
 		h.recycleINodeNow(in)
 	}
+	for _, r := range b.roots {
+		h.recycleRootNow(r)
+	}
+	for _, ct := range b.headers {
+		h.recycleHeaderNow(ct)
+	}
 	b.reset()
 }
 
@@ -396,7 +445,7 @@ func (h *ctHandle[K, V]) promote(lb *ctBin[K, V]) {
 // --- immediate recycling (never-published or fully-aged nodes) ----------
 
 func (h *ctHandle[K, V]) recycleMainNow(m *ctMain[K, V]) {
-	if g := h.pool.poison; g != nil {
+	if g := h.pool.poison; g != (ctGen{}) {
 		m.cn, m.tn, m.ln, m.failed = &ctCNode[K, V]{gen: g}, nil, nil, nil
 		return
 	}
@@ -409,7 +458,7 @@ func (h *ctHandle[K, V]) recycleMainNow(m *ctMain[K, V]) {
 }
 
 func (h *ctHandle[K, V]) recycleCNodeNow(cn *ctCNode[K, V]) {
-	if g := h.pool.poison; g != nil {
+	if g := h.pool.poison; g != (ctGen{}) {
 		cn.bmp, cn.gen = 0, g
 		return
 	}
@@ -417,12 +466,12 @@ func (h *ctHandle[K, V]) recycleCNodeNow(cn *ctCNode[K, V]) {
 	if len(h.cnodes[n]) >= ctCNodeCap {
 		return
 	}
-	cn.gen = nil
+	cn.gen = ctGen{}
 	h.cnodes[n] = append(h.cnodes[n], cn)
 }
 
 func (h *ctHandle[K, V]) recycleINodeNow(in *ctINode[K, V]) {
-	if g := h.pool.poison; g != nil {
+	if g := h.pool.poison; g != (ctGen{}) {
 		in.gen = g
 		in.main.Store(&ctMain[K, V]{cn: &ctCNode[K, V]{gen: g}})
 		return
@@ -430,13 +479,13 @@ func (h *ctHandle[K, V]) recycleINodeNow(in *ctINode[K, V]) {
 	if len(h.ins) >= ctINodeCap {
 		return
 	}
-	in.gen = nil
+	in.gen = ctGen{}
 	in.main.Store(nil)
 	h.ins = append(h.ins, in)
 }
 
 func (h *ctHandle[K, V]) recycleBranchNow(b *ctBranch[K, V]) {
-	if g := h.pool.poison; g != nil {
+	if g := h.pool.poison; g != (ctGen{}) {
 		b.in, b.gen, b.hc = nil, g, ^b.hc
 		return
 	}
@@ -445,8 +494,42 @@ func (h *ctHandle[K, V]) recycleBranchNow(b *ctBranch[K, V]) {
 	}
 	var zk K
 	var zv V
-	b.in, b.gen, b.hc, b.k, b.v = nil, nil, 0, zk, zv
+	b.in, b.gen, b.hc, b.k, b.v = nil, ctGen{}, 0, zk, zv
 	h.branches = append(h.branches, b)
+}
+
+// recycleRootNow readies a root object for reuse. Poisoned, it is a root
+// again, over a poisoned INode.
+func (h *ctHandle[K, V]) recycleRootNow(r *rootRef[K, V]) {
+	r.old, r.nv, r.expMain = nil, nil, nil
+	if g := h.pool.poison; g != (ctGen{}) {
+		r.in = newCtINode(g, &ctMain[K, V]{cn: &ctCNode[K, V]{gen: g}})
+		return
+	}
+	if len(h.roots) >= ctRootCap {
+		return
+	}
+	r.in = nil
+	r.outcome.Store(0)
+	h.roots = append(h.roots, r)
+}
+
+// recycleHeaderNow readies a snapshot header for reuse. Poisoned, its root
+// is a poisoned root object.
+func (h *ctHandle[K, V]) recycleHeaderNow(ct *Ctrie[K, V]) {
+	ct.hash, ct.pool, ct.src, ct.foreign = nil, nil, nil, nil
+	ct.readOnly, ct.unversioned, ct.pin = false, false, 0
+	if g := h.pool.poison; g != (ctGen{}) {
+		r := &rootRef[K, V]{}
+		h.recycleRootNow(r)
+		ct.root.Store(r)
+		return
+	}
+	if len(h.headers) >= ctHeaderCap {
+		return
+	}
+	ct.root.Store(nil)
+	h.headers = append(h.headers, ct)
 }
 
 // discard recycles, with no grace period, every node of in's generation in

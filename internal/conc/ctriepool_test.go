@@ -27,7 +27,7 @@ func TestCtriePoolRecycledBranchesFresh(t *testing.T) {
 	// Poison a cohort and retire it through a full grace period.
 	poisoned := make(map[*ctBranch[int, int]]bool)
 	for i := 0; i < 64; i++ {
-		b := h.newSNode(0xdeadbeef, 123456+i, -1-i, &ctGen{})
+		b := h.newSNode(0xdeadbeef, 123456+i, -1-i, ctGen{line: 1, seq: 1})
 		b.in = &ctINode[int, int]{} // junk that must never survive recycling
 		poisoned[b] = true
 		h.bin().addBranch(b)
@@ -48,7 +48,7 @@ func TestCtriePoolRecycledBranchesFresh(t *testing.T) {
 		b := h.newBranch()
 		if poisoned[b] {
 			recycled++
-			if b.in != nil || b.gen != nil || b.hc != 0 || b.k != 0 || b.v != 0 {
+			if b.in != nil || b.gen != (ctGen{}) || b.hc != 0 || b.k != 0 || b.v != 0 {
 				t.Fatalf("recycled branch box not fresh: %+v", b)
 			}
 		}

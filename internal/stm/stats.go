@@ -55,13 +55,17 @@ func (c AbortCause) String() string {
 }
 
 // histSampleEvery: the duration histograms time one in every histSampleEvery
-// transaction attempts on average (power of two; sampled from the attempt's
-// xorshift state so lock-step workloads cannot alias the sampling pattern).
+// transaction attempts on average (a power of two, 1<<histSampleShift: the
+// draw tests the top histSampleShift bits of the attempt's mixed xorshift
+// state, so lock-step workloads cannot alias the sampling pattern).
 // Timing a commit costs two time.Now calls per histogram — a measurable
 // fraction of a short transaction — so sampling keeps the instrumentation
 // within the hot-path budget while the bucket distribution stays
 // representative. Counters (commits, aborts by cause) are never sampled.
-const histSampleEvery = 8
+const (
+	histSampleShift = 3
+	histSampleEvery = 1 << histSampleShift
+)
 
 // HistogramSampleEvery is the exported sampling factor of the duration
 // histograms: on average one in this many transaction attempts contributes

@@ -282,7 +282,7 @@ func (tx *Txn) beginAttempt() {
 	tx.rng ^= tx.rng >> 12
 	tx.rng ^= tx.rng << 25
 	tx.rng ^= tx.rng >> 27
-	tx.sampled = (tx.rng*0x2545f4914f6cdd1d)>>(64-3) == 0 // 3 = log2(histSampleEvery)
+	tx.sampled = (tx.rng*0x2545f4914f6cdd1d)>>(64-histSampleShift) == 0
 	if tx.sampled && tx.s.phaser != nil {
 		tx.phaseBegin()
 	} else {
