@@ -150,35 +150,27 @@ type ctCNode[K comparable, V any] struct {
 	gen   ctGen
 }
 
-// CtrieConfig selects the Ctrie variants described in DESIGN.md §13.
-type CtrieConfig struct {
-	// Unversioned drops the persistence machinery: a single generation
-	// forever, GCAS degenerates to a plain CAS, and
-	// Snapshot/ReadOnlySnapshot panic. Use it when rollback is provided
-	// elsewhere (the eager Proustian map's undo logs) and snapshots are
-	// never taken; Range/Len walk the live trie and are weakly
-	// consistent, like sync.Map.
-	Unversioned bool
-}
-
 // NewCtrie creates an empty Ctrie with the given hasher: the default
 // snapshot-capable, copy-on-write configuration.
 func NewCtrie[K comparable, V any](hash Hasher[K]) *Ctrie[K, V] {
-	return NewCtrieConfigured[K, V](hash, CtrieConfig{})
+	return newCtrie[K, V](hash, false)
 }
 
-// NewCtrieUnversioned creates a Ctrie that never pays the persistence
-// machinery (CtrieConfig.Unversioned).
+// NewCtrieUnversioned creates a Ctrie that drops the persistence
+// machinery: a single generation forever, GCAS degenerates to a plain CAS,
+// and Snapshot/ReadOnlySnapshot panic. Use it when rollback is provided
+// elsewhere (the eager Proustian map's undo logs) and snapshots are never
+// taken; Range/Len walk the live trie and are weakly consistent, like
+// sync.Map.
 func NewCtrieUnversioned[K comparable, V any](hash Hasher[K]) *Ctrie[K, V] {
-	return NewCtrieConfigured[K, V](hash, CtrieConfig{Unversioned: true})
+	return newCtrie[K, V](hash, true)
 }
 
-// NewCtrieConfigured creates an empty Ctrie with an explicit configuration.
-func NewCtrieConfigured[K comparable, V any](hash Hasher[K], cfg CtrieConfig) *Ctrie[K, V] {
+func newCtrie[K comparable, V any](hash Hasher[K], unversioned bool) *Ctrie[K, V] {
 	pool := newCtPool[K, V]()
 	gen := pool.newLine()
 	root := newCtINode(gen, &ctMain[K, V]{cn: &ctCNode[K, V]{gen: gen}})
-	ct := &Ctrie[K, V]{hash: hash, unversioned: cfg.Unversioned, pool: pool}
+	ct := &Ctrie[K, V]{hash: hash, unversioned: unversioned, pool: pool}
 	ct.root.Store(&rootRef[K, V]{in: root})
 	return ct
 }

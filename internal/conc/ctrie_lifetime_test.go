@@ -71,7 +71,7 @@ func poisonIn(ct *Ctrie[int, int], g ctGen) string {
 // ageOut runs enough pinned operations on ct for every epoch to advance and
 // every expired bin of the handle they use to drain.
 func ageOut(ct *Ctrie[int, int]) {
-	for i := 0; i < 16*ctAdvanceEvery; i++ {
+	for i := 0; i < 16*advanceEvery; i++ {
 		ct.Get(i)
 	}
 }

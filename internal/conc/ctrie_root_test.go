@@ -100,7 +100,7 @@ func TestCtrieRetiredDescriptorWaitsForPinnedHelper(t *testing.T) {
 	// age pins h often enough to advance the epoch and drain its bins many
 	// times over, were nobody else pinned.
 	age := func() {
-		for i := 0; i < 16*ctAdvanceEvery; i++ {
+		for i := 0; i < 16*advanceEvery; i++ {
 			h.pin()
 			h.unpin()
 		}

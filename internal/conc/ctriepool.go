@@ -5,24 +5,20 @@ import (
 	"sync/atomic"
 )
 
-// ctriepool.go gives the Ctrie an allocator cache on top of the epoch
-// facility in epoch.go. Every public Ctrie operation borrows a ctHandle
-// from the structure's ctPool: the handle carries the participant's epoch
-// slot, three rotating retire bins (one per epoch residue class), and
-// typed freelists that node allocation is served from — root objects and
-// snapshot headers included. Displaced nodes are retired into the bin
-// tagged with the current epoch; once the global epoch has advanced
-// ebrGrace times past a bin's tag, its contents move to the freelists and
-// are handed out again. Nodes that were never published (a losing GCAS
-// copy) skip the grace period entirely via recycle*Now.
+// ctriepool.go builds the Ctrie's allocator cache from the parts in
+// epochpool.go. Every public Ctrie operation borrows a ctHandle from the
+// structure's ctPool: a participant, reader bins, and freelists that node
+// allocation is served from — root objects and snapshot headers included.
+// Nodes that were never published (a losing GCAS copy) skip the grace
+// period entirely via recycle*Now.
 //
 // A displaced node that snapshots may still share first waits out their
 // lifetimes (DESIGN.md §13): the pool keeps a second epoch, the lifetime
 // epoch, that every snapshot pins from before it is taken until Discard,
-// and the handle keeps three lifetime bins beside its reader bins. A
-// lifetime bin tagged t moves into the reader bins once the lifetime epoch
-// reaches t+ebrGrace — every snapshot that could see its nodes is gone —
-// and from there ages out like any other cohort.
+// and the handle keeps a second set of epochBins, the lifetime bins, on
+// it. A lifetime bin tagged t moves into the reader bins once the lifetime
+// epoch reaches t+ebrGrace — every snapshot that could see its nodes is
+// gone — and from there ages out like any other cohort.
 //
 // Handles are recycled through a sync.Pool, so the number of registered
 // epoch slots is bounded by the peak number of concurrent operations, and
@@ -30,10 +26,6 @@ import (
 // sharing except through the sync.Pool and the epoch protocol itself.
 
 const (
-	// ctAdvanceEvery is the pin cadence at which a handle volunteers to
-	// advance the epochs and drain its expired bins.
-	ctAdvanceEvery = 32
-
 	// Freelist caps; beyond these, recycled nodes are dropped to the GC.
 	ctMainCap   = 1024
 	ctBranchCap = 4096
@@ -41,9 +33,9 @@ const (
 	ctINodeCap  = 256
 	// An operation retires at most two root objects and one snapshot
 	// header, and a handle that advances the epoch alone drains one bin
-	// every ctAdvanceEvery pins: the caps hold one such bin's worth.
-	ctRootCap   = 2 * ctAdvanceEvery
-	ctHeaderCap = ctAdvanceEvery
+	// every advanceEvery pins: the caps hold one such bin's worth.
+	ctRootCap   = 2 * advanceEvery
+	ctHeaderCap = advanceEvery
 
 	// ctLifeCap caps each list of a lifetime bin. A lifetime cohort on the
 	// Figure-4 path holds 8–10 nodes of a kind on average and outgrows the
@@ -54,9 +46,8 @@ const (
 	ctLifeCap = 128
 )
 
-// ctBin is one epoch residue class of retired nodes.
+// ctBin is one cohort of retired nodes.
 type ctBin[K comparable, V any] struct {
-	epoch    uint64
 	life     bool // a lifetime bin: lists capped at ctLifeCap
 	mains    []*ctMain[K, V]
 	cnodes   []*ctCNode[K, V]
@@ -148,12 +139,12 @@ type ctPool[K comparable, V any] struct {
 }
 
 func newCtPool[K comparable, V any]() *ctPool[K, V] {
-	p := &ctPool[K, V]{ebr: newEBR()}
+	p := &ctPool[K, V]{ebr: new(ebr)}
 	p.handles.New = func() any {
 		h := &ctHandle[K, V]{pool: p}
-		h.slot = registerFor(p.ebr, h)
-		for i := range h.lbins {
-			h.lbins[i].life = true
+		h.participant = join(p.ebr, h)
+		for i := range h.lbins.bin {
+			h.lbins.bin[i].life = true
 		}
 		return h
 	}
@@ -220,22 +211,21 @@ func (p *ctPool[K, V]) advanceLife() {
 
 // ctHandle is one participant's view of the pool.
 type ctHandle[K comparable, V any] struct {
+	participant
 	pool *ctPool[K, V]
-	slot *ebrSlot
-	ops  uint64
 
 	// bins wait out readers (tagged with the reader epoch); lbins wait out
 	// snapshots first (tagged with the lifetime epoch).
-	bins  [3]ctBin[K, V]
-	lbins [3]ctBin[K, V]
+	bins  epochBins[ctBin[K, V]]
+	lbins epochBins[ctBin[K, V]]
 
 	// Freelists (allocator cache). cnodes is indexed by array length.
-	mains    []*ctMain[K, V]
-	branches []*ctBranch[K, V]
-	cnodes   [33][]*ctCNode[K, V]
-	ins      []*ctINode[K, V]
-	roots    []*rootRef[K, V]
-	headers  []*Ctrie[K, V]
+	mains    freeList[ctMain[K, V]]
+	branches freeList[ctBranch[K, V]]
+	cnodes   [33]freeList[ctCNode[K, V]]
+	ins      freeList[ctINode[K, V]]
+	roots    freeList[rootRef[K, V]]
+	headers  freeList[Ctrie[K, V]]
 
 	// scratch collects the INode-edge boxes a toCompressed pass displaced,
 	// so clean can retire them only if its GCAS wins (see ctrie.go).
@@ -246,26 +236,19 @@ type ctHandle[K comparable, V any] struct {
 	foreign *ctForeign[K, V]
 }
 
+// pin also advances the lifetime epoch, before the drain, on the pins the
+// participant advances the reader epoch.
 func (h *ctHandle[K, V]) pin() {
-	h.slot.pin(&h.pool.ebr.global)
-	h.ops++
-	if h.ops%ctAdvanceEvery == 0 {
-		h.pool.ebr.tryAdvance()
+	if h.participant.pin() {
 		h.pool.advanceLife()
 		h.drainExpired()
 	}
 }
 
-func (h *ctHandle[K, V]) unpin() {
-	h.slot.unpin()
-}
-
 // --- allocation ---------------------------------------------------------
 
 func (h *ctHandle[K, V]) newMain() *ctMain[K, V] {
-	if n := len(h.mains); n > 0 {
-		m := h.mains[n-1]
-		h.mains = h.mains[:n-1]
+	if m := h.mains.pop(); m != nil {
 		return m
 	}
 	return &ctMain[K, V]{}
@@ -275,9 +258,7 @@ func (h *ctHandle[K, V]) newMain() *ctMain[K, V] {
 // Recycled slots may hold stale pointers (bounded by the freelist caps);
 // every CNode constructor overwrites every slot before publication.
 func (h *ctHandle[K, V]) newCNode(n int, bmp uint32, gen ctGen) *ctCNode[K, V] {
-	if ln := len(h.cnodes[n]); ln > 0 {
-		cn := h.cnodes[n][ln-1]
-		h.cnodes[n] = h.cnodes[n][:ln-1]
+	if cn := h.cnodes[n].pop(); cn != nil {
 		cn.bmp, cn.gen = bmp, gen
 		return cn
 	}
@@ -285,9 +266,7 @@ func (h *ctHandle[K, V]) newCNode(n int, bmp uint32, gen ctGen) *ctCNode[K, V] {
 }
 
 func (h *ctHandle[K, V]) newINode(gen ctGen, m *ctMain[K, V]) *ctINode[K, V] {
-	if n := len(h.ins); n > 0 {
-		in := h.ins[n-1]
-		h.ins = h.ins[:n-1]
+	if in := h.ins.pop(); in != nil {
 		in.gen = gen
 		in.main.Store(m)
 		return in
@@ -297,9 +276,7 @@ func (h *ctHandle[K, V]) newINode(gen ctGen, m *ctMain[K, V]) *ctINode[K, V] {
 
 // newRoot returns an empty root object: a root or a descriptor to be.
 func (h *ctHandle[K, V]) newRoot() *rootRef[K, V] {
-	if n := len(h.roots); n > 0 {
-		r := h.roots[n-1]
-		h.roots = h.roots[:n-1]
+	if r := h.roots.pop(); r != nil {
 		return r
 	}
 	return &rootRef[K, V]{}
@@ -307,18 +284,14 @@ func (h *ctHandle[K, V]) newRoot() *rootRef[K, V] {
 
 // newHeader returns an empty trie header for a snapshot.
 func (h *ctHandle[K, V]) newHeader() *Ctrie[K, V] {
-	if n := len(h.headers); n > 0 {
-		ct := h.headers[n-1]
-		h.headers = h.headers[:n-1]
+	if ct := h.headers.pop(); ct != nil {
 		return ct
 	}
 	return &Ctrie[K, V]{}
 }
 
 func (h *ctHandle[K, V]) newBranch() *ctBranch[K, V] {
-	if n := len(h.branches); n > 0 {
-		b := h.branches[n-1]
-		h.branches = h.branches[:n-1]
+	if b := h.branches.pop(); b != nil {
 		return b
 	}
 	return &ctBranch[K, V]{}
@@ -338,32 +311,16 @@ func (h *ctHandle[K, V]) newINodeBranch(in *ctINode[K, V], gen ctGen) *ctBranch[
 
 // --- retirement ---------------------------------------------------------
 
-// bin returns the reader bin for the current epoch, draining the residue
-// class first if it still holds a fully-aged previous cohort.
+// bin returns the reader bin for the current epoch.
 func (h *ctHandle[K, V]) bin() *ctBin[K, V] {
-	e := h.pool.ebr.global.Load()
-	b := &h.bins[e%3]
-	if b.epoch != e {
-		// Same residue class, older epoch: tags differ by a multiple of 3,
-		// so the old cohort is at least ebrGrace epochs stale — reusable.
-		h.drainBin(b)
-		b.epoch = e
-	}
-	return b
+	return h.bins.at(h.epoch(), h.drainBin)
 }
 
-// lifeBin returns the lifetime bin for the current lifetime epoch, moving
-// the residue class's previous cohort on to the reader bins first (the same
-// multiple-of-3 argument: every snapshot that could see it is discarded).
-// The caller reads the epoch here, after the displacing GCAS won.
+// lifeBin returns the lifetime bin for the current lifetime epoch; an
+// aged-out cohort of its class moves on to the reader bins first. The
+// caller reads the epoch here, after the displacing GCAS won.
 func (h *ctHandle[K, V]) lifeBin() *ctBin[K, V] {
-	e := h.pool.life.Load()
-	b := &h.lbins[e%3]
-	if b.epoch != e {
-		h.promote(b)
-		b.epoch = e
-	}
-	return b
+	return h.lbins.at(h.pool.life.Load(), h.promote)
 }
 
 // binFor is where a node of generation gen goes once an operation of
@@ -390,23 +347,11 @@ func (ct *Ctrie[K, V]) binFor(h *ctHandle[K, V], owner, gen ctGen) *ctBin[K, V] 
 	return nil
 }
 
-// drainExpired moves every fully-aged reader bin to the freelists and every
-// fully-aged lifetime bin to the reader bins.
+// drainExpired moves every aged-out reader bin to the freelists, then every
+// aged-out lifetime bin to the reader bins.
 func (h *ctHandle[K, V]) drainExpired() {
-	g := h.pool.ebr.global.Load()
-	for i := range h.bins {
-		b := &h.bins[i]
-		if b.epoch+ebrGrace <= g {
-			h.drainBin(b)
-		}
-	}
-	l := h.pool.life.Load()
-	for i := range h.lbins {
-		b := &h.lbins[i]
-		if b.epoch+ebrGrace <= l {
-			h.promote(b)
-		}
-	}
+	h.bins.expire(h.epoch(), h.drainBin)
+	h.lbins.expire(h.pool.life.Load(), h.promote)
 }
 
 func (h *ctHandle[K, V]) drainBin(b *ctBin[K, V]) {
@@ -449,12 +394,10 @@ func (h *ctHandle[K, V]) recycleMainNow(m *ctMain[K, V]) {
 		m.cn, m.tn, m.ln, m.failed = &ctCNode[K, V]{gen: g}, nil, nil, nil
 		return
 	}
-	if len(h.mains) >= ctMainCap {
-		return
+	if h.mains.push(m, ctMainCap) {
+		m.cn, m.tn, m.ln, m.failed = nil, nil, nil, nil
+		m.prev.Store(nil)
 	}
-	m.cn, m.tn, m.ln, m.failed = nil, nil, nil, nil
-	m.prev.Store(nil)
-	h.mains = append(h.mains, m)
 }
 
 func (h *ctHandle[K, V]) recycleCNodeNow(cn *ctCNode[K, V]) {
@@ -462,12 +405,9 @@ func (h *ctHandle[K, V]) recycleCNodeNow(cn *ctCNode[K, V]) {
 		cn.bmp, cn.gen = 0, g
 		return
 	}
-	n := len(cn.array)
-	if len(h.cnodes[n]) >= ctCNodeCap {
-		return
+	if h.cnodes[len(cn.array)].push(cn, ctCNodeCap) {
+		cn.gen = ctGen{}
 	}
-	cn.gen = ctGen{}
-	h.cnodes[n] = append(h.cnodes[n], cn)
 }
 
 func (h *ctHandle[K, V]) recycleINodeNow(in *ctINode[K, V]) {
@@ -476,12 +416,10 @@ func (h *ctHandle[K, V]) recycleINodeNow(in *ctINode[K, V]) {
 		in.main.Store(&ctMain[K, V]{cn: &ctCNode[K, V]{gen: g}})
 		return
 	}
-	if len(h.ins) >= ctINodeCap {
-		return
+	if h.ins.push(in, ctINodeCap) {
+		in.gen = ctGen{}
+		in.main.Store(nil)
 	}
-	in.gen = ctGen{}
-	in.main.Store(nil)
-	h.ins = append(h.ins, in)
 }
 
 func (h *ctHandle[K, V]) recycleBranchNow(b *ctBranch[K, V]) {
@@ -489,13 +427,11 @@ func (h *ctHandle[K, V]) recycleBranchNow(b *ctBranch[K, V]) {
 		b.in, b.gen, b.hc = nil, g, ^b.hc
 		return
 	}
-	if len(h.branches) >= ctBranchCap {
-		return
+	if h.branches.push(b, ctBranchCap) {
+		var zk K
+		var zv V
+		b.in, b.gen, b.hc, b.k, b.v = nil, ctGen{}, 0, zk, zv
 	}
-	var zk K
-	var zv V
-	b.in, b.gen, b.hc, b.k, b.v = nil, ctGen{}, 0, zk, zv
-	h.branches = append(h.branches, b)
 }
 
 // recycleRootNow readies a root object for reuse. Poisoned, it is a root
@@ -506,12 +442,10 @@ func (h *ctHandle[K, V]) recycleRootNow(r *rootRef[K, V]) {
 		r.in = newCtINode(g, &ctMain[K, V]{cn: &ctCNode[K, V]{gen: g}})
 		return
 	}
-	if len(h.roots) >= ctRootCap {
-		return
+	if h.roots.push(r, ctRootCap) {
+		r.in = nil
+		r.outcome.Store(0)
 	}
-	r.in = nil
-	r.outcome.Store(0)
-	h.roots = append(h.roots, r)
 }
 
 // recycleHeaderNow readies a snapshot header for reuse. Poisoned, its root
@@ -525,11 +459,9 @@ func (h *ctHandle[K, V]) recycleHeaderNow(ct *Ctrie[K, V]) {
 		ct.root.Store(r)
 		return
 	}
-	if len(h.headers) >= ctHeaderCap {
-		return
+	if h.headers.push(ct, ctHeaderCap) {
+		ct.root.Store(nil)
 	}
-	ct.root.Store(nil)
-	h.headers = append(h.headers, ct)
 }
 
 // discard recycles, with no grace period, every node of in's generation in

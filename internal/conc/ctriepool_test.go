@@ -10,10 +10,10 @@ import (
 // draws nodes from the epoch pools.
 var poisonCtrieConfigs = []struct {
 	name string
-	cfg  CtrieConfig
+	new  func(Hasher[int]) *Ctrie[int, int]
 }{
-	{"versioned", CtrieConfig{}},
-	{"unversioned", CtrieConfig{Unversioned: true}},
+	{"versioned", NewCtrie[int, int]},
+	{"unversioned", NewCtrieUnversioned[int, int]},
 }
 
 // TestCtriePoolRecycledBranchesFresh poisons branch boxes with junk before
@@ -105,7 +105,7 @@ func TestCtriePoolRecycledMainsFresh(t *testing.T) {
 func TestCtrieChurnAgainstOracle(t *testing.T) {
 	for _, tc := range poisonCtrieConfigs {
 		t.Run(tc.name, func(t *testing.T) {
-			ct := NewCtrieConfigured[int, int](IntHasher, tc.cfg)
+			ct := tc.new(IntHasher)
 			oracle := make(map[int]int)
 			rng := rand.New(rand.NewSource(8))
 			const keyRange = 128 // small: forces contract/re-split cycles
@@ -194,10 +194,10 @@ func TestCtrieRecycledStateAcrossVariants(t *testing.T) {
 	}
 	for _, tc := range poisonCtrieConfigs {
 		t.Run(tc.name, func(t *testing.T) {
-			cold := NewCtrieConfigured[int, int](IntHasher, tc.cfg)
+			cold := tc.new(IntHasher)
 			want := script(cold)
 
-			warm := NewCtrieConfigured[int, int](IntHasher, tc.cfg)
+			warm := tc.new(IntHasher)
 			rng := rand.New(rand.NewSource(99))
 			warmup := 100000
 			if raceEnabled {

@@ -18,8 +18,9 @@ import (
 // of leaving every displaced node to the garbage collector. It is
 // deliberately tiny: a global epoch counter, a registry of padded
 // participant slots whose released entries are handed out again, and two
-// operations (tryAdvance, synchronize). Typed retire lists live with the
-// callers (see ctriepool.go), keyed by the epoch tag this package hands out.
+// operations (tryAdvance, synchronize). The parts every pooled handle is
+// built from (a participant, its retire bins and freelists) are in
+// epochpool.go.
 
 // ebrGrace is the number of epoch advances that must be observed after an
 // object is retired before it may be reused: a participant pinned at epoch
@@ -47,61 +48,78 @@ func (s *ebrSlot) unpin() {
 	s.state.Store(s.state.Load() &^ 1)
 }
 
+// SlotRegistry hands out per-participant slots of type S and publishes
+// every slot it ever made for lock-free scans. A released slot is handed
+// out again instead of a new one, so a registry whose slots go back when
+// their owners die (RegisterFor) is bounded by its peak number of live
+// owners, not by owner churn. The zero value is empty and ready to use.
+type SlotRegistry[S any] struct {
+	mu sync.Mutex
+	// slots is every slot ever created. A new slot is appended into spare
+	// capacity when there is some: scanners of an older header see only
+	// their own prefix, so registration copies the registry only when the
+	// backing array doubles.
+	slots atomic.Pointer[[]*S]
+	free  []*S // released slots, handed out again by register
+}
+
+// Slots returns every slot ever handed out, released ones included, for a
+// lock-free scan: a released slot must read as idle.
+func (r *SlotRegistry[S]) Slots() []*S {
+	if p := r.slots.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// Free returns the number of released slots waiting to be handed out again.
+func (r *SlotRegistry[S]) Free() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.free)
+}
+
+// register hands out a released slot when there is one, else a new zero
+// slot appended to the registry (amortised O(1)).
+func (r *SlotRegistry[S]) register() *S {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if n := len(r.free); n > 0 {
+		s := r.free[n-1]
+		r.free[n-1] = nil
+		r.free = r.free[:n-1]
+		return s
+	}
+	s := new(S)
+	next := append(r.Slots(), s)
+	r.slots.Store(&next)
+	return s
+}
+
+// release returns an idle slot for register to hand out again.
+func (r *SlotRegistry[S]) release(s *S) {
+	r.mu.Lock()
+	r.free = append(r.free, s)
+	r.mu.Unlock()
+}
+
+// RegisterFor hands out a slot of r that goes back to r once owner is
+// unreachable. Owners are typically pooled (participant handles live in a
+// sync.Pool, which drops them across two collections, and at random under
+// the race detector): without the release every dropped owner would leave a
+// dead slot that every scan walks forever. The slot must be idle by the
+// time owner is unreachable.
+func RegisterFor[S, T any](r *SlotRegistry[S], owner *T) *S {
+	s := r.register()
+	runtime.AddCleanup(owner, r.release, s)
+	return s
+}
+
 // ebr is one reclamation domain. Structures that share retired memory
 // (a Ctrie and its snapshots) must share one domain.
 type ebr struct {
 	global atomic.Uint64
-
-	mu sync.Mutex
-	// slots is every slot ever created, published for tryAdvance's lock-free
-	// scan. A new slot is appended into spare capacity when there is some:
-	// readers of an older header see only their own prefix, so registration
-	// copies the registry only when the backing array doubles.
-	slots atomic.Pointer[[]*ebrSlot]
-	free  []*ebrSlot // released slots, handed out again by register
-}
-
-func newEBR() *ebr {
-	e := &ebr{}
-	empty := make([]*ebrSlot, 0)
-	e.slots.Store(&empty)
-	return e
-}
-
-// register hands out an unpinned participant slot: a released one when
-// there is one, else a new one appended to the registry (amortised O(1)).
-// An unpinned slot never blocks advancement.
-func (e *ebr) register() *ebrSlot {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n := len(e.free); n > 0 {
-		s := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return s
-	}
-	s := &ebrSlot{}
-	next := append(*e.slots.Load(), s)
-	e.slots.Store(&next)
-	return s
-}
-
-// release returns an unpinned slot for register to hand out again.
-func (e *ebr) release(s *ebrSlot) {
-	e.mu.Lock()
-	e.free = append(e.free, s)
-	e.mu.Unlock()
-}
-
-// registerFor registers a slot that goes back to the domain once owner is
-// unreachable. Participant handles live in a sync.Pool, which drops them
-// across two collections (and at random under the race detector); without
-// the release every dropped handle would leave a dead slot that tryAdvance
-// scans forever, so the registry is bounded by live handles, not by churn.
-func registerFor[T any](e *ebr, owner *T) *ebrSlot {
-	s := e.register()
-	runtime.AddCleanup(owner, e.release, s)
-	return s
+	slots  SlotRegistry[ebrSlot]
 }
 
 // tryAdvance attempts to move the global epoch forward by one. It fails if
@@ -109,7 +127,7 @@ func registerFor[T any](e *ebr, owner *T) *ebrSlot {
 // participant may still hold references retired two epochs back.
 func (e *ebr) tryAdvance() bool {
 	cur := e.global.Load()
-	for _, s := range *e.slots.Load() {
+	for _, s := range e.slots.Slots() {
 		st := s.state.Load()
 		if st&1 == 1 && st>>1 != cur {
 			return false

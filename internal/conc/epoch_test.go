@@ -12,8 +12,8 @@ import (
 // rule directly: a participant pinned at the current epoch never blocks an
 // advance, a participant pinned at an older epoch always does.
 func TestEBRPinBlocksAdvance(t *testing.T) {
-	e := newEBR()
-	s := e.register()
+	e := new(ebr)
+	s := e.slots.register()
 
 	s.pin(&e.global)
 	if !e.tryAdvance() {
@@ -33,7 +33,7 @@ func TestEBRPinBlocksAdvance(t *testing.T) {
 // retired at epoch e must not become reusable before the global epoch
 // reaches e+ebrGrace.
 func TestEBRGraceCounting(t *testing.T) {
-	e := newEBR()
+	e := new(ebr)
 	retiredAt := e.global.Load()
 	for i := 0; i < ebrGrace; i++ {
 		if got := e.global.Load(); got >= retiredAt+ebrGrace {
@@ -52,8 +52,8 @@ func TestEBRGraceCounting(t *testing.T) {
 // while a participant pinned before the call is still pinned, and returns
 // promptly once it unpins.
 func TestEBRSynchronizeWaitsForPinned(t *testing.T) {
-	e := newEBR()
-	s := e.register()
+	e := new(ebr)
+	s := e.slots.register()
 	s.pin(&e.global)
 	// One advance can still succeed (s is at the current epoch); from then
 	// on s is stale and pins the epoch in place, so synchronize must block.
@@ -97,21 +97,16 @@ func TestEBRRegistryBoundedUnderHandleChurn(t *testing.T) {
 			ct.pool.put(h)
 		}
 	}
-	released := func() int {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return len(e.free)
-	}
 	for round := 0; round < rounds; round++ {
 		churn()
 		runtime.GC() // the pool's contents move to its victim cache
 		runtime.GC() // and are dropped
 		// Cleanups run on their own goroutine once the collection is done.
-		for wait := 0; wait < 100 && released() == 0; wait++ {
+		for wait := 0; wait < 100 && e.slots.Free() == 0; wait++ {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	if n := len(*e.slots.Load()); n > 3*live {
+	if n := len(e.slots.Slots()); n > 3*live {
 		t.Fatalf("%d registered slots after %d rounds of %d handles: dropped handles' slots are not reused", n, rounds, live)
 	}
 }
@@ -134,20 +129,15 @@ func TestEpochPoolRegistryBoundedUnderHandleChurn(t *testing.T) {
 			p.Put(h)
 		}
 	}
-	released := func() int {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return len(e.free)
-	}
 	for round := 0; round < rounds; round++ {
 		churn()
 		runtime.GC()
 		runtime.GC()
-		for wait := 0; wait < 100 && released() == 0; wait++ {
+		for wait := 0; wait < 100 && e.slots.Free() == 0; wait++ {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	if n := len(*e.slots.Load()); n > 3*live {
+	if n := len(e.slots.Slots()); n > 3*live {
 		t.Fatalf("%d registered slots after %d rounds of %d handles: dropped handles' slots are not reused", n, rounds, live)
 	}
 }
@@ -158,7 +148,7 @@ func TestEpochPoolRegistryBoundedUnderHandleChurn(t *testing.T) {
 // the epoch only moves forward. Run with -race to check the announcement
 // protocol's memory ordering.
 func TestEBRConcurrentPinUnpin(t *testing.T) {
-	e := newEBR()
+	e := new(ebr)
 	const workers = 4
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -166,7 +156,7 @@ func TestEBRConcurrentPinUnpin(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := e.register()
+			s := e.slots.register()
 			for !stop.Load() {
 				s.pin(&e.global)
 				s.unpin()

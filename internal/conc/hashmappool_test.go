@@ -35,7 +35,7 @@ func TestHashMapPoolRecycledNodesFresh(t *testing.T) {
 		h.Pin()
 		h.Unpin()
 	}
-	h.drainExpired()
+	h.bins.expire(h.epoch(), h.drain)
 
 	recycled := 0
 	for i := 0; i < 128; i++ {

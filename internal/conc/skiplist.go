@@ -17,10 +17,11 @@ type SkipListMap[K any, V any] struct {
 	tail *skipNode[K, V]
 	size atomic.Int64
 	seed atomic.Uint64
-	// pool is the map's epoch-reclamation domain (skippool.go): removed
-	// nodes and displaced value boxes are retired through it and reused
-	// once no traversal can still observe them.
-	pool *slPool[K, V]
+	// ebr is the map's reclamation domain and handles its cache of
+	// slHandles: removed nodes and displaced value boxes are retired
+	// through them and reused once no traversal can still observe them.
+	ebr     *ebr
+	handles sync.Pool
 }
 
 type skipNode[K any, V any] struct {
@@ -49,7 +50,12 @@ func NewSkipListMap[K any, V any](cmp func(a, b K) int) *SkipListMap[K, V] {
 	for i := range head.next {
 		head.next[i].Store(tail)
 	}
-	m := &SkipListMap[K, V]{cmp: cmp, head: head, tail: tail, pool: newSlPool[K, V]()}
+	m := &SkipListMap[K, V]{cmp: cmp, head: head, tail: tail, ebr: new(ebr)}
+	m.handles.New = func() any {
+		h := new(slHandle[K, V])
+		h.participant = join(m.ebr, h)
+		return h
+	}
 	m.seed.Store(0x2545f4914f6cdd1d)
 	return m
 }
@@ -59,6 +65,107 @@ func newSkipNode[K any, V any](topLayer int) *skipNode[K, V] {
 		next:     make([]atomic.Pointer[skipNode[K, V]], topLayer+1),
 		topLayer: topLayer,
 	}
+}
+
+// reset clears a node whose grace period has elapsed for reuse; the flags
+// too, so a recycled node is never momentarily visible as fullyLinked.
+func (n *skipNode[K, V]) reset() {
+	var zk K
+	n.key = zk
+	n.value.Store(nil)
+	for i := range n.next {
+		n.next[i].Store(nil)
+	}
+	n.marked.Store(false)
+	n.fullyLinked.Store(false)
+}
+
+// Every public operation borrows an slHandle and pins it for the duration
+// of its traversal: the skiplist's lock-free readers (Get, Range, findNode)
+// may still be walking a node after its unlink, which is exactly the window
+// the grace period covers. Node freelists are level-classed (a node's next
+// array has topLayer+1 slots), like the Ctrie's CNode length classes; value
+// boxes get their own, since Put-over-existing displaces one box per update.
+const (
+	// Per-level node freelist cap. Levels are geometric (p = 1/2), so the
+	// low classes see nearly all the traffic.
+	slNodeCap = 512
+	// Value-box freelist cap.
+	slBoxCap = 1024
+)
+
+// slBin is one cohort of retired skiplist memory.
+type slBin[K any, V any] struct {
+	nodes []*skipNode[K, V]
+	boxes []*box[V]
+}
+
+// slHandle is one participant's view of a map's reclamation domain.
+type slHandle[K any, V any] struct {
+	participant
+	bins  epochBins[slBin[K, V]]
+	nodes [skipMaxLevel]freeList[skipNode[K, V]]
+	boxes freeList[box[V]]
+}
+
+// handle borrows a pinned handle; release unpins and returns it.
+func (m *SkipListMap[K, V]) handle() *slHandle[K, V] {
+	h := m.handles.Get().(*slHandle[K, V])
+	if h.pin() {
+		h.bins.expire(h.epoch(), h.drain)
+	}
+	return h
+}
+
+func (m *SkipListMap[K, V]) release(h *slHandle[K, V]) {
+	h.unpin()
+	m.handles.Put(h)
+}
+
+// newNode returns a node with topLayer+1 next slots, recycled if possible;
+// the caller overwrites key, value and next before publication.
+func (h *slHandle[K, V]) newNode(topLayer int) *skipNode[K, V] {
+	if n := h.nodes[topLayer].pop(); n != nil {
+		return n
+	}
+	return newSkipNode[K, V](topLayer)
+}
+
+func (h *slHandle[K, V]) newBox(v V) *box[V] {
+	if b := h.boxes.pop(); b != nil {
+		b.v = v
+		return b
+	}
+	return &box[V]{v: v}
+}
+
+func (h *slHandle[K, V]) retireNode(n *skipNode[K, V]) {
+	b := h.bins.at(h.epoch(), h.drain)
+	b.nodes = append(b.nodes, n)
+}
+
+func (h *slHandle[K, V]) retireBox(bx *box[V]) {
+	b := h.bins.at(h.epoch(), h.drain)
+	b.boxes = append(b.boxes, bx)
+}
+
+// drain moves an aged-out cohort to the freelists.
+func (h *slHandle[K, V]) drain(b *slBin[K, V]) {
+	for i, n := range b.nodes {
+		if h.nodes[n.topLayer].push(n, slNodeCap) {
+			n.reset()
+		}
+		b.nodes[i] = nil
+	}
+	for i, bx := range b.boxes {
+		if h.boxes.push(bx, slBoxCap) {
+			var zv V
+			bx.v = zv
+		}
+		b.boxes[i] = nil
+	}
+	b.nodes = b.nodes[:0]
+	b.boxes = b.boxes[:0]
 }
 
 // compareNode orders a key against a node, treating sentinels as ±infinity.
@@ -95,9 +202,8 @@ func (m *SkipListMap[K, V]) findNode(k K, preds, succs []*skipNode[K, V]) int {
 
 // Get returns the value mapped to k.
 func (m *SkipListMap[K, V]) Get(k K) (V, bool) {
-	h := m.pool.get()
-	h.pin()
-	defer func() { h.unpin(); m.pool.put(h) }()
+	h := m.handle()
+	defer m.release(h)
 	var preds, succs [skipMaxLevel]*skipNode[K, V]
 	found := m.findNode(k, preds[:], succs[:])
 	if found == -1 {
@@ -120,9 +226,8 @@ func (m *SkipListMap[K, V]) Contains(k K) bool {
 
 // Put stores v under k and returns the previous value, if any.
 func (m *SkipListMap[K, V]) Put(k K, v V) (V, bool) {
-	h := m.pool.get()
-	h.pin()
-	defer func() { h.unpin(); m.pool.put(h) }()
+	h := m.handle()
+	defer m.release(h)
 	var preds, succs [skipMaxLevel]*skipNode[K, V]
 	for {
 		found := m.findNode(k, preds[:], succs[:])
@@ -189,9 +294,8 @@ func (m *SkipListMap[K, V]) Put(k K, v V) (V, bool) {
 
 // Remove deletes k and returns the removed value, if any.
 func (m *SkipListMap[K, V]) Remove(k K) (V, bool) {
-	h := m.pool.get()
-	h.pin()
-	defer func() { h.unpin(); m.pool.put(h) }()
+	h := m.handle()
+	defer m.release(h)
 	var preds, succs [skipMaxLevel]*skipNode[K, V]
 	var victim *skipNode[K, V]
 	isMarked := false
@@ -260,9 +364,8 @@ func (m *SkipListMap[K, V]) Len() int {
 
 // Min returns the smallest key and its value.
 func (m *SkipListMap[K, V]) Min() (K, V, bool) {
-	h := m.pool.get()
-	h.pin()
-	defer func() { h.unpin(); m.pool.put(h) }()
+	h := m.handle()
+	defer m.release(h)
 	for {
 		n := m.head.next[0].Load()
 		if n.sentinel == 1 {
@@ -280,9 +383,8 @@ func (m *SkipListMap[K, V]) Min() (K, V, bool) {
 // Range calls f over entries in ascending key order until f returns false.
 // Concurrent updates may or may not be observed.
 func (m *SkipListMap[K, V]) Range(f func(K, V) bool) {
-	h := m.pool.get()
-	h.pin()
-	defer func() { h.unpin(); m.pool.put(h) }()
+	h := m.handle()
+	defer m.release(h)
 	for n := m.head.next[0].Load(); n.sentinel != 1; n = n.next[0].Load() {
 		if n.marked.Load() || !n.fullyLinked.Load() {
 			continue
@@ -297,9 +399,8 @@ func (m *SkipListMap[K, V]) Range(f func(K, V) bool) {
 // until f returns false. It descends the index layers to reach lo without
 // scanning the whole list.
 func (m *SkipListMap[K, V]) RangeBetween(lo, hi K, f func(K, V) bool) {
-	h := m.pool.get()
-	h.pin()
-	defer func() { h.unpin(); m.pool.put(h) }()
+	h := m.handle()
+	defer m.release(h)
 	pred := m.head
 	for layer := skipMaxLevel - 1; layer >= 0; layer-- {
 		curr := pred.next[layer].Load()

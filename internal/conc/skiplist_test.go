@@ -195,3 +195,156 @@ func TestSkipListConcurrentSameKeys(t *testing.T) {
 		t.Fatal("keys out of order after concurrent churn")
 	}
 }
+
+// TestSkipPoolRecycledNodesFresh poisons skiplist nodes with junk before
+// retiring them and checks, in the style of the Ctrie pool tests, that a node
+// handed back out by the level-classed allocator is indistinguishable from a
+// freshly allocated one — no stale key, value box, next pointers, or flags.
+func TestSkipPoolRecycledNodesFresh(t *testing.T) {
+	m := NewSkipListMap[int, int](intCmp)
+	h := m.handles.Get().(*slHandle[int, int])
+
+	const level = 2
+	junk := newSkipNode[int, int](0)
+	poisoned := make(map[*skipNode[int, int]]bool)
+	for i := 0; i < 64; i++ {
+		n := h.newNode(level)
+		n.key = 0xdead + i
+		n.value.Store(&box[int]{v: -i})
+		for l := range n.next {
+			n.next[l].Store(junk)
+		}
+		n.marked.Store(true)
+		n.fullyLinked.Store(true)
+		poisoned[n] = true
+		h.retireNode(n)
+	}
+	// Age the bin out: each advance re-keys bin(); after ebrGrace+1 epochs
+	// the cohort's residue class is revisited and drained.
+	for i := 0; i < 3*(ebrGrace+1); i++ {
+		if !m.ebr.tryAdvance() {
+			t.Fatal("tryAdvance failed with no pinned participants")
+		}
+		h.pin()
+		h.unpin()
+	}
+	h.bins.expire(h.epoch(), h.drain)
+
+	recycled := 0
+	for i := 0; i < 128; i++ {
+		n := h.newNode(level)
+		if !poisoned[n] {
+			continue
+		}
+		recycled++
+		if n.key != 0 || n.value.Load() != nil || n.marked.Load() || n.fullyLinked.Load() {
+			t.Fatalf("recycled node not fresh: key=%d value=%v marked=%v linked=%v",
+				n.key, n.value.Load(), n.marked.Load(), n.fullyLinked.Load())
+		}
+		for l := range n.next {
+			if n.next[l].Load() != nil {
+				t.Fatalf("recycled node layer %d still points at junk", l)
+			}
+		}
+	}
+	if recycled == 0 {
+		t.Fatal("no poisoned node came back through the allocator; the test exercised nothing")
+	}
+}
+
+// TestSkipPoolRecycledBoxesFresh does the same for displaced value boxes, the
+// skiplist's steady-state allocation residue under Put-over-existing.
+func TestSkipPoolRecycledBoxesFresh(t *testing.T) {
+	m := NewSkipListMap[int, int](intCmp)
+	h := m.handles.Get().(*slHandle[int, int])
+
+	poisoned := make(map[*box[int]]bool)
+	for i := 0; i < 64; i++ {
+		b := h.newBox(123456 + i)
+		poisoned[b] = true
+		h.retireBox(b)
+	}
+	for i := 0; i < 3*(ebrGrace+1); i++ {
+		m.ebr.tryAdvance()
+		h.pin()
+		h.unpin()
+	}
+	h.bins.expire(h.epoch(), h.drain)
+
+	recycled := 0
+	for i := 0; i < 128; i++ {
+		b := h.newBox(7)
+		if poisoned[b] {
+			recycled++
+			if b.v != 7 {
+				t.Fatalf("recycled box carries stale value %d, want 7", b.v)
+			}
+		}
+	}
+	if recycled == 0 {
+		t.Fatal("no poisoned box came back through the allocator")
+	}
+}
+
+// TestSkipListRecycledStateDeterministic runs the same deterministic script
+// against a cold map and a map whose pools have been heavily cycled, and
+// requires identical observable behavior — any state bleeding through a
+// recycled node or box would diverge the transcripts.
+func TestSkipListRecycledStateDeterministic(t *testing.T) {
+	cmp := func(a, b int) int { return a - b }
+	script := func(m *SkipListMap[int, int]) []int {
+		var out []int
+		for i := 0; i < 500; i++ {
+			k := (i * 7) % 64
+			switch i % 3 {
+			case 0:
+				old, had := m.Put(k, i)
+				out = append(out, k, old, boolInt(had))
+			case 1:
+				v, ok := m.Get(k)
+				out = append(out, k, v, boolInt(ok))
+			case 2:
+				old, had := m.Remove(k)
+				out = append(out, k, old, boolInt(had))
+			}
+		}
+		return out
+	}
+
+	cold := NewSkipListMap[int, int](cmp)
+	want := script(cold)
+
+	warm := NewSkipListMap[int, int](cmp)
+	rng := rand.New(rand.NewSource(99))
+	warmup := 100000
+	if raceEnabled {
+		warmup = 20000
+	}
+	for i := 0; i < warmup; i++ { // cycle the node and box pools hard
+		k := rng.Intn(64)
+		if rng.Intn(2) == 0 {
+			warm.Put(k, i)
+		} else {
+			warm.Remove(k)
+		}
+	}
+	for k := 0; k < 64; k++ {
+		warm.Remove(k)
+	}
+	got := script(warm)
+	if len(got) != len(want) {
+		t.Fatalf("script transcript length diverged: %d vs %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatal("script diverged on a pool-warmed skiplist: recycled state leaked")
+		}
+	}
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}

@@ -1,9 +1,7 @@
 package stm
 
 import (
-	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"proust/internal/conc"
@@ -99,14 +97,9 @@ type mvccReader struct {
 type mvccBackend struct {
 	pool *conc.EpochPool[mvccVerNode]
 
-	// slots is every watermark slot ever created, published for lock-free
-	// scans; a new slot is appended into spare capacity when there is some
-	// (scanners of an older header see only their own prefix). free holds
-	// the slots of collected readers, handed out again by newSlot. slotMu
-	// guards growth and free.
-	slotMu sync.Mutex
-	slots  atomic.Pointer[[]*mvccSlot]
-	free   []*mvccSlot
+	// slots registers every reader's watermark slot; a collected reader's
+	// slot is handed out again (getReader).
+	slots conc.SlotRegistry[mvccSlot]
 
 	// wmVec caches the last watermark scan, per shard: wmVec[sh] bounds what
 	// any active or future snapshot reader can need from a ref in shard sh.
@@ -490,7 +483,7 @@ func (b *mvccBackend) releaseReader(tx *Txn) {
 
 // getReader returns the descriptor's cached reader, minting it on first use:
 // a watermark slot and an epoch handle, both kept for the reader's life. The
-// slot goes back to the free list once the reader is collected (its epoch
+// slot goes back to the registry once the reader is collected (its epoch
 // handle releases its own slot the same way). A collected reader's slot is
 // free (0): only an attempt in flight holds a floor, and it keeps its
 // descriptor, hence the reader, reachable.
@@ -498,38 +491,10 @@ func (b *mvccBackend) getReader(tx *Txn) *mvccReader {
 	if mr := tx.mvccRd; mr != nil {
 		return mr
 	}
-	mr := &mvccReader{slot: b.newSlot(), eh: b.pool.Get()}
-	runtime.AddCleanup(mr, b.releaseSlot, mr.slot)
+	mr := &mvccReader{eh: b.pool.Get()}
+	mr.slot = conc.RegisterFor(&b.slots, mr)
 	tx.mvccRd = mr
 	return mr
-}
-
-// newSlot hands out a free watermark slot: a released one when there is one,
-// else a new one appended to the registry (amortised O(1)).
-func (b *mvccBackend) newSlot() *mvccSlot {
-	b.slotMu.Lock()
-	defer b.slotMu.Unlock()
-	if n := len(b.free); n > 0 {
-		sl := b.free[n-1]
-		b.free[n-1] = nil
-		b.free = b.free[:n-1]
-		return sl
-	}
-	sl := &mvccSlot{}
-	var cur []*mvccSlot
-	if sp := b.slots.Load(); sp != nil {
-		cur = *sp
-	}
-	next := append(cur, sl)
-	b.slots.Store(&next)
-	return sl
-}
-
-// releaseSlot returns a collected reader's slot for newSlot to hand out again.
-func (b *mvccBackend) releaseSlot(sl *mvccSlot) {
-	b.slotMu.Lock()
-	b.free = append(b.free, sl)
-	b.slotMu.Unlock()
 }
 
 // scanWatermark recomputes the per-shard watermark vector: wmVec[sh] =
@@ -552,11 +517,9 @@ func (b *mvccBackend) scanWatermark(s *STM) {
 		clocks[i] = s.shards[i].clock.Load()
 	}
 	floor := ^uint64(0)
-	if sp := b.slots.Load(); sp != nil {
-		for _, sl := range *sp {
-			if v := sl.snap.Load(); v != 0 && v-1 < floor {
-				floor = v - 1
-			}
+	for _, sl := range b.slots.Slots() {
+		if v := sl.snap.Load(); v != 0 && v-1 < floor {
+			floor = v - 1
 		}
 	}
 	for i := 0; i < s.nShards; i++ {
@@ -642,11 +605,9 @@ func retireChain(h *conc.EpochHandle[mvccVerNode], n *mvccVerNode) uint64 {
 // the registry reads 0 (the pre-capture sentinel 1 counts as held). Called by
 // an update commit after it has opened its publication window.
 func (b *mvccBackend) noSnapshotReaders() bool {
-	if sp := b.slots.Load(); sp != nil {
-		for _, sl := range *sp {
-			if sl.snap.Load() != 0 {
-				return false
-			}
+	for _, sl := range b.slots.Slots() {
+		if sl.snap.Load() != 0 {
+			return false
 		}
 	}
 	return true
@@ -693,13 +654,11 @@ func (s *STM) MVCCTelemetry() (MVCCTelemetry, bool) {
 	// active snapshots the floor is unbounded and the lag is zero (idle
 	// shards' low clocks are a per-shard trimming detail, not retention).
 	w := ^uint64(0)
-	if sp := b.slots.Load(); sp != nil {
-		for _, sl := range *sp {
-			if v := sl.snap.Load(); v != 0 {
-				t.ActiveSnapshots++
-				if v-1 < w {
-					w = v - 1
-				}
+	for _, sl := range b.slots.Slots() {
+		if v := sl.snap.Load(); v != 0 {
+			t.ActiveSnapshots++
+			if v-1 < w {
+				w = v - 1
 			}
 		}
 	}

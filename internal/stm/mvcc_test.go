@@ -852,11 +852,6 @@ func TestMVCCSlotRegistryBoundedUnderDescriptorChurn(t *testing.T) {
 	b := s.backend.(*mvccBackend)
 	r := NewRef(s, 0)
 	roCtx := WithReadOnly(nil)
-	released := func() int {
-		b.slotMu.Lock()
-		defer b.slotMu.Unlock()
-		return len(b.free)
-	}
 	for round := 0; round < rounds; round++ {
 		for i := 0; i < 4; i++ {
 			if err := s.AtomicallyCtx(roCtx, func(tx *Txn) error { _ = r.Get(tx); return nil }); err != nil {
@@ -869,11 +864,11 @@ func TestMVCCSlotRegistryBoundedUnderDescriptorChurn(t *testing.T) {
 		runtime.GC() // the pool's descriptors move to its victim cache
 		runtime.GC() // and are dropped
 		// Cleanups run on their own goroutine once the collection is done.
-		for wait := 0; wait < 100 && released() == 0; wait++ {
+		for wait := 0; wait < 100 && b.slots.Free() == 0; wait++ {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	if n := len(*b.slots.Load()); n > 16 {
+	if n := len(b.slots.Slots()); n > 16 {
 		t.Fatalf("%d watermark slots after %d rounds of descriptor churn: collected readers' slots are not reused", n, rounds)
 	}
 }
