@@ -153,26 +153,33 @@ func BenchmarkCtrieSnapshotReplayChurn(b *testing.B) {
 // base adopts it. The source nodes the writes displace come back through
 // the snapshot's record once the base adopts it, and the snapshot's header,
 // root objects and descriptors through the reader bins, so allocs/op is 0
-// in steady state (TestCtrieSnapshotAllocGate gates it).
+// in steady state (TestCtrieSnapshotAllocGate gates it). In the stalled
+// case one more snapshot, taken before the timer starts, stays pinned
+// throughout: only the nodes it reaches may wait for it, so allocs/op is 0
+// there too once those are displaced
+// (TestCtrieStalledSnapshotDoesNotHoldYoungNodes gates it).
 func BenchmarkCtrieSnapshotAdoptChurn(b *testing.B) {
 	const n = 1024
-	ct := NewCtrie[int, int](IntHasher)
-	for i := 0; i < n; i++ {
-		ct.Put(i, i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		snap := ct.Snapshot()
-		for j := 0; j < 8; j++ {
-			k := (i*8 + j) * 97 % n
-			if j%4 == 3 {
-				snap.Remove(k)
-			} else {
-				snap.Put(k, i)
-			}
+	for _, stalled := range []bool{false, true} {
+		name := "free"
+		if stalled {
+			name = "stalled"
 		}
-		ct.Adopt(snap)
+		b.Run(name, func(b *testing.B) {
+			ct := NewCtrie[int, int](IntHasher)
+			for i := 0; i < n; i++ {
+				ct.Put(i, i)
+			}
+			if stalled {
+				held := ct.Snapshot()
+				defer held.Discard()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				adoptCycle(ct, i, n)
+			}
+		})
 	}
 }
 

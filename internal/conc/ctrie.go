@@ -26,12 +26,13 @@ import (
 //     older-generation children; readers never copy, they read through
 //     older-generation INodes, which no GCAS can change any more.
 //   - Every generation belongs to a lineage, and a trie recycles what it
-//     displaces from its own lineage: a node of the displacer's current
-//     generation after one reader grace period, an older one of its lineage
-//     once the snapshots that could still see it are discarded as well.
-//     Nodes of another lineage stay live in the trie they came from; a
-//     mutable snapshot keeps a record of the ones it displaces. Both paths
-//     end in epoch-based pools (epoch.go, ctriepool.go).
+//     displaces: a node of the displacer's current generation after one
+//     reader grace period, an older one once no snapshot that could still
+//     see it is pinned — a snapshot sees only nodes born before its point
+//     and displaced after it. Nodes of another lineage that a mutable
+//     snapshot displaces stay live in its source; the snapshot keeps a
+//     record of them. Both paths end in epoch-based pools (epoch.go,
+//     ctriepool.go).
 //   - A trie whose owner is done with it (a transaction's shadow copy) is
 //     handed back with Discard: every node stamped with the trie's own
 //     generation was created by, and is reachable from, that trie alone,
@@ -49,9 +50,9 @@ type Ctrie[K comparable, V any] struct {
 	unversioned bool
 	pool        *ctPool[K, V]
 	root        atomic.Pointer[rootRef[K, V]]
-	// pin is a snapshot's lifetime pin (ctPool.pinLife), held until
-	// Discard or Adopt; 0 for a trie that is no snapshot.
-	pin uint64
+	// pin is a snapshot's pin slot (ctPool.pinSnapshot), held until
+	// Discard or Adopt; nil for a trie that is no snapshot.
+	pin *ctPin
 	// A mutable snapshot's src is the root main it was cut from, which
 	// Adopt requires its source to hold still, and foreign records the
 	// nodes of other lineages it displaced (nil for any other trie).
@@ -105,12 +106,15 @@ const (
 
 // ctMain is a tagged union of the main-node kinds (CNode, TNode, LNode)
 // plus the GCAS failed-node marker. Exactly one of cn/tn/ln/failed is set;
-// tn holds the entombed SNode box directly.
+// tn holds the entombed SNode box directly. born is the seq of the
+// generation it was built under (0 where none is known: LNode paths), its
+// birth stamp; it fills the 48-byte size class the five pointers leave.
 type ctMain[K comparable, V any] struct {
 	cn     *ctCNode[K, V]
 	tn     *ctBranch[K, V]
 	ln     *ctLNode[K, V]
 	failed *ctMain[K, V]
+	born   uint64
 
 	prev atomic.Pointer[ctMain[K, V]]
 }
@@ -149,6 +153,13 @@ type ctCNode[K comparable, V any] struct {
 	array []*ctBranch[K, V]
 	gen   ctGen
 }
+
+// birth is a node's birth stamp: the seq of the generation it was built
+// under, drawn before it was built.
+func (m *ctMain[K, V]) birth() uint64   { return m.born }
+func (cn *ctCNode[K, V]) birth() uint64 { return cn.gen.seq }
+func (x *ctBranch[K, V]) birth() uint64 { return x.gen.seq }
+func (in *ctINode[K, V]) birth() uint64 { return in.gen.seq }
 
 // NewCtrie creates an empty Ctrie with the given hasher: the default
 // snapshot-capable, copy-on-write configuration.
@@ -326,34 +337,35 @@ func (ct *Ctrie[K, V]) gcasComplete(in *ctINode[K, V], m *ctMain[K, V]) *ctMain[
 // snapshots taken since it was built. A CNode and its main are created
 // together, by the trie that owns cn.gen.
 
-// retireDisplaced retires a successfully displaced cn-main. TNode/LNode
-// mains are rare and go to the collector, whatever their generation.
+// retireDisplaced retires a successfully displaced cn-main. LNode mains
+// are rare and go to the collector; a TNode main is never displaced, only
+// unlinked with its INode (retireEdge).
 func (ct *Ctrie[K, V]) retireDisplaced(h *ctHandle[K, V], in *ctINode[K, V], m *ctMain[K, V]) {
 	if m.cn == nil {
 		return
 	}
-	if b := ct.binFor(h, in.gen, m.cn.gen); b != nil {
-		b.addCNode(m.cn)
-		b.addMain(m)
-	}
+	b := ct.binFor(h, in.gen, m.cn.gen)
+	b.addCNode(m.cn)
+	b.addMain(m)
 }
 
 // retireBranch retires a displaced branch box.
 func (ct *Ctrie[K, V]) retireBranch(h *ctHandle[K, V], in *ctINode[K, V], x *ctBranch[K, V]) {
-	if b := ct.binFor(h, in.gen, x.gen); b != nil {
-		b.addBranch(x)
-	}
+	ct.binFor(h, in.gen, x.gen).addBranch(x)
 }
 
-// retireEdge retires an unlinked INode edge: the box and the INode it
-// points at. Never the INode's main: renewChild aliases mains into the
-// renewed INode, so a tomb's main may still be live elsewhere — it is only
-// retired in the unversioned trie, where there is a single generation.
-func (ct *Ctrie[K, V]) retireEdge(h *ctHandle[K, V], in *ctINode[K, V], x *ctBranch[K, V]) {
+// retireEdge retires an unlinked INode edge: the box, the INode it points
+// at and, when the INode is tombed, its TNode main (tomb, else nil). A
+// tombed INode is never renewed (renew), so its main was built under the
+// INode's generation and sits below no other INode; a live INode's main
+// may (renew aliases it into the renewed INode) and stays.
+func (ct *Ctrie[K, V]) retireEdge(h *ctHandle[K, V], in *ctINode[K, V], x *ctBranch[K, V], tomb *ctMain[K, V]) {
 	child := x.in
 	ct.retireBranch(h, in, x)
-	if b := ct.binFor(h, in.gen, child.gen); b != nil {
-		b.addINode(child)
+	b := ct.binFor(h, in.gen, child.gen)
+	b.addINode(child)
+	if tomb != nil {
+		b.addMain(tomb)
 	}
 }
 
@@ -401,22 +413,33 @@ func (ct *Ctrie[K, V]) cowRemoved(h *ctHandle[K, V], cn *ctCNode[K, V], pos int,
 	return ncn
 }
 
-// renewChild gives in — an INode of the operation's generation whose CNode
-// m.cn holds an older-generation child at slot pos — a copy of that one
-// child stamped startgen, and returns the copy, or nil when the GCAS lost
-// and the operation must restart. This is the whole of generation renewal:
-// the siblings keep their older generation until a writer descends into
-// them too. The displaced edge box and INode go the way of every displaced
-// node (retireEdge); their main lives on in the copy. A copy that loses its
-// GCAS leaves its INode and box to the garbage collector.
-func (ct *Ctrie[K, V]) renewChild(h *ctHandle[K, V], in *ctINode[K, V], m *ctMain[K, V], pos int, startgen ctGen) *ctINode[K, V] {
+// renew returns the child INode at slot pos of in's CNode m.cn (in at
+// level lev) for a writer of generation startgen to descend into: the
+// child itself when it is of startgen, else a copy of that one child
+// stamped startgen, which replaces it in a copy of the CNode. This is the
+// whole of generation renewal: the siblings keep their older generation
+// until a writer descends into them too. The displaced edge box and INode
+// go the way of every displaced node (retireEdge); their main lives on in
+// the copy. A tombed child is not renewed: in is cleaned instead, so a
+// TNode main only ever sits below the INode it was built under. renew
+// returns nil when the writer must restart: after a clean, or when the
+// copy lost its GCAS (its INode and box then go to the garbage collector).
+func (ct *Ctrie[K, V]) renew(h *ctHandle[K, V], in *ctINode[K, V], m *ctMain[K, V], pos int, lev uint, startgen ctGen) *ctINode[K, V] {
 	old := m.cn.array[pos]
-	nin := h.newINode(startgen, ct.gcasRead(old.in))
-	nm := h.newMain()
+	if old.in.gen == startgen {
+		return old.in
+	}
+	cm := ct.gcasRead(old.in)
+	if cm.tn != nil {
+		ct.clean(h, in, lev)
+		return nil
+	}
+	nin := h.newINode(startgen, cm)
+	nm := h.newMain(startgen)
 	nm.cn = ct.cowUpdated(h, m.cn, pos, h.newINodeBranch(nin, startgen), startgen)
 	if ct.gcas(h, in, m, nm) {
 		ct.retireDisplaced(h, in, m)
-		ct.retireEdge(h, in, old)
+		ct.retireEdge(h, in, old, nil)
 		return nin
 	}
 	return nil
@@ -427,13 +450,14 @@ func (ct *Ctrie[K, V]) renewChild(h *ctHandle[K, V], in *ctINode[K, V], m *ctMai
 func (ct *Ctrie[K, V]) toContracted(h *ctHandle[K, V], cn *ctCNode[K, V], lev uint) *ctMain[K, V] {
 	if lev > 0 && len(cn.array) == 1 {
 		if b := cn.array[0]; b.in == nil {
+			gen := cn.gen
 			h.recycleCNodeNow(cn)
-			m := h.newMain()
+			m := h.newMain(gen)
 			m.tn = b
 			return m
 		}
 	}
-	m := h.newMain()
+	m := h.newMain(cn.gen)
 	m.cn = cn
 	return m
 }
@@ -474,17 +498,11 @@ func (ct *Ctrie[K, V]) clean(h *ctHandle[K, V], in *ctINode[K, V], lev uint) {
 	}
 }
 
-// retireTombedEdges retires the INode edges recorded by toCompressed once
-// the displacement won (the terminal TNode main too in the unversioned trie;
-// see retireEdge).
+// retireTombedEdges retires the INode edges recorded by toCompressed, and
+// their terminal TNode mains, once the displacement won.
 func (ct *Ctrie[K, V]) retireTombedEdges(h *ctHandle[K, V], in *ctINode[K, V]) {
 	for _, b := range h.scratch {
-		if ct.unversioned {
-			if cm := ct.gcasRead(b.in); cm != nil && cm.tn != nil {
-				h.bin().addMain(cm)
-			}
-		}
-		ct.retireEdge(h, in, b)
+		ct.retireEdge(h, in, b, ct.gcasRead(b.in))
 	}
 }
 
@@ -498,7 +516,7 @@ func (ct *Ctrie[K, V]) ctDual(h *ctHandle[K, V], x *ctBranch[K, V], y *ctBranch[
 			sub := h.newINode(gen, ct.ctDual(h, x, y, lev+5, gen))
 			ncn := h.newCNode(1, bmp, gen)
 			ncn.array[0] = h.newINodeBranch(sub, gen)
-			m := h.newMain()
+			m := h.newMain(gen)
 			m.cn = ncn
 			return m
 		}
@@ -508,7 +526,7 @@ func (ct *Ctrie[K, V]) ctDual(h *ctHandle[K, V], x *ctBranch[K, V], y *ctBranch[
 		} else {
 			ncn.array[0], ncn.array[1] = y, x
 		}
-		m := h.newMain()
+		m := h.newMain(gen)
 		m.cn = ncn
 		return m
 	}
@@ -630,11 +648,15 @@ func (ct *Ctrie[K, V]) Remove(k K) (V, bool) {
 }
 
 // done ends an operation on ct with handle h, releasing the record it
-// locked, if any.
+// locked, if any, and filing what it set aside.
 func (ct *Ctrie[K, V]) done(h *ctHandle[K, V]) {
 	if h.foreign != nil {
 		h.foreign.mu.Unlock()
 		h.foreign = nil
+	}
+	if !h.aside.empty() {
+		h.file(&h.aside)
+		h.aside.drop()
 	}
 	h.unpin()
 	ct.pool.put(h)
@@ -645,9 +667,9 @@ func (ct *Ctrie[K, V]) done(h *ctHandle[K, V]) {
 // paths they touch. Proust uses one snapshot per transaction as the shadow
 // copy, and either hands it back with Discard or makes it the source's
 // contents with Adopt. A snapshot that is never discarded is just as
-// correct, but it holds its lifetime pin forever: from then on the nodes its
-// source displaces across generations fill capped bins and overflow to the
-// garbage collector instead of being reused.
+// correct, but it holds its pin forever: the nodes it reaches that its
+// source displaces fill capped bins and overflow to the garbage collector
+// instead of being reused.
 func (ct *Ctrie[K, V]) Snapshot() *Ctrie[K, V] {
 	return ct.snapshot(false)
 }
@@ -665,8 +687,11 @@ func (ct *Ctrie[K, V]) ReadOnlySnapshot() *Ctrie[K, V] {
 // snapshot gives ct a root of a fresh generation, which freezes every node
 // reachable at that instant, and returns a trie over the frozen nodes: the
 // old root itself for a read-only snapshot, a root of a new lineage for a
-// mutable one. The snapshot pins the lifetime epoch before its RDCSS, so
-// any node it can reach is displaced — and tagged — after the pin.
+// mutable one. The fresh generation's seq is the snapshot's point, stored
+// in its pin slot before the RDCSS: every node the RDCSS freezes was built
+// under ct's current generation or an older one, so it was born before the
+// point, and any node the snapshot can reach is displaced after its slot
+// is visible.
 func (ct *Ctrie[K, V]) snapshot(readOnly bool) *Ctrie[K, V] {
 	if ct.unversioned {
 		panic("conc: snapshot of unversioned Ctrie")
@@ -675,13 +700,18 @@ func (ct *Ctrie[K, V]) snapshot(readOnly bool) *Ctrie[K, V] {
 	h.pin()
 	snap := h.newHeader()
 	snap.hash, snap.readOnly, snap.pool = ct.hash, readOnly, ct.pool
-	snap.pin = ct.pool.pinLife(ct.pin)
 	nv := h.newRoot()
 	for {
 		rref := ct.rdcssReadRootRef(false)
 		r := rref.in
 		expMain := ct.gcasRead(r)
-		nv.in = h.newINode(ct.pool.newGen(r.gen.line), expMain)
+		gen := ct.pool.newGen(r.gen.line)
+		nv.in = h.newINode(gen, expMain)
+		if snap.pin == nil {
+			snap.pin = ct.pool.pinSnapshot(gen.seq, ct.pin)
+		} else {
+			snap.pin.raise(gen.seq) // a retry: the first point still counts
+		}
 		if !ct.rdcssRoot(h, rref, expMain, nv) {
 			h.recycleINodeNow(nv.in) // a helper swings the root to nv only on commit
 			continue
@@ -738,9 +768,8 @@ func (ct *Ctrie[K, V]) Discard() {
 		ct.pool.foreigns.Put(f)
 		ct.foreign, ct.src = nil, nil
 	}
-	if ct.pin != 0 {
-		ct.pool.unpinLife(ct.pin)
-	}
+	ct.pool.unpinSnapshot(ct.pin)
+	ct.pin = nil
 	b.addRoot(r)
 	b.addHeader(ct)
 	h.unpin()
@@ -755,13 +784,14 @@ func (ct *Ctrie[K, V]) Discard() {
 //
 // The nodes snap displaced from other lineages were shared with ct, and
 // once ct's root is swapped no longer reachable from it: only the snapshots
-// taken before can still see them, so they go to a lifetime bin, as if ct
-// had displaced them itself. (Were ct a snapshot, they could still be live
-// in its own source.) snap's root object becomes ct's; ct's displaced root
-// INode and root object, the descriptor and snap's header go to the reader
-// bin; snap's lifetime pin is released.
+// taken before can still see them, so they are filed as if ct had
+// displaced them itself. (Were ct a snapshot, they could still be live in
+// its own source.) snap's pin is released first: its point lies in every
+// recorded node's span, and snap reaches none of them any more. snap's root
+// object becomes ct's; ct's displaced root INode and root object, the
+// descriptor and snap's header go to the reader bin.
 func (ct *Ctrie[K, V]) Adopt(snap *Ctrie[K, V]) {
-	if ct.pin != 0 || snap.foreign == nil {
+	if ct.pin != nil || snap.foreign == nil {
 		panic("conc: Adopt into a snapshot, or of a trie that is no mutable snapshot")
 	}
 	h := ct.pool.get()
@@ -778,12 +808,12 @@ func (ct *Ctrie[K, V]) Adopt(snap *Ctrie[K, V]) {
 		}
 	}
 	snap.root.Store(nil)
+	ct.pool.unpinSnapshot(snap.pin)
 	f := snap.foreign
-	h.lifeBin().addAll(&f.ctBin)
+	h.file(&f.ctBin)
 	f.drop()
 	ct.pool.foreigns.Put(f)
-	snap.foreign, snap.src = nil, nil
-	ct.pool.unpinLife(snap.pin)
+	snap.foreign, snap.src, snap.pin = nil, nil, nil
 	h.bin().addHeader(snap)
 	h.unpin()
 	ct.pool.put(h)
@@ -848,7 +878,7 @@ func (ct *Ctrie[K, V]) walk(h *ctHandle[K, V], in *ctINode[K, V], f func(K, V) b
 // The renewal invariant: an INode is mutated only by an operation whose
 // start generation equals the INode's — gcasComplete fails every other
 // GCAS — so writers descend only through INodes of their own generation,
-// renewing an older child first (renewChild), and every INode of an older
+// renewing an older child first (renew), and every INode of an older
 // generation is frozen. A CNode may therefore hold older-generation
 // children for as long as no writer needs them.
 
@@ -856,7 +886,7 @@ func (ct *Ctrie[K, V]) walk(h *ctHandle[K, V], in *ctINode[K, V], f func(K, V) b
 // frozen, so what it finds below one is the state as of its last read of a
 // current-generation INode's main, and that read is where the lookup
 // linearizes. A writer that later wants to change anything down there must
-// first replace that main (renewChild).
+// first replace that main (renew).
 func (ct *Ctrie[K, V]) ilookup(in *ctINode[K, V], k K, hc uint32, lev uint) (V, bool) {
 	var zero V
 	m := ct.gcasRead(in)
@@ -895,7 +925,7 @@ func (ct *Ctrie[K, V]) iinsert(h *ctHandle[K, V], in *ctINode[K, V], k K, v V, h
 		cn := m.cn
 		flag, pos := ctFlagPos(hc, lev, cn.bmp)
 		if cn.bmp&flag == 0 {
-			nm := h.newMain()
+			nm := h.newMain(in.gen)
 			nm.cn = ct.cowInserted(h, cn, pos, flag, h.newSNode(hc, k, v, in.gen), in.gen)
 			if ct.gcas(h, in, m, nm) {
 				ct.retireDisplaced(h, in, m)
@@ -906,15 +936,13 @@ func (ct *Ctrie[K, V]) iinsert(h *ctHandle[K, V], in *ctINode[K, V], k K, v V, h
 		b := cn.array[pos]
 		switch {
 		case b.in != nil:
-			child := b.in
-			if child.gen != startgen {
-				if child = ct.renewChild(h, in, m, pos, startgen); child == nil {
-					return zero, false, true
-				}
+			child := ct.renew(h, in, m, pos, lev, startgen)
+			if child == nil {
+				return zero, false, true
 			}
 			return ct.iinsert(h, child, k, v, hc, lev+5, in, startgen)
 		case b.hc == hc && b.k == k:
-			nm := h.newMain()
+			nm := h.newMain(in.gen)
 			nm.cn = ct.cowUpdated(h, cn, pos, h.newSNode(hc, k, v, in.gen), in.gen)
 			if ct.gcas(h, in, m, nm) {
 				ct.retireDisplaced(h, in, m)
@@ -926,7 +954,7 @@ func (ct *Ctrie[K, V]) iinsert(h *ctHandle[K, V], in *ctINode[K, V], k K, v V, h
 			// Hash path collision: split into a subtree.
 			nsn := h.newSNode(hc, k, v, in.gen)
 			nin := h.newINode(in.gen, ct.ctDual(h, b, nsn, lev+5, in.gen))
-			nm := h.newMain()
+			nm := h.newMain(in.gen)
 			nm.cn = ct.cowUpdated(h, cn, pos, h.newINodeBranch(nin, in.gen), in.gen)
 			if ct.gcas(h, in, m, nm) {
 				ct.retireDisplaced(h, in, m)
@@ -940,7 +968,7 @@ func (ct *Ctrie[K, V]) iinsert(h *ctHandle[K, V], in *ctINode[K, V], k K, v V, h
 	case m.ln != nil:
 		old, had := m.ln.get(k)
 		nln := m.ln.inserted(h.newSNode(hc, k, v, in.gen))
-		nm := h.newMain()
+		nm := h.newMain(in.gen)
 		nm.ln = nln
 		if ct.gcas(h, in, m, nm) {
 			return old, had, false
@@ -967,11 +995,9 @@ func (ct *Ctrie[K, V]) iremove(h *ctHandle[K, V], in *ctINode[K, V], k K, hc uin
 		)
 		b := cn.array[pos]
 		if b.in != nil {
-			child := b.in
-			if child.gen != startgen {
-				if child = ct.renewChild(h, in, m, pos, startgen); child == nil {
-					return zero, false, true
-				}
+			child := ct.renew(h, in, m, pos, lev, startgen)
+			if child == nil {
+				return zero, false, true
 			}
 			res, removed, restart = ct.iremove(h, child, k, hc, lev+5, in, startgen)
 		} else if b.hc == hc && b.k == k {
@@ -1032,13 +1058,11 @@ func (ct *Ctrie[K, V]) cleanParent(h *ctHandle[K, V], parent, in *ctINode[K, V],
 		}
 		nm := ct.toContracted(h, ct.cowUpdated(h, cn, pos, m.tn, parent.gen), plev)
 		if ct.gcas(h, parent, pm, nm) {
-			// The unlinked INode and its edge box are unreachable now; a
-			// TNode main is terminal, so in cannot have un-tombed.
+			// The unlinked INode, its edge box and its TNode main are
+			// unreachable now; a TNode main is terminal, so in cannot have
+			// un-tombed.
 			ct.retireDisplaced(h, parent, pm)
-			if ct.unversioned {
-				h.bin().addMain(m)
-			}
-			ct.retireEdge(h, parent, sub)
+			ct.retireEdge(h, parent, sub, m)
 			return
 		}
 		if ct.rdcssReadRoot(false).gen != startgen {

@@ -164,8 +164,8 @@ func TestCtrieSharedNodesAgeOutThroughSnapshots(t *testing.T) {
 					t.Fatalf("seed %d step %d: view %d: %s", seed, step, i, msg)
 				}
 				// Halfway through, the newest snapshot becomes the one nobody
-				// discards: from then on the lifetime epoch can no longer
-				// advance past it, which must cost reuse, never correctness.
+				// discards: from then on it holds what it reaches for good,
+				// which must cost reuse, never correctness.
 				if step == steps/2 && kept < 0 && len(views) > 1 {
 					kept = len(views) - 1
 				}
@@ -250,7 +250,7 @@ func TestCtrieShadowNeverRecyclesSourceNodes(t *testing.T) {
 
 // TestCtrieSharedNodesAgeOutConcurrent races the lifetime protocol: writers
 // churn a poisoned base while holders take a read-only snapshot, a mutable
-// snapshot of it (which inherits its pin), write to the mutable one, check
+// snapshot of it (which holds its pin slot), write to the mutable one, check
 // both against what they held, and discard both. Halfway through, one
 // holder keeps a snapshot that is never discarded. A node recycled while a
 // holder can still reach it is poisoned, so that holder's check misses a

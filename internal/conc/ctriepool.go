@@ -1,6 +1,7 @@
 package conc
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -12,13 +13,15 @@ import (
 // Nodes that were never published (a losing GCAS copy) skip the grace
 // period entirely via recycle*Now.
 //
-// A displaced node that snapshots may still share first waits out their
-// lifetimes (DESIGN.md §13): the pool keeps a second epoch, the lifetime
-// epoch, that every snapshot pins from before it is taken until Discard,
-// and the handle keeps a second set of epochBins, the lifetime bins, on
-// it. A lifetime bin tagged t moves into the reader bins once the lifetime
-// epoch reaches t+ebrGrace — every snapshot that could see its nodes is
-// gone — and from there ages out like any other cohort.
+// A displaced node that snapshots may still reach first waits for them
+// (DESIGN.md §13). Every node carries a birth stamp, the seq of the
+// generation it was built under, and every live snapshot holds a pin slot
+// with its point: the seq of its source's fresh generation, drawn before
+// its RDCSS. A snapshot reaches a node only if the node was born before its
+// point and displaced after it, so a displaced node waits in one of the
+// handle's held cohorts only while a live pin's point lies between its
+// birth and its filing, and is re-checked on every drain; any other goes
+// to the reader bins at once.
 //
 // Handles are recycled through a sync.Pool, so the number of registered
 // epoch slots is bounded by the peak number of concurrent operations, and
@@ -37,18 +40,25 @@ const (
 	ctRootCap   = 2 * advanceEvery
 	ctHeaderCap = advanceEvery
 
-	// ctLifeCap caps each list of a lifetime bin. A lifetime cohort on the
-	// Figure-4 path holds 8–10 nodes of a kind on average and outgrows the
-	// cap only while the lifetime epoch stalls (10–12 % of lifetime
-	// retirements overflow at this cap, 5–8 % at 1024). A snapshot nobody
-	// discards stalls it for good, and full lifetime bins are then what it
-	// costs: nodes every collection marks again.
-	ctLifeCap = 128
+	// ctHeldCap caps each node kind in a held cohort. A held node is one a
+	// pinned snapshot may reach, so for a snapshot that is discarded in the
+	// end it is live anyway; the cap binds for snapshots nobody discards,
+	// whose reach grows without end once they are many. Nodes a stalled
+	// snapshot holds for long end up in the oldest cohort, so its cap
+	// leaves the newer ones room for what is held only briefly. What the
+	// cap turns away goes to the collector and is counted (ctPool.dropped).
+	ctHeldCap = 1024
+	// ctHeldCohorts bounds a handle's held cohorts; a filing beyond it
+	// joins the newest one.
+	ctHeldCohorts = 4
+	// ctPinSlots bounds the pin slots. With every one held — only
+	// snapshots nobody discards get there — a new snapshot shares the
+	// last slot, widened to cover every point below its own.
+	ctPinSlots = 64
 )
 
 // ctBin is one cohort of retired nodes.
 type ctBin[K comparable, V any] struct {
-	life     bool // a lifetime bin: lists capped at ctLifeCap
 	mains    []*ctMain[K, V]
 	cnodes   []*ctCNode[K, V]
 	branches []*ctBranch[K, V]
@@ -59,39 +69,23 @@ type ctBin[K comparable, V any] struct {
 	headers []*Ctrie[K, V]
 }
 
-// binAdd appends x to a list of a bin, unless the bin is a full lifetime
-// bin: then x is left to the garbage collector.
-func binAdd[T any](life bool, list *[]T, x T) {
-	if !life || len(*list) < ctLifeCap {
-		*list = append(*list, x)
-	}
-}
-
-func (b *ctBin[K, V]) addMain(m *ctMain[K, V])     { binAdd(b.life, &b.mains, m) }
-func (b *ctBin[K, V]) addCNode(cn *ctCNode[K, V])  { binAdd(b.life, &b.cnodes, cn) }
-func (b *ctBin[K, V]) addBranch(x *ctBranch[K, V]) { binAdd(b.life, &b.branches, x) }
-func (b *ctBin[K, V]) addINode(in *ctINode[K, V])  { binAdd(b.life, &b.ins, in) }
-func (b *ctBin[K, V]) addRoot(r *rootRef[K, V])    { binAdd(b.life, &b.roots, r) }
-func (b *ctBin[K, V]) addHeader(ct *Ctrie[K, V])   { binAdd(b.life, &b.headers, ct) }
+func (b *ctBin[K, V]) addMain(m *ctMain[K, V])     { b.mains = append(b.mains, m) }
+func (b *ctBin[K, V]) addCNode(cn *ctCNode[K, V])  { b.cnodes = append(b.cnodes, cn) }
+func (b *ctBin[K, V]) addBranch(x *ctBranch[K, V]) { b.branches = append(b.branches, x) }
+func (b *ctBin[K, V]) addINode(in *ctINode[K, V])  { b.ins = append(b.ins, in) }
+func (b *ctBin[K, V]) addRoot(r *rootRef[K, V])    { b.roots = append(b.roots, r) }
+func (b *ctBin[K, V]) addHeader(ct *Ctrie[K, V])   { b.headers = append(b.headers, ct) }
 
 func (b *ctBin[K, V]) empty() bool {
 	return len(b.mains)+len(b.cnodes)+len(b.branches)+len(b.ins) == 0
 }
 
-// binAddAll is binAdd for every element of xs.
-func binAddAll[T any](life bool, list *[]T, xs []T) {
-	if life {
-		xs = xs[:min(len(xs), max(ctLifeCap-len(*list), 0))]
-	}
-	*list = append(*list, xs...)
-}
-
 // addAll adds every node of src to b; src is left as it was.
 func (b *ctBin[K, V]) addAll(src *ctBin[K, V]) {
-	binAddAll(b.life, &b.mains, src.mains)
-	binAddAll(b.life, &b.cnodes, src.cnodes)
-	binAddAll(b.life, &b.branches, src.branches)
-	binAddAll(b.life, &b.ins, src.ins)
+	b.mains = append(b.mains, src.mains...)
+	b.cnodes = append(b.cnodes, src.cnodes...)
+	b.branches = append(b.branches, src.branches...)
+	b.ins = append(b.ins, src.ins...)
 }
 
 // reset empties b, keeping its capacity.
@@ -114,6 +108,66 @@ func (b *ctBin[K, V]) drop() {
 	b.reset()
 }
 
+// ctHeld is a held cohort: displaced nodes that a snapshot pinned when
+// they were filed may still reach. r is the gens count read at filing, and
+// every node kept was born before top, the reach it was last sorted under
+// (math.MaxUint64 while unsorted).
+type ctHeld[K comparable, V any] struct {
+	r, top uint64
+	ctBin[K, V]
+}
+
+// ctPin is a snapshot's pin slot. While held (hi != 0) it covers the
+// points lo..hi: a node born before hi and filed at or after lo may still
+// be reachable. One snapshot covers its own point (lo == hi); a snapshot
+// of a snapshot also holds its source's slot (parent), since it reaches
+// all its source reaches; a snapshot that shares a slot widens it to lo 0.
+type ctPin struct {
+	lo, hi atomic.Uint64
+	refs   atomic.Int32 // holders; -1 while a claim sets it up or the last holder clears it
+	parent *ctPin       // held while this slot is
+	_      [32]byte     // pad to a cache line: each is written by its own snapshot
+}
+
+// ctSpan is a held pin slot's lo..hi as one scan read it.
+type ctSpan struct{ lo, hi uint64 }
+
+// share takes one more hold on a held slot, or reports false if s is idle
+// or being cleared.
+func (s *ctPin) share() bool {
+	for {
+		n := s.refs.Load()
+		if n < 1 {
+			return false
+		}
+		if s.refs.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// raise lifts s's hi to at least point.
+func (s *ctPin) raise(point uint64) {
+	for {
+		hi := s.hi.Load()
+		if hi >= point || s.hi.CompareAndSwap(hi, point) {
+			return
+		}
+	}
+}
+
+// reach is the highest hi among the spans whose lo is at or below r: a node
+// filed at r is blocked exactly when it was born before that.
+func reach(spans []ctSpan, r uint64) uint64 {
+	top := uint64(0)
+	for _, s := range spans {
+		if s.lo <= r && s.hi > top {
+			top = s.hi
+		}
+	}
+	return top
+}
+
 // ctPool is the per-structure reclamation domain + handle cache. A Ctrie
 // and every snapshot derived from it share one ctPool, because retired
 // nodes may still be traversed by readers of either.
@@ -122,14 +176,9 @@ type ctPool[K comparable, V any] struct {
 	handles  sync.Pool
 	foreigns sync.Pool // *ctForeign, one per live mutable snapshot
 
-	// life is the lifetime epoch and lifePins[e&1] the number of live
-	// snapshots pinned at epoch e. Live pins are only ever at life-1 and
-	// life, so two counters suffice, and advancing past e+1 waits for the
-	// count at e to drain: a snapshot pin is one counter, not a registry
-	// slot every advance must scan.
-	life     atomic.Uint64
-	lifePins [2]atomic.Int64
-	gens     atomic.Uint64 // generations numbered so far
+	gens    atomic.Uint64       // generations numbered so far
+	pins    SlotRegistry[ctPin] // one slot per live snapshot, claimed and left idle, never released
+	dropped atomic.Uint64       // held nodes turned away at ctHeldCap
 
 	// poison is the zero generation except in tests: then every node, root
 	// object and header entering a freelist is stamped with it and dropped
@@ -143,9 +192,6 @@ func newCtPool[K comparable, V any]() *ctPool[K, V] {
 	p.handles.New = func() any {
 		h := &ctHandle[K, V]{pool: p}
 		h.participant = join(p.ebr, h)
-		for i := range h.lbins.bin {
-			h.lbins.bin[i].life = true
-		}
 		return h
 	}
 	p.foreigns.New = func() any { return new(ctForeign[K, V]) }
@@ -172,41 +218,79 @@ func (p *ctPool[K, V]) newGen(line uint64) ctGen {
 	return ctGen{line: line, seq: p.gens.Add(1)}
 }
 
-// pinLife pins the lifetime epoch for a new snapshot and returns the pin
-// (epoch+1). A snapshot of a snapshot reaches everything its source reaches,
-// so it takes the source's pin (src, non-zero) instead of the current
-// epoch; the source is live, so that epoch cannot be released meanwhile.
-// A fresh pin re-reads the epoch after counting itself: if the epoch moved
-// in between, an advance may not have seen the count, so it retries.
-func (p *ctPool[K, V]) pinLife(src uint64) uint64 {
-	if src != 0 {
-		p.lifePins[(src-1)&1].Add(1)
-		return src
-	}
+// pinSnapshot claims a pin slot for a new snapshot at point and returns
+// it; src is the source's slot when the source is a snapshot too, and is
+// held as long as the new slot is. The caller stores the slot before its
+// RDCSS, so a filer that displaced a node after the RDCSS sees it.
+func (p *ctPool[K, V]) pinSnapshot(point uint64, src *ctPin) *ctPin {
 	for {
-		e := p.life.Load()
-		c := &p.lifePins[e&1]
-		c.Add(1)
-		if p.life.Load() == e {
-			return e + 1
+		slots := p.pins.Slots()
+		for _, s := range slots {
+			// Claimed at -1, so nobody shares it half set up.
+			if s.refs.Load() == 0 && s.refs.CompareAndSwap(0, -1) {
+				if src != nil {
+					src.share() // held by its live snapshot, so it succeeds
+				}
+				s.parent = src
+				s.lo.Store(point)
+				s.hi.Store(point)
+				s.refs.Store(1)
+				return s
+			}
 		}
-		c.Add(-1)
+		if len(slots) < ctPinSlots {
+			p.pins.register()
+			continue
+		}
+		// Every slot is held: share the last one, widened to every point
+		// up to this one (which covers src's as well). Later snapshots
+		// share it too, so one slot is widened and the others stay exact.
+		if s := slots[len(slots)-1]; s.share() {
+			s.lo.Store(0)
+			s.raise(point)
+			return s
+		}
 	}
 }
 
-// unpinLife releases a snapshot's pin.
-func (p *ctPool[K, V]) unpinLife(pin uint64) {
-	p.lifePins[(pin-1)&1].Add(-1)
-	p.advanceLife()
+// unpinSnapshot gives up a snapshot's hold on its slot; the last holder
+// clears it and gives up the hold on its parent.
+func (p *ctPool[K, V]) unpinSnapshot(s *ctPin) {
+	for s != nil {
+		n := s.refs.Load()
+		if n > 1 {
+			if s.refs.CompareAndSwap(n, n-1) {
+				return
+			}
+			continue
+		}
+		if !s.refs.CompareAndSwap(1, -1) {
+			continue
+		}
+		s.hi.Store(0)
+		s.lo.Store(0)
+		parent := s.parent
+		s.parent = nil
+		s.refs.Store(0)
+		s = parent
+	}
 }
 
-// advanceLife moves the lifetime epoch from e to e+1 unless a snapshot is
-// still pinned at e-1 (a pin at e may stay: it keeps the next advance out).
-func (p *ctPool[K, V]) advanceLife() {
-	e := p.life.Load()
-	if p.lifePins[(e-1)&1].Load() == 0 {
-		p.life.CompareAndSwap(e, e+1)
+// spans appends the span of every held pin slot to dst. A slot whose hi
+// moved while it was read counts from 0.
+func (p *ctPool[K, V]) spans(dst []ctSpan) []ctSpan {
+	for _, s := range p.pins.Slots() {
+		hi := s.hi.Load()
+		if hi == 0 {
+			continue
+		}
+		lo := s.lo.Load()
+		if s.hi.Load() != hi {
+			lo = 0
+		}
+		dst = append(dst, ctSpan{lo, hi})
 	}
+	return dst
 }
 
 // ctHandle is one participant's view of the pool.
@@ -214,10 +298,13 @@ type ctHandle[K comparable, V any] struct {
 	participant
 	pool *ctPool[K, V]
 
-	// bins wait out readers (tagged with the reader epoch); lbins wait out
-	// snapshots first (tagged with the lifetime epoch).
+	// bins wait out readers (tagged with the reader epoch); held waits
+	// out the snapshots that may reach its nodes first; aside collects
+	// what the current operation displaced for held, filed when it ends.
 	bins  epochBins[ctBin[K, V]]
-	lbins epochBins[ctBin[K, V]]
+	held  []ctHeld[K, V]
+	aside ctBin[K, V]
+	scan  []ctSpan // scratch for pin scans
 
 	// Freelists (allocator cache). cnodes is indexed by array length.
 	mains    freeList[ctMain[K, V]]
@@ -236,22 +323,32 @@ type ctHandle[K comparable, V any] struct {
 	foreign *ctForeign[K, V]
 }
 
-// pin also advances the lifetime epoch, before the drain, on the pins the
-// participant advances the reader epoch.
+// pin also drains, on the pins the participant advances the reader epoch.
 func (h *ctHandle[K, V]) pin() {
 	if h.participant.pin() {
-		h.pool.advanceLife()
 		h.drainExpired()
+	}
+}
+
+// drainExpired moves every aged-out reader bin to the freelists, then
+// releases what the held cohorts no longer need to hold.
+func (h *ctHandle[K, V]) drainExpired() {
+	h.bins.expire(h.epoch(), h.drainBin)
+	if len(h.held) > 0 {
+		h.scan = h.pool.spans(h.scan[:0])
+		h.recheck()
 	}
 }
 
 // --- allocation ---------------------------------------------------------
 
-func (h *ctHandle[K, V]) newMain() *ctMain[K, V] {
+// newMain returns an empty main born under gen.
+func (h *ctHandle[K, V]) newMain(gen ctGen) *ctMain[K, V] {
 	if m := h.mains.pop(); m != nil {
+		m.born = gen.seq
 		return m
 	}
-	return &ctMain[K, V]{}
+	return &ctMain[K, V]{born: gen.seq}
 }
 
 // newCNode returns a CNode whose array has length n, recycled if possible.
@@ -316,42 +413,160 @@ func (h *ctHandle[K, V]) bin() *ctBin[K, V] {
 	return h.bins.at(h.epoch(), h.drainBin)
 }
 
-// lifeBin returns the lifetime bin for the current lifetime epoch; an
-// aged-out cohort of its class moves on to the reader bins first. The
-// caller reads the epoch here, after the displacing GCAS won.
-func (h *ctHandle[K, V]) lifeBin() *ctBin[K, V] {
-	return h.lbins.at(h.pool.life.Load(), h.promote)
-}
-
 // binFor is where a node of generation gen goes once an operation of
 // generation owner on ct has displaced it: the reader bin when gen is owner
-// (created since the trie's latest snapshot, so no snapshot can reach it),
-// the lifetime bin when gen is an older generation of owner's lineage (the
-// trie built it, so only snapshots taken since can still reach it). A node
-// of another lineage is still live in the trie it came from: a mutable
-// snapshot adds it to its record (Adopt files the record, Discard drops
-// it), any other trie leaves it to the garbage collector.
+// (created since the trie's latest snapshot, so no snapshot can reach it).
+// A node of another lineage displaced by a mutable snapshot is still live
+// in the snapshot's source: it goes to the snapshot's record (Adopt files
+// the record, Discard drops it). Any other node — an older generation of
+// owner's lineage, or one an adopted snapshot brought in — is reachable
+// from no trie's current state any more, only from snapshots pinned before
+// now: it is set aside and filed when the operation ends (file).
 func (ct *Ctrie[K, V]) binFor(h *ctHandle[K, V], owner, gen ctGen) *ctBin[K, V] {
 	switch {
 	case gen == owner:
 		return h.bin()
-	case gen.line == owner.line:
-		return h.lifeBin()
-	case ct.foreign != nil:
+	case gen.line != owner.line && ct.foreign != nil:
 		if h.foreign == nil {
 			ct.foreign.mu.Lock()
 			h.foreign = ct.foreign
 		}
 		return &h.foreign.ctBin
 	}
-	return nil
+	return &h.aside
 }
 
-// drainExpired moves every aged-out reader bin to the freelists, then every
-// aged-out lifetime bin to the reader bins.
-func (h *ctHandle[K, V]) drainExpired() {
-	h.bins.expire(h.epoch(), h.drainBin)
-	h.lbins.expire(h.pool.life.Load(), h.promote)
+// file sends the displaced nodes of src to the reader bin when no pinned
+// snapshot can reach any of them, and else holds them, unsorted, in a
+// cohort: the next recheck releases them whole if the snapshots that block
+// them are gone by then, as they mostly are, or sorts them by birth. src is
+// left as it was. r is read after the displacements and before the scan,
+// so every snapshot that reaches one of them has its point at or below r,
+// above the node's birth, and its slot in the scan.
+func (h *ctHandle[K, V]) file(src *ctBin[K, V]) {
+	r := h.pool.gens.Load()
+	h.scan = h.pool.spans(h.scan[:0])
+	if reach(h.scan, r) == 0 {
+		h.bin().addAll(src)
+		return
+	}
+	c := h.cohort(r)
+	c.top = math.MaxUint64
+	h.countDropped(c.join(src))
+}
+
+// cohort returns the held cohort to file at r, under h.scan: the newest
+// one, restamped r, when it is still unsorted and no pin slot was claimed
+// in between (the same snapshots count for both stamps); else a new, empty
+// one behind the others. With ctHeldCohorts already held, the cohorts are re-checked
+// first, and if that frees none, the two oldest merge, under the later
+// stamp of the two (a later stamp only counts more snapshots): they hold
+// what has been held longest, and the cap of the merged one turns away
+// that, not what was filed last.
+func (h *ctHandle[K, V]) cohort(r uint64) *ctHeld[K, V] {
+	n := len(h.held)
+	if n > 0 && h.held[n-1].top == math.MaxUint64 {
+		c := &h.held[n-1]
+		same := true
+		for _, sp := range h.scan {
+			same = same && (sp.lo <= c.r || sp.lo > r)
+		}
+		if same {
+			c.r = r
+			return c
+		}
+	}
+	if n == ctHeldCohorts {
+		h.recheck()
+		n = len(h.held)
+	}
+	if n == ctHeldCohorts {
+		a, b := &h.held[0], h.held[1]
+		h.countDropped(a.join(&b.ctBin))
+		a.r, a.top = b.r, max(a.top, b.top)
+		b.drop()
+		copy(h.held[1:], h.held[2:])
+		h.held[n-1] = b
+		n--
+	}
+	if n < cap(h.held) {
+		h.held = h.held[:n+1] // an emptied cohort, capacity kept
+	} else {
+		h.held = append(h.held, ctHeld[K, V]{})
+	}
+	c := &h.held[n]
+	c.r, c.top = r, 0
+	return c
+}
+
+// recheck releases what the held cohorts no longer need to hold, under
+// h.scan. A cohort no pinned snapshot reaches any more goes to the reader
+// bin whole; one whose reach has fallen, not to 0, is sorted by birth; any
+// other is left as it is. Emptied cohorts move behind the others, keeping
+// their capacity.
+func (h *ctHandle[K, V]) recheck() {
+	rel := h.bin()
+	n := 0
+	for i := range h.held {
+		c := &h.held[i]
+		switch top := reach(h.scan, c.r); {
+		case top == 0:
+			rel.addAll(&c.ctBin)
+			c.drop()
+		case top < c.top:
+			sift(&c.mains, top, &rel.mains)
+			sift(&c.cnodes, top, &rel.cnodes)
+			sift(&c.branches, top, &rel.branches)
+			sift(&c.ins, top, &rel.ins)
+			c.top = top
+		}
+		if !c.empty() {
+			h.held[n], h.held[i] = h.held[i], h.held[n]
+			n++
+		}
+	}
+	h.held = h.held[:n]
+}
+
+// countDropped counts n held nodes turned away at ctHeldCap.
+func (h *ctHandle[K, V]) countDropped(n int) {
+	if n > 0 {
+		h.pool.dropped.Add(uint64(n))
+	}
+}
+
+// join adds src's nodes to c while each list holds fewer than ctHeldCap,
+// and returns how many it turned away.
+func (c *ctHeld[K, V]) join(src *ctBin[K, V]) int {
+	return capped(&c.mains, src.mains) + capped(&c.cnodes, src.cnodes) +
+		capped(&c.branches, src.branches) + capped(&c.ins, src.ins)
+}
+
+// capped appends xs to a held list while it has fewer than ctHeldCap nodes
+// and returns how many it turned away.
+func capped[T any](list *[]T, xs []T) (dropped int) {
+	n := min(len(xs), max(ctHeldCap-len(*list), 0))
+	*list = append(*list, xs[:n]...)
+	return len(xs) - n
+}
+
+// ctNode is what every node kind tells its birth stamp through.
+type ctNode interface{ birth() uint64 }
+
+// sift moves every node of a held list born at or after top — no pinned
+// snapshot reaches it — to *rel and keeps the others.
+func sift[T ctNode](list *[]T, top uint64, rel *[]T) {
+	xs := *list
+	kept := xs[:0]
+	for _, x := range xs {
+		if x.birth() >= top {
+			*rel = append(*rel, x)
+		} else {
+			kept = append(kept, x)
+		}
+	}
+	clear(xs[len(kept):])
+	*list = kept
 }
 
 func (h *ctHandle[K, V]) drainBin(b *ctBin[K, V]) {
@@ -376,17 +591,6 @@ func (h *ctHandle[K, V]) drainBin(b *ctBin[K, V]) {
 	b.reset()
 }
 
-// promote hands a lifetime cohort whose snapshots are all gone to the
-// current reader bin: a reader of the trie that displaced it may still be
-// walking it.
-func (h *ctHandle[K, V]) promote(lb *ctBin[K, V]) {
-	if lb.empty() {
-		return
-	}
-	h.bin().addAll(lb)
-	lb.reset()
-}
-
 // --- immediate recycling (never-published or fully-aged nodes) ----------
 
 func (h *ctHandle[K, V]) recycleMainNow(m *ctMain[K, V]) {
@@ -395,7 +599,7 @@ func (h *ctHandle[K, V]) recycleMainNow(m *ctMain[K, V]) {
 		return
 	}
 	if h.mains.push(m, ctMainCap) {
-		m.cn, m.tn, m.ln, m.failed = nil, nil, nil, nil
+		m.cn, m.tn, m.ln, m.failed, m.born = nil, nil, nil, nil, 0
 		m.prev.Store(nil)
 	}
 }
@@ -451,8 +655,8 @@ func (h *ctHandle[K, V]) recycleRootNow(r *rootRef[K, V]) {
 // recycleHeaderNow readies a snapshot header for reuse. Poisoned, its root
 // is a poisoned root object.
 func (h *ctHandle[K, V]) recycleHeaderNow(ct *Ctrie[K, V]) {
-	ct.hash, ct.pool, ct.src, ct.foreign = nil, nil, nil, nil
-	ct.readOnly, ct.unversioned, ct.pin = false, false, 0
+	ct.hash, ct.pool, ct.src, ct.foreign, ct.pin = nil, nil, nil, nil, nil
+	ct.readOnly, ct.unversioned = false, false
 	if g := h.pool.poison; g != (ctGen{}) {
 		r := &rootRef[K, V]{}
 		h.recycleRootNow(r)
@@ -468,11 +672,16 @@ func (h *ctHandle[K, V]) recycleHeaderNow(ct *Ctrie[K, V]) {
 // the subtree below in (Ctrie.Discard states why that is safe). An INode
 // edge box always carries its INode's generation, and nodes of a generation
 // sit only below nodes of the same generation, so the walk stops at the
-// first older one. TNode/LNode mains are left to the garbage collector.
+// first older one. A TNode main of the generation goes too (the box it
+// entombs is left alone); LNode mains are left to the garbage collector.
 func (h *ctHandle[K, V]) discard(in *ctINode[K, V]) {
 	gen := in.gen
 	m := in.main.Load()
 	h.recycleINodeNow(in)
+	if m.tn != nil && m.born == gen.seq {
+		h.recycleMainNow(m)
+		return
+	}
 	if m.cn == nil || m.cn.gen != gen {
 		return
 	}

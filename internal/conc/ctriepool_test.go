@@ -67,7 +67,7 @@ func TestCtriePoolRecycledMainsFresh(t *testing.T) {
 	junkMain := &ctMain[int, int]{}
 	poisoned := make(map[*ctMain[int, int]]bool)
 	for i := 0; i < 64; i++ {
-		m := h.newMain()
+		m := h.newMain(ctGen{})
 		m.cn = &ctCNode[int, int]{}
 		m.tn = &ctBranch[int, int]{}
 		m.ln = &ctLNode[int, int]{}
@@ -85,7 +85,7 @@ func TestCtriePoolRecycledMainsFresh(t *testing.T) {
 
 	recycled := 0
 	for i := 0; i < 128; i++ {
-		m := h.newMain()
+		m := h.newMain(ctGen{})
 		if poisoned[m] {
 			recycled++
 			if m.cn != nil || m.tn != nil || m.ln != nil || m.failed != nil || m.prev.Load() != nil {

@@ -17,10 +17,9 @@ import (
 // the skiplist, EpochPool users) can pool and reuse retired nodes instead
 // of leaving every displaced node to the garbage collector. It is
 // deliberately tiny: a global epoch counter, a registry of padded
-// participant slots whose released entries are handed out again, and two
-// operations (tryAdvance, synchronize). The parts every pooled handle is
-// built from (a participant, its retire bins and freelists) are in
-// epochpool.go.
+// participant slots whose released entries are handed out again, and one
+// operation (tryAdvance). The parts every pooled handle is built from (a
+// participant, its retire bins and freelists) are in epochpool.go.
 
 // ebrGrace is the number of epoch advances that must be observed after an
 // object is retired before it may be reused: a participant pinned at epoch
@@ -134,17 +133,4 @@ func (e *ebr) tryAdvance() bool {
 		}
 	}
 	return e.global.CompareAndSwap(cur, cur+1)
-}
-
-// synchronize blocks until a full grace period has elapsed: every pinned
-// section that was in flight when it was called has ended. The caller must
-// NOT be pinned. Cost is bounded by the duration of in-flight operations,
-// not by the size of any structure.
-func (e *ebr) synchronize() {
-	target := e.global.Load() + ebrGrace
-	for e.global.Load() < target {
-		if !e.tryAdvance() {
-			runtime.Gosched()
-		}
-	}
 }

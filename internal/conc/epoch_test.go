@@ -48,36 +48,6 @@ func TestEBRGraceCounting(t *testing.T) {
 	}
 }
 
-// TestEBRSynchronizeWaitsForPinned checks that synchronize cannot return
-// while a participant pinned before the call is still pinned, and returns
-// promptly once it unpins.
-func TestEBRSynchronizeWaitsForPinned(t *testing.T) {
-	e := new(ebr)
-	s := e.slots.register()
-	s.pin(&e.global)
-	// One advance can still succeed (s is at the current epoch); from then
-	// on s is stale and pins the epoch in place, so synchronize must block.
-	var done atomic.Bool
-	go func() {
-		e.synchronize()
-		done.Store(true)
-	}()
-	time.Sleep(20 * time.Millisecond)
-	if done.Load() {
-		t.Fatal("synchronize returned while a participant stayed pinned")
-	}
-	s.unpin()
-	deadline := time.After(5 * time.Second)
-	for !done.Load() {
-		select {
-		case <-deadline:
-			t.Fatal("synchronize did not return after the participant unpinned")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-}
-
 // TestEBRRegistryBoundedUnderHandleChurn lets sync.Pool drop a Ctrie's
 // participant handles again and again — every collection empties the pool
 // after two cycles — and checks that the slots of dropped handles are
@@ -142,11 +112,11 @@ func TestEpochPoolRegistryBoundedUnderHandleChurn(t *testing.T) {
 	}
 }
 
-// TestEBRConcurrentPinUnpin stresses pin/unpin against a synchronizer; the
-// invariant under test is that synchronize always terminates (participants
-// that keep re-pinning pick up the new epoch and so never wedge it) while
-// the epoch only moves forward. Run with -race to check the announcement
-// protocol's memory ordering.
+// TestEBRConcurrentPinUnpin stresses pin/unpin against an advancer; the
+// invariant under test is that the epoch keeps advancing (participants that
+// keep re-pinning pick up the new epoch and so never wedge it) and only
+// moves forward. Run with -race to check the announcement protocol's memory
+// ordering.
 func TestEBRConcurrentPinUnpin(t *testing.T) {
 	e := new(ebr)
 	const workers = 4
@@ -164,8 +134,19 @@ func TestEBRConcurrentPinUnpin(t *testing.T) {
 		}()
 	}
 	start := e.global.Load()
-	for i := 0; i < 50; i++ {
-		e.synchronize()
+	deadline := time.Now().Add(10 * time.Second)
+	for prev := start; e.global.Load() < start+50*ebrGrace; {
+		if time.Now().After(deadline) {
+			break
+		}
+		if !e.tryAdvance() {
+			runtime.Gosched()
+		}
+		if cur := e.global.Load(); cur < prev {
+			t.Fatalf("the epoch moved back from %d to %d", prev, cur)
+		} else {
+			prev = cur
+		}
 	}
 	stop.Store(true)
 	wg.Wait()

@@ -74,8 +74,7 @@ func (p *participant) epoch() uint64 {
 // epochBins are a handle's three retire bins, one per epoch residue class
 // mod 3, each holding one cohort tagged with the epoch it was retired in.
 // Tags in one class differ by a multiple of 3 ≥ ebrGrace+1, so the cohort a
-// bin still holds when its class comes round again has aged out. The epoch
-// is the caller's: the reader epoch, or the Ctrie's lifetime epoch.
+// bin still holds when its class comes round again has aged out.
 type epochBins[B any] struct {
 	tag [3]uint64
 	bin [3]B
