@@ -30,9 +30,10 @@ const DefaultMemSize = 1024
 
 // OptimisticLAP maps abstract keys onto an array mem[0..M) of STM-managed
 // locations: a read intent on key k becomes an STM read of mem[h(k) mod M],
-// a write intent becomes an STM write of a unique token (the transaction
-// serial — the paper notes the values only need to be unique). Conflicting
-// intents therefore become conflicting STM accesses, detected and resolved
+// a write intent becomes an STM write of the conflict-abstraction token
+// (stm.SetSerialToken: the paper writes unique values, and the STM's
+// per-commit versions make one shared token do). Conflicting intents
+// therefore become conflicting STM accesses, detected and resolved
 // by whatever detection policy the STM runs (predication-style conflict
 // abstraction, generalized beyond sets and maps).
 type OptimisticLAP[K comparable] struct {
@@ -66,8 +67,8 @@ func (l *OptimisticLAP[K]) loc(k K) *stm.Ref[uint64] {
 	return l.mem[l.hash(k)&uint64(len(l.mem)-1)]
 }
 
-// PreOp announces one intent: a read for a read intent, a unique-token
-// write for a write intent. Write intents additionally Touch the location,
+// PreOp announces one intent: a read for a read intent, a token write for
+// a write intent. Write intents additionally Touch the location,
 // recording a *leading* read-set entry: any transaction that later commits a
 // conflicting operation invalidates this one at validation time, even if no
 // subsequent read of the location would otherwise notice (a buffered write

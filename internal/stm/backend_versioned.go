@@ -39,7 +39,7 @@ func (tx *Txn) readVersioned(r *baseRef) any {
 			rv = tx.rvVec[r.shard]
 			continue
 		}
-		tx.logRead(r, v1, nil)
+		tx.logRead(r, v1)
 		tx.phaseExit(pp)
 		return b.v
 	}

@@ -11,7 +11,7 @@ import (
 // cell are never written again.
 
 // TestRepeatWriteLeavesTokenBoxAlone: the serial token is one box published
-// into every conflict-abstraction location of an attempt. A later Set of one
+// into every conflict-abstraction location of every attempt. A later Set of one
 // of those refs must replace the token there with a cell of its own, never
 // store into the token box, which the other ref still holds.
 func TestRepeatWriteLeavesTokenBoxAlone(t *testing.T) {
@@ -21,7 +21,7 @@ func TestRepeatWriteLeavesTokenBoxAlone(t *testing.T) {
 		if err := s.Atomically(func(tx *Txn) error {
 			SetSerialToken(tx, a)
 			SetSerialToken(tx, b)
-			tok = tx.serialToken()
+			tok = serialToken
 			a.Set(tx, 42)
 			if got := a.Get(tx); got != 42 {
 				t.Errorf("a.Get after Set = %d, want 42", got)
@@ -58,6 +58,52 @@ func TestRepeatWriteLeavesTokenBoxAlone(t *testing.T) {
 			return nil
 		}); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// TestSerialTokenWriteInvalidatesReader: a committed write of the shared
+// token over the token must still invalidate a transaction that read the
+// location before it — the box is the same, only the version the commit
+// stamped tells the two apart. It is the token analogue of
+// TestNOrecTouchSupportsTheorem53: a backend that validated by box identity
+// would let T1 commit on its first attempt.
+func TestSerialTokenWriteInvalidatesReader(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, s *STM) {
+		loc, other := NewRef[uint64](s, 0), NewRef[uint64](s, 0)
+		if err := s.Atomically(func(tx *Txn) error {
+			SetSerialToken(tx, loc)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		attempts := 0
+		if err := s.Atomically(func(tx *Txn) error {
+			attempts++
+			_ = loc.Get(tx)
+			if attempts == 1 {
+				done := make(chan error)
+				go func() {
+					done <- s.Atomically(func(tx2 *Txn) error {
+						SetSerialToken(tx2, loc)
+						return nil
+					})
+				}()
+				if err := <-done; err != nil {
+					t.Error(err)
+				}
+			}
+			other.Set(tx, 1)
+			loc.Touch(tx)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if attempts < 2 {
+			t.Fatalf("attempts = %d, want >= 2 (a committed token write must invalidate the read)", attempts)
+		}
+		if loc.b.value.Load() != serialToken {
+			t.Fatal("loc no longer holds the token")
 		}
 	})
 }

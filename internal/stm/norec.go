@@ -11,14 +11,17 @@ import (
 // remark that "the Proust methodology could be implemented as a framework
 // for other STMs".
 //
-// NOrec keeps no per-location metadata at all: a single global sequence lock
-// (owned by this backend, one per STM instance) orders writers, and readers
-// validate *values* instead of versions. Because every committed write
-// installs a fresh box, pointer identity of the box doubles as value
-// validation without requiring comparable value types. The transaction's
-// sequence snapshot lives in its own Txn field (Txn.snapshot), disjoint from
-// the read-version vector of the TL2-lineage backends. Whenever the sequence
-// has moved, the whole read log is revalidated by value.
+// NOrec keeps no ownership records: a single global sequence lock (owned by
+// this backend, one per STM instance) orders writers. The original
+// revalidates by value; here every commit stamps each ref it publishes with
+// its own release sequence (snapshot+2, unique per commit), and a read logs
+// that stamp, loaded inside the same sequence bracket as the value, so an
+// unchanged stamp means no commit has written the ref since — value
+// validation without comparable value types, and without requiring written
+// values to be distinct. The transaction's sequence snapshot lives in its
+// own Txn field (Txn.snapshot), disjoint from the read-version vector of the
+// TL2-lineage backends. Whenever the sequence has moved, the whole read log
+// is revalidated.
 //
 // Proust integration is unchanged: OnCommitLocked runs while the global
 // sequence lock is held — NOrec's "native locking mechanism" — so replay
@@ -53,11 +56,12 @@ func (b *norecBackend) stableSeq() uint64 {
 }
 
 // read performs a NOrec read: consistent against the global sequence, with
-// full value revalidation whenever the sequence has moved.
+// full revalidation whenever the sequence has moved.
 func (b *norecBackend) read(tx *Txn, r *baseRef) any {
 	pp := tx.phaseEnter(PhaseRead)
 	for {
 		bx := r.value.Load()
+		ver := r.version.Load()
 		s := b.seq.Load()
 		if s&1 == 1 {
 			procYield()
@@ -70,7 +74,7 @@ func (b *norecBackend) read(tx *Txn, r *baseRef) any {
 			tx.snapshot = s
 			continue // re-read under the new snapshot
 		}
-		tx.logRead(r, 0, bx)
+		tx.logRead(r, ver)
 		tx.phaseExit(pp)
 		return bx.v
 	}
@@ -83,7 +87,7 @@ func (*norecBackend) write(tx *Txn, r *baseRef, b *box) {
 	tx.recordWrite(r, b)
 }
 
-// validate waits for a stable sequence and value-checks the whole read log,
+// validate waits for a stable sequence and checks the whole read log,
 // advancing the snapshot on success; the check is retried if a writer
 // committed while it ran.
 func (b *norecBackend) validate(tx *Txn) bool {
@@ -101,7 +105,7 @@ func (b *norecBackend) validateValues(tx *Txn) bool {
 		s := b.stableSeq()
 		for i := range tx.reads {
 			re := &tx.reads[i]
-			if re.r.value.Load() != re.box {
+			if re.r.version.Load() != re.ver {
 				return false
 			}
 		}

@@ -8,8 +8,8 @@ import (
 
 // box wraps a committed (or, under encounter-time locking, tentative) value
 // so the whole value can be published with a single pointer store. Every box
-// but the serial token (see Txn.serialToken) is the head of a cell, and its
-// v points at the cell's value.
+// but the shared serial token (serialToken) is the head of a cell, and its v
+// points at the cell's value.
 type box struct {
 	v any
 }
@@ -68,8 +68,9 @@ type baseRef struct {
 // value: an aborting encounter-time writer restores the previous box
 // without moving the version, so a box it installed after the first
 // owner check and withdrew before the second would pass both. The box
-// identity check rejects it (tentative boxes are never restored, so one
-// cannot reappear).
+// identity check rejects it: a tentative cell is never restored, so it
+// cannot reappear, and the shared serial token can reappear unowned at v1
+// only if it is the box committed at v1, whose value is then the one read.
 func (r *baseRef) holds(v1 uint64, b *box, self *Txn) bool {
 	o := r.owner.Load()
 	return (o == nil || o == self) && r.version.Load() == v1 && r.value.Load() == b
@@ -148,8 +149,8 @@ func (r *Ref[T]) Get(tx *Txn) T {
 }
 
 // cellValue dereferences a box's value pointer. Anything that is not a *T —
-// the conflict-abstraction token (SetSerialToken) or a nil interface — reads
-// as the zero value.
+// the shared conflict-abstraction token (SetSerialToken) or a nil
+// interface — reads as the zero value.
 func cellValue[T any](v any) T {
 	if p, ok := v.(*T); ok {
 		return *p
@@ -177,15 +178,13 @@ func (r *Ref[T]) Touch(tx *Txn) {
 	tx.touch(&r.b)
 }
 
-// SetSerialToken writes a token unique to the transaction's current attempt
-// into r. Semantically it stands in for r.Set(tx, tx.Serial()): the paper
-// only requires conflict-abstraction writes to carry unique values, and
-// Proust never reads them back (a Get of a token-holding location returns
-// the zero value). The token is allocated once per attempt no matter how
-// many locations an operation writes — attempt-serial boxing was two heap
-// allocations per write intent on the ADT hot path.
+// SetSerialToken writes the conflict-abstraction token into r. It stands in
+// for r.Set(tx, tx.Serial()) and allocates nothing: every write publishes
+// the one shared token, and validation sees the write through the version
+// the commit stamps on r (see serialToken). Proust never reads tokens back:
+// a Get of a token-holding location returns the zero value.
 func SetSerialToken(tx *Txn, r *Ref[uint64]) {
-	tx.write(&r.b, tx.serialToken())
+	tx.write(&r.b, serialToken)
 }
 
 // Modify applies f to the current value inside tx and stores the result.

@@ -46,7 +46,6 @@ type retrySignal struct{}
 type readEntry struct {
 	r   *baseRef
 	ver uint64
-	box *box // norec backend: value identity instead of version
 }
 
 type undoEntry struct {
@@ -107,15 +106,6 @@ type Txn struct {
 	onCommit       []func() // run FIFO after the commit completes
 	onCommitLocked []func() // run FIFO inside the commit critical section
 	onRelease      []func() // run FIFO last, after commit or abort
-
-	// tokenBox caches the attempt's conflict-abstraction write token (a
-	// self-referential box); tokenFor is the attempt serial it was created
-	// for. Proust's optimistic LAP writes the same unique token into every
-	// conflict-abstraction location an attempt touches, so creating it once
-	// per attempt (instead of once per location) removes one allocation per
-	// write intent. See SetSerialToken.
-	tokenBox *box
-	tokenFor uint64
 
 	// Phase-level span timing (phase.go): per-phase nanosecond buckets, the
 	// attempt's start and the open interval's start (both s.sinceEpoch based),
@@ -224,8 +214,6 @@ func (tx *Txn) reset() {
 	tx.id = 0
 	clear(tx.rvVec)
 	tx.snapshot = 0
-	tx.tokenBox = nil
-	tx.tokenFor = 0
 	tx.attempt = 0
 	tx.sampled = false
 	tx.readOnly = false
@@ -292,30 +280,25 @@ func (tx *Txn) beginAttempt() {
 	tx.state.Store(tx.stateWord(statusActive))
 }
 
-// Serial returns a value unique to the current attempt of this transaction.
-// Proust's optimistic lock-allocator policy writes it into conflict
-// abstraction locations: the paper notes the written values are irrelevant
-// as long as they are unique (Section 3).
+// Serial returns a value unique to the current attempt of this
+// transaction: its attempt serial, drawn afresh by every attempt and never
+// reused.
 func (tx *Txn) Serial() uint64 { return tx.id }
 
-// serialToken returns the attempt's conflict-abstraction write token. The
-// paper notes the values written into CA locations are irrelevant as long
-// as they are unique (Section 3), and nothing ever reads them back, so the
-// token is a box whose value is its own pointer identity — created at most
-// once per attempt no matter how many locations it is written to, and
-// published as is into every one of them. Uniqueness holds because a box
-// stays reachable from every location it was published to, so its address
-// cannot be recycled while any reader could still compare against it. Its
-// v is a *box, never a cell's *T, so Ref.Set never updates it in place.
-func (tx *Txn) serialToken() *box {
-	if tx.tokenFor != tx.id {
-		b := &box{}
-		b.v = b
-		tx.tokenBox = b
-		tx.tokenFor = tx.id
-	}
-	return tx.tokenBox
-}
+// serialToken is the conflict-abstraction write token (SetSerialToken): one
+// immutable box whose value is its own pointer, shared by every attempt of
+// every transaction. The paper requires the values written into CA
+// locations to be unique only so that a value-validating STM sees each
+// write (Section 3). Every backend here validates by version, and every
+// commit moves the version of each ref it publishes to one no earlier
+// commit left there, so a committed token write is visible to validation
+// even when the box it replaces is the same token. Its v is a *box, never a
+// cell's *T, so Ref.Set never updates it in place.
+var serialToken = func() *box {
+	b := &box{}
+	b.v = b
+	return b
+}()
 
 // Attempt returns the 1-based attempt number of the transaction: the number
 // of times the body has been executed, including re-executions after Retry
@@ -431,8 +414,8 @@ func (tx *Txn) runBody(fn func(*Txn) error) (err error, sig txnSignal) {
 }
 
 // logRead appends a read-set entry.
-func (tx *Txn) logRead(r *baseRef, ver uint64, bx *box) {
-	tx.reads = append(tx.reads, readEntry{r: r, ver: ver, box: bx})
+func (tx *Txn) logRead(r *baseRef, ver uint64) {
+	tx.reads = append(tx.reads, readEntry{r: r, ver: ver})
 }
 
 // read returns the value of r as observed by tx, maintaining opacity. Reads
