@@ -172,10 +172,11 @@ func BenchmarkAblationContentionManager(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSizeRef isolates the cost of the reified committedSize
-// reference (paper Listing 2): a replace-only workload never changes the
-// size and skips the size reference entirely; a mixed put/remove workload
-// writes it on every presence change, making it a shared hotspot.
+// BenchmarkAblationSizeRef isolates the cost of the reified committed size
+// (paper Listing 2): a replace-only workload never changes the size and
+// never touches its conflict location; a mixed put/remove workload writes
+// that location on every presence change, making it a shared conflict
+// hotspot (the count itself is an atomic published at commit, no cell).
 func BenchmarkAblationSizeRef(b *testing.B) {
 	f, ok := bench.FactoryByName("proust-lazy-memo-combining")
 	if !ok {

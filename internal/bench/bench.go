@@ -65,8 +65,8 @@ type Workload struct {
 	// ReplaceOnly restricts writes to puts on the prepopulated (even)
 	// keys, so no operation ever changes the map's size. Comparing a
 	// ReplaceOnly run against a regular one isolates the cost of the
-	// reified committedSize reference — the paper's Listing 2
-	// optimization — which every presence-changing update must write.
+	// reified committed size — the paper's Listing 2 optimization — whose
+	// conflict location every presence-changing update must write.
 	ReplaceOnly bool
 	// TxnDeadline, when positive, runs every transaction through
 	// AtomicallyCtx with this per-transaction deadline. Expired

@@ -85,11 +85,11 @@ func BenchmarkADTMapTxn(b *testing.B) {
 // TestADTAllocsPerTxnGate is the ADT-layer companion of the flat-ref
 // allocation gate (stm.TestAllocsPerTxnGate): in steady state — pools warm,
 // log capacities grown — a 16-op mixed transaction must stay within a fixed
-// allocation budget at each canonical design point. The Ctrie-based budgets
-// are dominated by the base structure's persistent path-copying; the wrapper
-// layer itself contributes the committed-size cell and nothing else (the
-// memo case below isolates exactly that). Before the closure-free bracket
-// and the typed pooled logs these numbers were roughly 4× higher.
+// allocation budget at each canonical design point. The wrapper layer
+// itself allocates nothing: the committed size is an atomic count published
+// at commit (committedSize), not a cell per transaction, and the memo case
+// below isolates exactly that. Before the closure-free bracket and the typed
+// pooled logs these numbers were roughly 4× higher.
 func TestADTAllocsPerTxnGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate is meaningless under the race detector")
@@ -100,36 +100,38 @@ func TestADTAllocsPerTxnGate(t *testing.T) {
 		build     func(s *stm.STM, lap LockAllocatorPolicy[int]) TxMap[int, int]
 		maxAllocs float64
 	}{
-		// Measured steady state (2 CPUs), at both LAPs alike — the
-		// optimistic LAP's shared token allocates nothing: eager 1–2, the
-		// unversioned Ctrie's displaced nodes coming back through its pool
-		// (conc.TestPooledStructuresAllocNothing); lazy 1. The lazy map's
+		// Measured steady state (2 CPUs, 20 runs alone and 20 beside a
+		// looping `go test`), at both LAPs alike — the optimistic LAP's
+		// shared token allocates nothing: eager 0–1, the unversioned
+		// Ctrie's displaced nodes coming back through its pool
+		// (conc.TestPooledStructuresAllocNothing); lazy 0. The lazy map's
 		// commit makes the shadow the base (Ctrie.Adopt); the source nodes
 		// the shadow displaced come back through its record once no older
 		// snapshot shares them, and
 		// the snapshot and the adoption allocate nothing fixed: generations
 		// are values, and the header, root objects and RDCSS descriptors
 		// come back through the trie's pool (conc.TestCtrieSnapshotAllocGate).
-		// What is left is the wrapper's size cell. Every row leaves two
-		// of headroom for a handle the pool drops or a goroutine that moves
-		// to a P whose handle is cold while it measures (then 3); a
+		// Every row leaves two of headroom over its highest reading for a
+		// handle the pool drops or a goroutine that moves to a P whose
+		// handle is cold while it measures (the lazy rows then read 2); a
 		// per-operation allocation (a closure, an intent slice), an
-		// unpooled log, record or root object, or displaced nodes that no
-		// longer come back each cost far more than that.
+		// unpooled log, record or root object, a size cell per
+		// transaction, or displaced nodes that no longer come back each
+		// cost more than that.
 		{"eager-pessimistic", false, mapVariants()[0].build, 3},
 		{"eager-optimistic", true, mapVariants()[0].build, 3},
-		{"lazy-pessimistic", false, mapVariants()[1].build, 3},
-		{"lazy-optimistic", true, mapVariants()[1].build, 3},
+		{"lazy-pessimistic", false, mapVariants()[1].build, 2},
+		{"lazy-optimistic", true, mapVariants()[1].build, 2},
 		// The memo map's base is a locked builtin map — no persistent path
 		// copies — so its steady state exposes the wrapper layer alone:
-		// measured 1 alloc per 16-op transaction (the committed-size
-		// cell). This is the zero-allocation claim of the ADT layer; the
-		// gate is intentionally tight.
-		{"memo-optimistic", true, mapVariants()[2].build, 3},
+		// measured 0 allocs per 16-op transaction. This is the
+		// zero-allocation claim of the ADT layer; the gate is
+		// intentionally tight.
+		{"memo-optimistic", true, mapVariants()[2].build, 2},
 		// The ordered map's skip list recycles its nodes, so it too exposes
-		// the wrapper layer alone: measured 1 at both LAPs.
-		{"ordered-eager-pessimistic", false, newOrderedTxMap, 4},
-		{"ordered-eager-optimistic", true, newOrderedTxMap, 3},
+		// the wrapper layer alone: measured 0 at both LAPs.
+		{"ordered-eager-pessimistic", false, newOrderedTxMap, 2},
+		{"ordered-eager-optimistic", true, newOrderedTxMap, 2},
 	}
 	for i := range cases {
 		c := &cases[i]
@@ -166,11 +168,11 @@ func newOrderedTxMap(s *stm.STM, lap LockAllocatorPolicy[int]) TxMap[int, int] {
 
 // TestQueueDequeAllocsPerTxnGate is the allocation gate of the two
 // item-queue wrappers, which are not TxMaps: one push, one pop and one peek
-// per transaction must stay within 3 allocations at the pessimistic LAP and
-// 2 at the optimistic one. The pushed item and the committed-size cell are
-// the 2 both measure; the pessimistic gate keeps the one of headroom it
-// always had, and the optimistic LAP's shared token allocates nothing. A
-// closure or an intent slice per operation trips it.
+// per transaction must stay within 2 allocations at the pessimistic LAP and
+// 1 at the optimistic one. The pushed item is the 1 both measure (the
+// committed size allocates nothing); the pessimistic gate keeps the one of
+// headroom it always had, and the optimistic LAP's shared token allocates
+// nothing. A size cell, a closure or an intent slice per operation trips it.
 func TestQueueDequeAllocsPerTxnGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate is meaningless under the race detector")
@@ -218,9 +220,9 @@ func TestQueueDequeAllocsPerTxnGate(t *testing.T) {
 					t.Fatal(txErr)
 				}
 				t.Logf("%.2f allocs per txn", avg)
-				gate := 3.0
+				gate := 2.0
 				if opt {
-					gate = 2
+					gate = 1
 				}
 				if avg > gate {
 					t.Fatalf("%.1f allocs per push+pop+peek txn, gate is %.0f", avg, gate)

@@ -44,7 +44,6 @@ func DQStateHash(s DQState) uint64 {
 type Deque[V any] struct {
 	al   *AbstractLock[DQState]
 	base *conc.Queue[V]
-	size *stm.Ref[int]
 	undo *txnUndo[DQState, *conc.QItem[V]]
 }
 
@@ -62,9 +61,8 @@ func NewDeque[V any](s *stm.STM, lap LockAllocatorPolicy[DQState]) *Deque[V] {
 	q := &Deque[V]{
 		al:   NewAbstractLock(lap),
 		base: conc.NewQueue[V](),
-		size: stm.NewRef(s, 0),
 	}
-	q.undo = newTxnUndo(func(r undoRec[DQState, *conc.QItem[V]]) {
+	q.undo = newTxnUndo(s, func(r undoRec[DQState, *conc.QItem[V]]) {
 		switch r.kind {
 		case dqUndoPush:
 			r.val.Delete()
@@ -115,7 +113,7 @@ func (q *Deque[V]) push(tx *stm.Txn, opName string, end DQState, v V) {
 		q.base.PushBack(it)
 	}
 	q.undo.record(tx, undoRec[DQState, *conc.QItem[V]]{val: it, kind: dqUndoPush})
-	q.size.Modify(tx, incr)
+	q.undo.resize(tx, 1)
 	q.done(tx, end, wide)
 }
 
@@ -134,7 +132,7 @@ func (q *Deque[V]) pop(tx *stm.Txn, opName string, end DQState) (V, bool) {
 	}
 	if ok {
 		q.undo.record(tx, undoRec[DQState, *conc.QItem[V]]{val: it, kind: kind})
-		q.size.Modify(tx, decr)
+		q.undo.resize(tx, -1)
 	}
 	q.done(tx, end, wide)
 	if !ok {
@@ -179,5 +177,5 @@ func (q *Deque[V]) PeekBack(tx *stm.Txn) (V, bool) { return q.peek(tx, "peekBack
 
 // Size returns the committed size.
 func (q *Deque[V]) Size(tx *stm.Txn) int {
-	return q.size.Get(tx)
+	return q.undo.sizeOf(tx)
 }

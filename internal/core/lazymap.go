@@ -32,7 +32,6 @@ func applyMapOp[K comparable, V any](ct *conc.Ctrie[K, V], op mapOp[K, V]) {
 type LazySnapshotMap[K comparable, V any] struct {
 	al   *AbstractLock[K]
 	log  *SnapshotLog[*conc.Ctrie[K, V], mapOp[K, V]]
-	size *stm.Ref[int]
 	hash conc.Hasher[K]
 }
 
@@ -43,8 +42,7 @@ func NewLazySnapshotMap[K comparable, V any](s *stm.STM, lap LockAllocatorPolicy
 	base := conc.NewCtrie[K, V](hash)
 	return &LazySnapshotMap[K, V]{
 		al:   NewAbstractLock(lap),
-		log:  NewSnapshotLog(base, (*conc.Ctrie[K, V]).Snapshot, applyMapOp[K, V], (*conc.Ctrie[K, V]).Adopt),
-		size: stm.NewRef(s, 0),
+		log:  NewSnapshotLog(s, base, (*conc.Ctrie[K, V]).Snapshot, applyMapOp[K, V], (*conc.Ctrie[K, V]).Adopt),
 		hash: hash,
 	}
 }
@@ -63,7 +61,7 @@ func (m *LazySnapshotMap[K, V]) Put(tx *stm.Txn, k K, v V) (V, bool) {
 	old, had := m.log.Shadow(tx).Put(k, v)
 	m.log.Append(tx, mapOp[K, V]{key: k, val: v, put: true})
 	if !had {
-		m.size.Modify(tx, incr)
+		m.log.resize(tx, 1)
 	}
 	m.al.done1(tx, in)
 	return old, had
@@ -98,7 +96,7 @@ func (m *LazySnapshotMap[K, V]) Remove(tx *stm.Txn, k K) (old V, had bool) {
 	if m.log.Logged(tx) || m.log.ReadView(tx).Contains(k) {
 		if old, had = m.log.Shadow(tx).Remove(k); had {
 			m.log.Append(tx, mapOp[K, V]{key: k})
-			m.size.Modify(tx, decr)
+			m.log.resize(tx, -1)
 		}
 	}
 	m.al.done1(tx, in)
@@ -107,7 +105,7 @@ func (m *LazySnapshotMap[K, V]) Remove(tx *stm.Txn, k K) (old V, had bool) {
 
 // Size returns the committed size.
 func (m *LazySnapshotMap[K, V]) Size(tx *stm.Txn) int {
-	return m.size.Get(tx)
+	return m.log.sizeOf(tx)
 }
 
 // LazyMemoMap is the lazy Proustian map with memoizing shadow copies (the
@@ -118,7 +116,6 @@ func (m *LazySnapshotMap[K, V]) Size(tx *stm.Txn) int {
 type LazyMemoMap[K comparable, V any] struct {
 	al   *AbstractLock[K]
 	log  *MemoLog[K, V]
-	size *stm.Ref[int]
 	hash conc.Hasher[K]
 }
 
@@ -130,8 +127,7 @@ func NewLazyMemoMap[K comparable, V any](s *stm.STM, lap LockAllocatorPolicy[K],
 	base := conc.NewHashMap[K, V](hash)
 	return &LazyMemoMap[K, V]{
 		al:   NewAbstractLock(lap),
-		log:  NewMemoLog[K, V](base, combine),
-		size: stm.NewRef(s, 0),
+		log:  NewMemoLog[K, V](s, base, combine),
 		hash: hash,
 	}
 }
@@ -149,7 +145,7 @@ func (m *LazyMemoMap[K, V]) Put(tx *stm.Txn, k K, v V) (V, bool) {
 	m.al.begin1(tx, "put", in)
 	old, had := m.log.Put(tx, k, v)
 	if !had {
-		m.size.Modify(tx, incr)
+		m.log.resize(tx, 1)
 	}
 	m.al.done1(tx, in)
 	return old, had
@@ -181,7 +177,7 @@ func (m *LazyMemoMap[K, V]) Remove(tx *stm.Txn, k K) (V, bool) {
 	m.al.begin1(tx, "remove", in)
 	old, had := m.log.Remove(tx, k)
 	if had {
-		m.size.Modify(tx, decr)
+		m.log.resize(tx, -1)
 	}
 	m.al.done1(tx, in)
 	return old, had
@@ -189,5 +185,5 @@ func (m *LazyMemoMap[K, V]) Remove(tx *stm.Txn, k K) (V, bool) {
 
 // Size returns the committed size.
 func (m *LazyMemoMap[K, V]) Size(tx *stm.Txn) int {
-	return m.size.Get(tx)
+	return m.log.sizeOf(tx)
 }

@@ -7,9 +7,10 @@ import (
 
 // TxMap is the transactional map API shared by every Proustian map wrapper
 // and by the baselines — the Go rendering of the paper's MapTrait
-// (Listing 2). Size is reified out of the abstract state into an STM
-// reference as an optimization, exactly as the paper does with
-// committedSize.
+// (Listing 2). Size is reified out of the abstract state as an
+// optimization, as the paper does with committedSize: the Proustian
+// wrappers keep an atomic count published at commit (committedSize), the
+// baselines an STM reference.
 type TxMap[K comparable, V any] interface {
 	Put(tx *stm.Txn, k K, v V) (V, bool)
 	Get(tx *stm.Txn, k K) (V, bool)
@@ -18,18 +19,12 @@ type TxMap[K comparable, V any] interface {
 	Size(tx *stm.Txn) int
 }
 
-// incr and decr are the committedSize modifiers; package-level funcs so the
-// Modify call sites pass a static function value instead of a closure.
-func incr(n int) int { return n + 1 }
-func decr(n int) int { return n - 1 }
-
 // Map is the eager Proustian map (paper Figure 2a): a concurrent hash trie
 // wrapped with per-key conflict abstraction; operations mutate the trie
 // immediately and log typed undo records replayed as rollback handlers.
 type Map[K comparable, V any] struct {
 	al   *AbstractLock[K]
 	base *conc.Ctrie[K, V]
-	size *stm.Ref[int]
 	hash conc.Hasher[K]
 	undo *txnUndo[K, V]
 }
@@ -45,9 +40,8 @@ func NewMap[K comparable, V any](s *stm.STM, lap LockAllocatorPolicy[K], hash co
 	return &Map[K, V]{
 		al:   NewAbstractLock(lap),
 		base: base,
-		size: stm.NewRef(s, 0),
 		hash: hash,
-		undo: newBindingUndo[K, V](base),
+		undo: newBindingUndo[K, V](s, base),
 	}
 }
 
@@ -63,7 +57,7 @@ func (m *Map[K, V]) Put(tx *stm.Txn, k K, v V) (V, bool) {
 	old, had := m.base.Put(k, v)
 	m.undo.record(tx, undoRec[K, V]{key: k, val: old, had: had})
 	if !had {
-		m.size.Modify(tx, incr)
+		m.undo.resize(tx, 1)
 	}
 	m.al.done1(tx, in)
 	return old, had
@@ -95,7 +89,7 @@ func (m *Map[K, V]) Remove(tx *stm.Txn, k K) (V, bool) {
 	old, had := m.base.Remove(k)
 	if had {
 		m.undo.record(tx, undoRec[K, V]{key: k, val: old, had: true})
-		m.size.Modify(tx, decr)
+		m.undo.resize(tx, -1)
 	}
 	m.al.done1(tx, in)
 	return old, had
@@ -103,5 +97,5 @@ func (m *Map[K, V]) Remove(tx *stm.Txn, k K) (V, bool) {
 
 // Size returns the committed size.
 func (m *Map[K, V]) Size(tx *stm.Txn) int {
-	return m.size.Get(tx)
+	return m.undo.sizeOf(tx)
 }

@@ -299,8 +299,8 @@ func TestMapDisjointKeysNoFalseConflict(t *testing.T) {
 	lap := NewOptimisticLAP(s, func(k int) uint64 { return conc.IntHasher(k) }, 256)
 	m := NewMap[int, int](s, lap, conc.IntHasher)
 	// Prepopulate both keys so the puts below are pure replacements: an
-	// insert additionally writes the shared committedSize ref, which is a
-	// genuine (if coarse) conflict between any two size-changing
+	// insert additionally writes the committed size's conflict location,
+	// which is a genuine (if coarse) conflict between any two size-changing
 	// transactions, not the per-key disjointness this test demonstrates.
 	if err := s.Atomically(func(tx *stm.Txn) error {
 		m.Put(tx, 1, 1)

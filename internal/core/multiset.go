@@ -34,7 +34,6 @@ func msInc(c int, _ bool) (int, bool) { return c + 1, true }
 type Multiset[K comparable] struct {
 	al   *AbstractLock[K]
 	base *conc.HashMap[K, int]
-	size *stm.Ref[int]
 	undo *txnUndo[K, struct{}]
 }
 
@@ -43,9 +42,8 @@ func NewMultiset[K comparable](s *stm.STM, lap LockAllocatorPolicy[K], hash conc
 	ms := &Multiset[K]{
 		al:   NewAbstractLock(lap),
 		base: conc.NewHashMap[K, int](hash),
-		size: stm.NewRef(s, 0),
 	}
-	ms.undo = newTxnUndo(func(r undoRec[K, struct{}]) {
+	ms.undo = newTxnUndo(s, func(r undoRec[K, struct{}]) {
 		if r.kind == msUndoDecr {
 			ms.base.Update(r.key, msDec)
 		} else {
@@ -69,7 +67,7 @@ func (ms *Multiset[K]) Add(tx *stm.Txn, k K) {
 	ms.al.begin1(tx, "add", in)
 	ms.base.Update(k, msInc)
 	ms.undo.record(tx, undoRec[K, struct{}]{key: k, kind: msUndoDecr})
-	ms.size.Modify(tx, incr)
+	ms.undo.resize(tx, 1)
 	ms.al.done1(tx, in)
 }
 
@@ -90,7 +88,7 @@ func (ms *Multiset[K]) Remove(tx *stm.Txn, k K) bool {
 	})
 	if removed {
 		ms.undo.record(tx, undoRec[K, struct{}]{key: k, kind: msUndoIncr})
-		ms.size.Modify(tx, decr)
+		ms.undo.resize(tx, -1)
 	}
 	ms.al.done1(tx, in)
 	return removed
@@ -116,5 +114,5 @@ func (ms *Multiset[K]) Count(tx *stm.Txn, k K) int {
 
 // Size returns the committed total number of occurrences.
 func (ms *Multiset[K]) Size(tx *stm.Txn) int {
-	return ms.size.Get(tx)
+	return ms.undo.sizeOf(tx)
 }

@@ -29,7 +29,6 @@ type OrderedMap[K comparable, V any] struct {
 	index   func(K) uint64
 	shift   uint
 	stripes int
-	size    *stm.Ref[int]
 	undo    *txnUndo[K, V]
 }
 
@@ -67,8 +66,7 @@ func NewOrderedMap[K comparable, V any](
 		index:   index,
 		shift:   indexBits - logN,
 		stripes: n,
-		size:    stm.NewRef(s, 0),
-		undo:    newBindingUndo[K, V](base),
+		undo:    newBindingUndo[K, V](s, base),
 	}
 }
 
@@ -105,7 +103,7 @@ func (m *OrderedMap[K, V]) Put(tx *stm.Txn, k K, v V) (V, bool) {
 	old, had := m.base.Put(k, v)
 	m.undo.record(tx, undoRec[K, V]{key: k, val: old, had: had})
 	if !had {
-		m.size.Modify(tx, incr)
+		m.undo.resize(tx, 1)
 	}
 	m.al.done1(tx, in)
 	return old, had
@@ -118,7 +116,7 @@ func (m *OrderedMap[K, V]) Remove(tx *stm.Txn, k K) (V, bool) {
 	old, had := m.base.Remove(k)
 	if had {
 		m.undo.record(tx, undoRec[K, V]{key: k, val: old, had: true})
-		m.size.Modify(tx, decr)
+		m.undo.resize(tx, -1)
 	}
 	m.al.done1(tx, in)
 	return old, had
@@ -152,5 +150,5 @@ func (m *OrderedMap[K, V]) RangeQuery(tx *stm.Txn, lo, hi K) []Entry[K, V] {
 
 // Size returns the committed size.
 func (m *OrderedMap[K, V]) Size(tx *stm.Txn) int {
-	return m.size.Get(tx)
+	return m.undo.sizeOf(tx)
 }

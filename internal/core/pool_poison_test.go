@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -536,6 +537,196 @@ func TestRecycledLogsSpareCapacityZero(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// sizeState exposes a map wrapper's committed size and the pending delta its
+// pooled log holds for tx (nil when tx has drawn none).
+func sizeState(m TxMap[int, int]) (*committedSize, func(tx *stm.Txn) *sizeDelta) {
+	switch m := m.(type) {
+	case *Map[int, int]:
+		return &m.undo.size, func(tx *stm.Txn) *sizeDelta {
+			if lg, ok := m.undo.p.Peek(tx); ok {
+				return &lg.size
+			}
+			return nil
+		}
+	case *LazySnapshotMap[int, int]:
+		return &m.log.size, func(tx *stm.Txn) *sizeDelta {
+			if st, ok := m.log.local.Peek(tx); ok {
+				return &st.size
+			}
+			return nil
+		}
+	case *LazyMemoMap[int, int]:
+		return &m.log.size, func(tx *stm.Txn) *sizeDelta {
+			if st, ok := m.log.local.Peek(tx); ok {
+				return &st.size
+			}
+			return nil
+		}
+	}
+	panic(fmt.Sprintf("no committed size in %T", m))
+}
+
+// TestRecycledSizeDeltaAfterEveryAbortPath is the pool-poisoning check of the
+// committed size: the pending size delta rides in the wrappers' pooled logs,
+// so an attempt that changed the size and then ended any way but a commit —
+// conflict, user error, panic, a Retry park, a canceled context — must hand
+// back a zeroed delta and leave the committed count alone. The transaction
+// after it must then see exactly what a fresh map with the same committed
+// history would: its own delta starting from zero and the token written
+// anew on its first change.
+func TestRecycledSizeDeltaAfterEveryAbortPath(t *testing.T) {
+	const base = 4 // committed keys 0..base-1
+	paths := []string{"conflict", "user-error", "panic", "retry-park", "ctx-cancel"}
+	for _, v := range mapVariants() {
+		for _, p := range opaquePoints(v.strat) {
+			for _, path := range paths {
+				v, p, path := v, p, path
+				t.Run(fmt.Sprintf("%s/%s/%s", v.name, p, path), func(t *testing.T) {
+					s := stm.New(stm.WithPolicy(p.policy))
+					m := v.build(s, newIntLAP(s, p))
+					committed, peek := sizeState(m)
+					if err := s.Atomically(func(tx *stm.Txn) error {
+						for k := 0; k < base; k++ {
+							m.Put(tx, k, k)
+						}
+						return nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+					want := int64(base)
+
+					// The aborting attempts: +3 -1 pending, then the path. A
+					// transaction's first Retry re-executes at once, so the
+					// retry-park path mutates twice and parks on the second.
+					var dropped []*sizeDelta
+					mutating := 1
+					if path == "retry-park" {
+						mutating = 2
+					}
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					woken := make(chan error, 1)
+					attempts := 0
+					body := func(tx *stm.Txn) error {
+						attempts++
+						if attempts > mutating {
+							if d := peek(tx); d != nil {
+								return fmt.Errorf("attempt %d inherited a size delta %+v", attempts, *d)
+							}
+							clean := want
+							if path == "retry-park" {
+								clean++ // the commit that woke it
+							}
+							if got := m.Size(tx); int64(got) != clean {
+								return fmt.Errorf("attempt %d: Size = %d, want %d", attempts, got, clean)
+							}
+							return nil
+						}
+						for k := 10; k < 13; k++ {
+							m.Put(tx, k, k)
+						}
+						m.Remove(tx, 0)
+						d := peek(tx)
+						if d == nil || *d != (sizeDelta{n: 2, written: true}) {
+							return fmt.Errorf("pending delta %v, want +2 written", d)
+						}
+						dropped = append(dropped, d)
+						if got := m.Size(tx); int64(got) != want+2 {
+							return fmt.Errorf("Size = %d inside the attempt, want %d", got, want+2)
+						}
+						switch path {
+						case "conflict":
+							stm.AbortAndRetry(tx)
+						case "user-error":
+							return errInjected
+						case "panic":
+							panic("injected panic")
+						case "retry-park":
+							if attempts == 2 {
+								// Another transaction commits one insert
+								// while this one is parked, which wakes it.
+								go func() {
+									time.Sleep(2 * time.Millisecond)
+									woken <- s.Atomically(func(tx *stm.Txn) error {
+										m.Put(tx, 20, 20)
+										return nil
+									})
+								}()
+							}
+							stm.Retry(tx)
+						case "ctx-cancel":
+							cancel()
+							stm.AbortAndRetry(tx)
+						}
+						return nil
+					}
+					var err error
+					switch path {
+					case "panic":
+						err = atomicallyOrPanic(s, body)
+					case "ctx-cancel":
+						err = s.AtomicallyCtx(ctx, body)
+					default:
+						err = s.Atomically(body)
+					}
+					switch path {
+					case "user-error":
+						if !errors.Is(err, errInjected) {
+							t.Fatalf("err = %v, want the injected error", err)
+						}
+					case "panic":
+						if err == nil || err.Error() != "panic: injected panic" {
+							t.Fatalf("err = %v, want the injected panic", err)
+						}
+					case "ctx-cancel":
+						if !errors.Is(err, stm.ErrCanceled) {
+							t.Fatalf("err = %v, want stm.ErrCanceled", err)
+						}
+					default:
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
+					if path == "retry-park" {
+						if err := <-woken; err != nil {
+							t.Fatal(err)
+						}
+						want++
+					}
+					if len(dropped) != mutating {
+						t.Fatalf("%d mutating attempts, want %d", len(dropped), mutating)
+					}
+					for _, d := range dropped {
+						if *d != (sizeDelta{}) {
+							t.Fatalf("released log kept size delta %+v", *d)
+						}
+					}
+					if got := committed.n.Load(); got != want {
+						t.Fatalf("committed count %d after the aborted attempt, want %d", got, want)
+					}
+
+					// The next transaction starts from a zero delta.
+					if err := s.Atomically(func(tx *stm.Txn) error {
+						m.Put(tx, 30, 30)
+						if d := peek(tx); d == nil || *d != (sizeDelta{n: 1, written: true}) {
+							return fmt.Errorf("next transaction's delta %v, want +1 written", d)
+						}
+						if got := m.Size(tx); int64(got) != want+1 {
+							return fmt.Errorf("next transaction: Size = %d, want %d", got, want+1)
+						}
+						return nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+					if got := committed.n.Load(); got != want+1 {
+						t.Fatalf("committed count %d, want %d", got, want+1)
+					}
+				})
+			}
 		}
 	}
 }

@@ -50,7 +50,6 @@ type PQueue[V any] struct {
 	base *conc.PQueue[V]
 	less conc.Less[V]
 	eq   func(a, b V) bool
-	size *stm.Ref[int]
 	undo *txnUndo[PQState, *conc.Item[V]]
 }
 
@@ -63,9 +62,8 @@ func NewPQueue[V any](s *stm.STM, lap LockAllocatorPolicy[PQState], less conc.Le
 		base: conc.NewPQueue(less),
 		less: less,
 		eq:   eq,
-		size: stm.NewRef(s, 0),
 	}
-	q.undo = newTxnUndo(func(r undoRec[PQState, *conc.Item[V]]) {
+	q.undo = newTxnUndo(s, func(r undoRec[PQState, *conc.Item[V]]) {
 		if r.kind == pqUndoInsert {
 			r.val.Delete()
 			q.base.NoteDeleted()
@@ -97,7 +95,7 @@ func (q *PQueue[V]) Insert(tx *stm.Txn, v V) {
 	q.al.begin2(tx, "insert", W(PQMultiSet), mi)
 	it := q.base.Add(v)
 	q.undo.record(tx, undoRec[PQState, *conc.Item[V]]{val: it, kind: pqUndoInsert})
-	q.size.Modify(tx, incr)
+	q.undo.resize(tx, 1)
 	q.al.done2(tx, W(PQMultiSet), mi)
 }
 
@@ -117,7 +115,7 @@ func (q *PQueue[V]) RemoveMin(tx *stm.Txn) (V, bool) {
 	it, ok := q.base.RemoveMin()
 	if ok {
 		q.undo.record(tx, undoRec[PQState, *conc.Item[V]]{val: it, kind: pqUndoRemoveMin})
-		q.size.Modify(tx, decr)
+		q.undo.resize(tx, -1)
 	}
 	q.al.done2(tx, a, b)
 	if !ok {
@@ -138,7 +136,7 @@ func (q *PQueue[V]) Contains(tx *stm.Txn, v V) bool {
 
 // Size returns the committed size.
 func (q *PQueue[V]) Size(tx *stm.Txn) int {
-	return q.size.Get(tx)
+	return q.undo.sizeOf(tx)
 }
 
 // pqBase is the contract shared by conc.COWHeap and conc.HeapSnapshot,
@@ -177,7 +175,6 @@ type LazyPQueue[V any] struct {
 	log  *SnapshotLog[pqBase[V], pqOp[V]]
 	less conc.Less[V]
 	eq   func(a, b V) bool
-	size *stm.Ref[int]
 }
 
 var _ TxPQueue[int] = (*LazyPQueue[int])(nil)
@@ -190,10 +187,9 @@ func NewLazyPQueue[V any](s *stm.STM, lap LockAllocatorPolicy[PQState], less con
 	adopt := func(_, sh pqBase[V]) { heap.Adopt(sh.(*conc.HeapSnapshot[V])) }
 	return &LazyPQueue[V]{
 		al:   NewAbstractLock(lap),
-		log:  NewSnapshotLog[pqBase[V]](heap, snapshot, applyPQOp[V], adopt),
+		log:  NewSnapshotLog[pqBase[V]](s, heap, snapshot, applyPQOp[V], adopt),
 		less: less,
 		eq:   eq,
-		size: stm.NewRef(s, 0),
 	}
 }
 
@@ -203,7 +199,7 @@ func (q *LazyPQueue[V]) Insert(tx *stm.Txn, v V) {
 	q.al.begin2(tx, "insert", W(PQMultiSet), mi)
 	q.log.Shadow(tx).Insert(v)
 	q.log.Append(tx, pqOp[V]{v: v, insert: true})
-	q.size.Modify(tx, incr)
+	q.log.resize(tx, 1)
 	q.al.done2(tx, W(PQMultiSet), mi)
 }
 
@@ -224,7 +220,7 @@ func (q *LazyPQueue[V]) RemoveMin(tx *stm.Txn) (V, bool) {
 	v, ok := q.log.Shadow(tx).RemoveMin()
 	if ok {
 		q.log.Append(tx, pqOp[V]{})
-		q.size.Modify(tx, decr)
+		q.log.resize(tx, -1)
 	}
 	q.al.done2(tx, a, b)
 	return v, ok
@@ -241,5 +237,5 @@ func (q *LazyPQueue[V]) Contains(tx *stm.Txn, v V) bool {
 
 // Size returns the committed size.
 func (q *LazyPQueue[V]) Size(tx *stm.Txn) int {
-	return q.size.Get(tx)
+	return q.log.sizeOf(tx)
 }

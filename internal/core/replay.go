@@ -71,6 +71,9 @@ type SnapshotLog[D any, O any] struct {
 	// decisively read under cut when a snapshot is taken or adopted.
 	gen   atomic.Uint64
 	local *stm.Pooled[snapLogState[D, O]]
+	// size is the wrapped structure's committed size; each state carries
+	// its transaction's pending delta, published with the adoption.
+	size committedSize
 
 	name string
 	sink Sink // nil when uninstrumented
@@ -94,20 +97,24 @@ type snapLogState[D any, O any] struct {
 	// baseGen is the l.gen value the shadow's snapshot captured.
 	baseGen        uint64
 	hasShadow      bool
+	size           sizeDelta
 	onCommitLocked func()
 	onAbort        func()
 }
 
-// NewSnapshotLog creates a snapshot log over base: snapshot must return a
-// fast snapshot of base that the transaction may mutate privately, apply
-// must apply one operation record to such a snapshot, and adopt must make a
-// snapshot of base, taken with no commit since, the new base in place.
-func NewSnapshotLog[D any, O any](base D, snapshot func(D) D, apply func(D, O), adopt func(base, shadow D)) *SnapshotLog[D, O] {
+// NewSnapshotLog creates a snapshot log over base, keeping its size on s:
+// snapshot must return a fast snapshot of base that the transaction may
+// mutate privately, apply must apply one operation record to such a
+// snapshot, and adopt must make a snapshot of base, taken with no commit
+// since, the new base in place.
+func NewSnapshotLog[D any, O any](s *stm.STM, base D, snapshot func(D) D, apply func(D, O), adopt func(base, shadow D)) *SnapshotLog[D, O] {
 	l := &SnapshotLog[D, O]{base: base, snapshot: snapshot, apply: apply, adopt: adopt}
+	l.size.init(s)
 	l.local = stm.NewPooled(func(tx *stm.Txn, st *snapLogState[D, O]) {
 		if st.onCommitLocked == nil {
 			st.onCommitLocked = func() {
 				l.commit(st)
+				l.size.publish(&st.size)
 				l.release(st)
 			}
 			st.onAbort = func() { l.release(st) }
@@ -150,6 +157,7 @@ func (l *SnapshotLog[D, O]) release(st *snapLogState[D, O]) {
 	l.dropShadow(st)
 	st.applied = 0
 	st.baseGen = 0
+	st.size = sizeDelta{}
 	l.local.Release(st)
 }
 
@@ -242,6 +250,20 @@ func (l *SnapshotLog[D, O]) Logged(tx *stm.Txn) bool {
 	return ok
 }
 
+// resize changes the structure's size by by within tx (see committedSize).
+func (l *SnapshotLog[D, O]) resize(tx *stm.Txn, by int64) {
+	l.size.add(tx, &l.local.Get(tx).size, by)
+}
+
+// sizeOf returns the structure's size as tx observes it.
+func (l *SnapshotLog[D, O]) sizeOf(tx *stm.Txn) int {
+	var pending int64
+	if st, ok := l.local.Peek(tx); ok {
+		pending = st.size.n
+	}
+	return l.size.read(tx, pending)
+}
+
 // MapBase is the minimal map contract shared by conc.HashMap and conc.Ctrie
 // that memoizing shadow copies need.
 type MapBase[K comparable, V any] interface {
@@ -273,6 +295,9 @@ type MemoLog[K comparable, V any] struct {
 	base    MapBase[K, V]
 	combine bool
 	local   *stm.Pooled[memoState[K, V]]
+	// size is the map's committed size; each state carries its
+	// transaction's pending delta, published with the replay.
+	size committedSize
 
 	name string
 	sink Sink // nil when uninstrumented
@@ -293,6 +318,7 @@ type memoState[K comparable, V any] struct {
 	overlay        map[K]memoEntry[V]
 	order          []K // touched keys in first-touch order (combined replay)
 	ops            []memoOp[K, V]
+	size           sizeDelta
 	onCommitLocked func()
 	onAbort        func()
 }
@@ -302,14 +328,17 @@ type memoEntry[V any] struct {
 	val     V
 }
 
-// NewMemoLog creates a memoizing replay log over base.
-func NewMemoLog[K comparable, V any](base MapBase[K, V], combine bool) *MemoLog[K, V] {
+// NewMemoLog creates a memoizing replay log over base, keeping its size on
+// s.
+func NewMemoLog[K comparable, V any](s *stm.STM, base MapBase[K, V], combine bool) *MemoLog[K, V] {
 	l := &MemoLog[K, V]{base: base, combine: combine}
+	l.size.init(s)
 	l.local = stm.NewPooled(func(tx *stm.Txn, st *memoState[K, V]) {
 		if st.overlay == nil {
 			st.overlay = make(map[K]memoEntry[V], 8)
 			st.onCommitLocked = func() {
 				l.replay(st)
+				l.size.publish(&st.size)
 				l.release(st)
 			}
 			st.onAbort = func() { l.release(st) }
@@ -325,7 +354,22 @@ func (l *MemoLog[K, V]) release(st *memoState[K, V]) {
 	clear(st.overlay)
 	truncate(&st.order)
 	truncate(&st.ops)
+	st.size = sizeDelta{}
 	l.local.Release(st)
+}
+
+// resize changes the map's size by by within tx (see committedSize).
+func (l *MemoLog[K, V]) resize(tx *stm.Txn, by int64) {
+	l.size.add(tx, &l.local.Get(tx).size, by)
+}
+
+// sizeOf returns the map's size as tx observes it.
+func (l *MemoLog[K, V]) sizeOf(tx *stm.Txn) int {
+	var pending int64
+	if st, ok := l.local.Peek(tx); ok {
+		pending = st.size.n
+	}
+	return l.size.read(tx, pending)
 }
 
 // Combining reports whether log combining is enabled.

@@ -12,7 +12,6 @@ import (
 type Set[K comparable] struct {
 	al   *AbstractLock[K]
 	base *conc.SkipListMap[K, struct{}]
-	size *stm.Ref[int]
 	undo *txnUndo[K, struct{}]
 }
 
@@ -21,12 +20,11 @@ func NewSet[K comparable](s *stm.STM, lap LockAllocatorPolicy[K], cmp func(a, b 
 	st := &Set[K]{
 		al:   NewAbstractLock(lap),
 		base: conc.NewSkipListMap[K, struct{}](cmp),
-		size: stm.NewRef(s, 0),
 	}
 	// Records are only logged for effective mutations: had means the key
 	// was present before (an effective Remove — undo re-inserts), !had
 	// means it was absent (an effective Add — undo removes).
-	st.undo = newTxnUndo(func(r undoRec[K, struct{}]) {
+	st.undo = newTxnUndo(s, func(r undoRec[K, struct{}]) {
 		if r.had {
 			st.base.Put(r.key, struct{}{})
 		} else {
@@ -43,7 +41,7 @@ func (st *Set[K]) Add(tx *stm.Txn, k K) bool {
 	_, had := st.base.Put(k, struct{}{})
 	if !had {
 		st.undo.record(tx, undoRec[K, struct{}]{key: k})
-		st.size.Modify(tx, incr)
+		st.undo.resize(tx, 1)
 	}
 	st.al.done1(tx, in)
 	return !had
@@ -56,7 +54,7 @@ func (st *Set[K]) Remove(tx *stm.Txn, k K) bool {
 	_, had := st.base.Remove(k)
 	if had {
 		st.undo.record(tx, undoRec[K, struct{}]{key: k, had: true})
-		st.size.Modify(tx, decr)
+		st.undo.resize(tx, -1)
 	}
 	st.al.done1(tx, in)
 	return had
@@ -73,5 +71,5 @@ func (st *Set[K]) Contains(tx *stm.Txn, k K) bool {
 
 // Size returns the committed size.
 func (st *Set[K]) Size(tx *stm.Txn) int {
-	return st.size.Get(tx)
+	return st.undo.sizeOf(tx)
 }

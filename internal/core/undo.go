@@ -7,8 +7,10 @@ import "proust/internal/stm"
 // pooled, transaction-local storage; a single
 // per-transaction OnAbort registration replays the records LIFO (the order
 // the boosting correctness argument requires) through the wrapper's static
-// undo function. Steady state: zero allocations per operation, two hook
-// closures per (transaction, structure) pair.
+// undo function. The log also carries the transaction's pending change to
+// the structure's size (committedSize), published by an OnCommitLocked hook
+// registered with the first change. Steady state: zero allocations per
+// operation; the hook closures are made once per pooled log.
 //
 // Record interpretation belongs to the wrapper that owns the log:
 //
@@ -31,9 +33,13 @@ type undoRec[K comparable, V any] struct {
 // both stable across pool reuses) and re-registered per transaction, so a
 // steady-state transaction allocates no closures.
 type undoLog[K comparable, V any] struct {
-	recs     []undoRec[K, V]
-	onAbort  func()
-	onCommit func()
+	recs []undoRec[K, V]
+	// size is the transaction's pending change to the structure's size,
+	// published by onCommitLocked (registered on the first change).
+	size           sizeDelta
+	onAbort        func()
+	onCommit       func()
+	onCommitLocked func()
 }
 
 // adtMaxRetainedCap bounds the per-log capacity a pooled ADT log keeps, so
@@ -57,15 +63,17 @@ func truncate[T any](s *[]T) {
 }
 
 // txnUndo attaches an undoLog to transactions that mutate the owning
-// structure. undo is the wrapper's static record interpreter, invoked LIFO
-// on abort.
+// structure, and keeps the structure's committed size. undo is the
+// wrapper's static record interpreter, invoked LIFO on abort.
 type txnUndo[K comparable, V any] struct {
 	p    *stm.Pooled[undoLog[K, V]]
 	undo func(undoRec[K, V])
+	size committedSize
 }
 
-func newTxnUndo[K comparable, V any](undo func(undoRec[K, V])) *txnUndo[K, V] {
+func newTxnUndo[K comparable, V any](s *stm.STM, undo func(undoRec[K, V])) *txnUndo[K, V] {
 	u := &txnUndo[K, V]{undo: undo}
+	u.size.init(s)
 	u.p = stm.NewPooled(func(tx *stm.Txn, lg *undoLog[K, V]) {
 		if lg.onAbort == nil {
 			lg.onAbort = func() {
@@ -75,6 +83,7 @@ func newTxnUndo[K comparable, V any](undo func(undoRec[K, V])) *txnUndo[K, V] {
 				u.release(lg)
 			}
 			lg.onCommit = func() { u.release(lg) }
+			lg.onCommitLocked = func() { u.size.publish(&lg.size) }
 		}
 		tx.OnAbort(lg.onAbort)
 		tx.OnCommit(lg.onCommit)
@@ -85,11 +94,11 @@ func newTxnUndo[K comparable, V any](undo func(undoRec[K, V])) *txnUndo[K, V] {
 // newBindingUndo is the "restore previous binding" log of the map wrappers:
 // each record holds the key's binding before the mutation, and replay
 // re-Puts the previous value or Removes the key.
-func newBindingUndo[K comparable, V any](base interface {
+func newBindingUndo[K comparable, V any](s *stm.STM, base interface {
 	Put(K, V) (V, bool)
 	Remove(K) (V, bool)
 }) *txnUndo[K, V] {
-	return newTxnUndo(func(r undoRec[K, V]) {
+	return newTxnUndo(s, func(r undoRec[K, V]) {
 		if r.had {
 			base.Put(r.key, r.val)
 		} else {
@@ -108,8 +117,27 @@ func (u *txnUndo[K, V]) record(tx *stm.Txn, r undoRec[K, V]) {
 	lg.recs = append(lg.recs, r)
 }
 
+// resize changes the structure's size by by within tx (see
+// committedSize). Call it after the record of the mutation that changed it.
+func (u *txnUndo[K, V]) resize(tx *stm.Txn, by int64) {
+	lg := u.p.Get(tx)
+	if u.size.add(tx, &lg.size, by) {
+		tx.OnCommitLocked(lg.onCommitLocked)
+	}
+}
+
+// sizeOf returns the structure's size as tx observes it.
+func (u *txnUndo[K, V]) sizeOf(tx *stm.Txn) int {
+	var pending int64
+	if lg, ok := u.p.Peek(tx); ok {
+		pending = lg.size.n
+	}
+	return u.size.read(tx, pending)
+}
+
 // release resets a log for pool residency and hands it back.
 func (u *txnUndo[K, V]) release(lg *undoLog[K, V]) {
 	truncate(&lg.recs)
+	lg.size = sizeDelta{}
 	u.p.Release(lg)
 }
